@@ -4,8 +4,7 @@
 ``meta.json``, and per-series plot data. ``compare`` runs several update
 policies over the same log and appends scenario rankings. ``rank`` orders
 precomputed configurations for a business scenario. ``synth`` generates a
-drifted synthetic log. All artifacts are plain CSV/JSON written atomically;
-``STABILITY_METER_THREADS`` caps worker threads.
+drifted synthetic log. All artifacts are plain CSV/JSON written atomically.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .advisor import (
@@ -79,20 +78,6 @@ class RunConfig:
         )
 
 
-def max_threads() -> int:
-    """Worker-thread cap from STABILITY_METER_THREADS (default: cpu, max 8)."""
-    raw = os.environ.get("STABILITY_METER_THREADS")
-    if raw is None or raw.strip() == "":
-        return min(8, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"STABILITY_METER_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"STABILITY_METER_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _atomic_write(path: Path, text: str) -> None:
     """Write via a temp file in the target directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -122,12 +107,29 @@ class SeriesReport:
     metric: str
     values: list[float]
     label_indices: list[int]
-    annotations: list[SeriesAnnotation]
+    annotation: SeriesAnnotation
     measures: MetaMeasures
 
     @property
     def avg_metric(self) -> float:
         return sum(self.values) / len(self.values)
+
+    @cached_property
+    def rows(self) -> list[str]:
+        """Each point's ``value,ma,std,lb,ub,is_drop,drop_id`` CSV fields."""
+        columns = self.annotation
+        return [
+            f"{value!r},{ma!r},{std!r},{lb!r},{ub!r},"
+            + (f"true,{drop_id}" if drop_id else "false,")
+            for value, ma, std, lb, ub, drop_id in zip(
+                columns.value.tolist(),
+                columns.ma.tolist(),
+                columns.std.tolist(),
+                columns.lb.tolist(),
+                columns.ub.tolist(),
+                columns.drop_id.tolist(),
+            )
+        ]
 
 
 def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesReport]:
@@ -157,22 +159,20 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
         key=lambda key: (key[0], order[key[1]]),
     )
 
-    def analyze(key: tuple[int, str]) -> SeriesReport:
-        series = result.series[key]
-        return SeriesReport(
-            bucket=key[0],
-            metric=key[1],
-            values=list(series.values),
-            label_indices=list(series.label_indices),
-            annotations=annotate_series(series.values, config.ma_window),
-            measures=meta_measures(series.values, config.ma_window),
+    reports = []
+    for bucket, metric in keys:
+        series = result.series[(bucket, metric)]
+        annotation = annotate_series(series.values, config.ma_window)
+        reports.append(
+            SeriesReport(
+                bucket=bucket,
+                metric=metric,
+                values=list(series.values),
+                label_indices=list(series.label_indices),
+                annotation=annotation,
+                measures=meta_measures(series.values, config.ma_window, annotation=annotation),
+            )
         )
-
-    if keys:
-        with ThreadPoolExecutor(max_workers=min(max_threads(), len(keys))) as pool:
-            reports = list(pool.map(analyze, keys))
-    else:
-        reports = []
 
     out_dir = Path(config.out_dir)
     _atomic_write(out_dir / "performance.csv", _performance_csv(reports))
@@ -188,32 +188,24 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
     return reports
 
 
-def _annotation_fields(row: SeriesAnnotation) -> list[str]:
-    return [
-        repr(row.value),
-        repr(row.ma),
-        repr(row.std),
-        repr(row.lb),
-        repr(row.ub),
-        "true" if row.is_drop else "false",
-        "" if row.drop_id is None else str(row.drop_id),
-    ]
-
-
 def _performance_csv(reports: list[SeriesReport]) -> str:
-    lines = ["label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id"]
+    # One string per series rather than one per line: the list of all lines
+    # would sit next to the joined text and raise the run's peak memory.
+    parts = ["label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id\n"]
     for report in reports:
-        for label_index, row in zip(report.label_indices, report.annotations):
-            fields = [str(label_index), str(report.bucket), report.metric]
-            fields.extend(_annotation_fields(row))
-            lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+        key = f",{report.bucket},{report.metric},"
+        parts.append(
+            "".join(
+                f"{label_index}{key}{row}\n"
+                for label_index, row in zip(report.label_indices, report.rows)
+            )
+        )
+    return "".join(parts)
 
 
 def _series_csv(report: SeriesReport) -> str:
     lines = ["label_index,value,ma,std,lb,ub,is_drop,drop_id"]
-    for label_index, row in zip(report.label_indices, report.annotations):
-        lines.append(",".join([str(label_index)] + _annotation_fields(row)))
+    lines.extend(f"{label_index},{row}" for label_index, row in zip(report.label_indices, report.rows))
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
+
+# Elements per block of full windows that moving_stats reduces at once.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,8 @@ def moving_stats(points: Sequence[float], window: int) -> MovingStats:
         raise ValueError("cannot compute moving statistics of an empty series")
     ma = np.empty(n)
     phi = np.empty(n)
-    for i in range(n):
-        view = series[max(0, i - window + 1) : i + 1]
+    for i in range(min(window - 1, n)):  # warm-up: the window is still filling
+        view = series[: i + 1]
         if view.max() == view.min():
             ma[i] = view[0]
             phi[i] = 0.0
@@ -108,6 +112,22 @@ def moving_stats(points: Sequence[float], window: int) -> MovingStats:
             mean = view.mean()
             ma[i] = mean
             phi[i] = math.sqrt(((view - mean) ** 2).mean())
+    if n >= window:
+        # Row-wise reductions over the full windows sum each window in the
+        # same pairwise order as a 1-D ``mean``, so the values are the same
+        # bits; rolling sums (cumsum, Welford) would not be, and could leave a
+        # constant window with a nonzero phi. Blocks bound the temporary
+        # (rows x window) arrays.
+        windows = sliding_window_view(series, window)
+        rows = max(1, _BLOCK_ELEMENTS // window)
+        for start in range(0, len(windows), rows):
+            block = windows[start : start + rows]
+            mean = block.mean(axis=1)
+            spread = np.sqrt(((block - mean[:, None]) ** 2).mean(axis=1))
+            flat = block.max(axis=1) == block.min(axis=1)
+            at = slice(window - 1 + start, window - 1 + start + len(block))
+            ma[at] = np.where(flat, block[:, 0], mean)
+            phi[at] = np.where(flat, 0.0, spread)
     return MovingStats(window=window, ma=ma, phi=phi, lb=ma - phi, ub=ma + phi)
 
 
@@ -134,40 +154,20 @@ def detect_drops(points: Sequence[float], stats: MovingStats) -> list[Significan
     """
     series = np.asarray(points, dtype=float)
     below = drop_mask(series, stats)
-    drops = []
-    i = 0
-    n = len(series)
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and below[j + 1]:
-            j += 1
-        segment = series[i : j + 1]
-        magnitudes = np.abs(segment - stats.ma[i : j + 1])
-        drops.append(
-            SignificantDrop(
-                start=i,
-                end=j,
-                points=tuple(float(v) for v in segment),
-                magnitudes=tuple(float(m) for m in magnitudes),
-            )
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], below, [False]))))
+    magnitudes = np.abs(series - stats.ma)
+    return [
+        SignificantDrop(
+            start=start,
+            end=stop - 1,
+            points=tuple(series[start:stop].tolist()),
+            magnitudes=tuple(magnitudes[start:stop].tolist()),
         )
-        i = j + 1
-    return drops
+        for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())
+    ]
 
 
-def meta_measures(points: Sequence[float], window: int) -> MetaMeasures:
-    """Compute the four stability meta-measures of a series.
-
-    Volatility is the mean of all per-point moving standard deviations.
-    Magnitudes aggregate |p_i - ma_i| over all drop points; the recovery
-    rate is the mean drop length. The magnitude and recovery fields are
-    absent (None) when the series has no drops.
-    """
-    stats = moving_stats(points, window)
-    drops = detect_drops(points, stats)
+def _measures(stats: MovingStats, drops: list[SignificantDrop]) -> MetaMeasures:
     volatility = float(np.mean(stats.phi))
     magnitudes = [m for drop in drops for m in drop.magnitudes]
     if drops:
@@ -187,39 +187,62 @@ def meta_measures(points: Sequence[float], window: int) -> MetaMeasures:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesAnnotation:
-    """One annotated series point, ready for CSV/plot emission."""
+    """Per-point annotation of one series as columns, plus its measures.
 
-    value: float
-    ma: float
-    std: float
-    lb: float
-    ub: float
-    is_drop: bool
-    drop_id: int | None
+    ``value``, ``ma``, ``std``, ``lb`` and ``ub`` hold one float per point;
+    ``drop_id[i]`` is the 1-based number of the drop containing point i, or
+    0 when point i is not a drop point. ``len()`` is the point count.
+    """
+
+    value: np.ndarray
+    ma: np.ndarray
+    std: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    drop_id: np.ndarray
+    measures: MetaMeasures
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    @property
+    def is_drop(self) -> np.ndarray:
+        return self.drop_id > 0
 
 
-def annotate_series(points: Sequence[float], window: int) -> list[SeriesAnnotation]:
-    """Per-point annotation rows; drop_id is the 1-based enclosing drop."""
-    stats = moving_stats(points, window)
-    drops = detect_drops(points, stats)
-    drop_of_index: dict[int, int] = {}
+def annotate_series(points: Sequence[float], window: int) -> SeriesAnnotation:
+    """Moving statistics, drops and meta-measures of a series in one pass."""
+    series = np.asarray(points, dtype=float)
+    stats = moving_stats(series, window)
+    drops = detect_drops(series, stats)
+    drop_id = np.zeros(len(series), dtype=np.int64)
     for number, drop in enumerate(drops, start=1):
-        for index in drop.indices():
-            drop_of_index[index] = number
-    rows = []
-    for i, value in enumerate(np.asarray(points, dtype=float)):
-        drop_id = drop_of_index.get(i)
-        rows.append(
-            SeriesAnnotation(
-                value=float(value),
-                ma=float(stats.ma[i]),
-                std=float(stats.phi[i]),
-                lb=float(stats.lb[i]),
-                ub=float(stats.ub[i]),
-                is_drop=drop_id is not None,
-                drop_id=drop_id,
-            )
-        )
-    return rows
+        drop_id[drop.start : drop.end + 1] = number
+    return SeriesAnnotation(
+        value=series,
+        ma=stats.ma,
+        std=stats.phi,
+        lb=stats.lb,
+        ub=stats.ub,
+        drop_id=drop_id,
+        measures=_measures(stats, drops),
+    )
+
+
+def meta_measures(
+    points: Sequence[float], window: int, *, annotation: SeriesAnnotation | None = None
+) -> MetaMeasures:
+    """Compute the four stability meta-measures of a series.
+
+    Volatility is the mean of all per-point moving standard deviations.
+    Magnitudes aggregate |p_i - ma_i| over all drop points; the recovery
+    rate is the mean drop length. The magnitude and recovery fields are
+    absent (None) when the series has no drops. Pass the
+    ``annotate_series(points, window)`` result as ``annotation`` to reuse
+    its analysis instead of repeating it.
+    """
+    if annotation is None:
+        annotation = annotate_series(points, window)
+    return annotation.measures

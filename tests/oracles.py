@@ -1,14 +1,58 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here recomputes each window from scratch with plain Python and
-``math.fsum`` precision; nothing is shared with the package's streaming
-code paths.
+Everything here recomputes each window from scratch; nothing is shared
+with the package's code paths. ``brute_*`` use plain Python and
+``math.fsum`` precision. ``loop_moving_stats`` is the per-point numpy loop
+the package used before it vectorised the full windows, kept as the
+bit-exact reference for that change.
 """
 
 from __future__ import annotations
 
 import math
 from math import fsum
+
+import numpy as np
+
+
+def loop_moving_stats(points, window):
+    """Per-point (ma, phi) arrays, one numpy reduction per point.
+
+    Same arithmetic as the package's moving statistics: pairwise-summed
+    ``mean`` over each window, population std, and a constant window gives
+    ma = its first value and phi = exactly 0.
+    """
+    series = np.asarray(points, dtype=float)
+    n = len(series)
+    ma = np.empty(n)
+    phi = np.empty(n)
+    for i in range(n):
+        view = series[max(0, i - window + 1) : i + 1]
+        if view.max() == view.min():
+            ma[i] = view[0]
+            phi[i] = 0.0
+        else:
+            mean = view.mean()
+            ma[i] = mean
+            phi[i] = math.sqrt(((view - mean) ** 2).mean())
+    return ma, phi
+
+
+def loop_drop_runs(below):
+    """(start, end) inclusive index pairs of the maximal True runs, walked one by one."""
+    runs = []
+    i = 0
+    n = len(below)
+    while i < n:
+        if not below[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and below[j + 1]:
+            j += 1
+        runs.append((i, j))
+        i = j + 1
+    return runs
 
 
 def brute_moving_stats(points, window):

@@ -261,19 +261,3 @@ def test_bad_config_is_a_config_error(small_log, capsys):
     assert code == 2
     assert "config error" in stderr
 
-
-def test_threads_env_is_validated(small_log, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STABILITY_METER_THREADS", "zero")
-    code, _, stderr = _run_cli(
-        ["run", "--log", str(small_log), "--grace", "20", "--out", str(tmp_path / "t")],
-        capsys,
-    )
-    assert code == 2
-    assert "STABILITY_METER_THREADS" in stderr
-    monkeypatch.setenv("STABILITY_METER_THREADS", "2")
-    code, _, _ = _run_cli(
-        ["run", "--log", str(small_log), "--grace", "20", "--eval-window", "10",
-         "--out", str(tmp_path / "t2")],
-        capsys,
-    )
-    assert code == 0

@@ -1,0 +1,82 @@
+"""Golden digests: fixed inputs and flags must keep producing the same bytes.
+
+Each configuration replays a small seeded ``synth`` log through ``run`` and
+hashes ``performance.csv``, ``meta.json`` and the plot files. A change that
+alters any output on purpose must say so and re-record these digests; a
+speed-up that moves a last float bit fails here.
+
+``meta.json`` records the ``--log`` argument, so the run uses a relative log
+name inside the temporary directory.
+"""
+
+import hashlib
+
+import pytest
+
+from stability_meter.cli import main
+from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+
+_BASE = ["--grace", "50", "--eval-window", "20"]
+
+CONFIGS = {
+    "static": ["--model", "static"],
+    "incremental": ["--model", "incremental"],
+    "window-retrain": ["--model", "window-retrain", "--retrain-every", "8"],
+    "attrs": ["--model", "incremental", "--attrs", "amount,channel", "--eval-every", "5"],
+    # above numpy's 128-element pairwise-summation block
+    "ma-window-150": ["--model", "static", "--ma-window", "150"],
+}
+
+GOLDEN = {
+    "static": {
+        "performance.csv": "f3f93b1b16b646de6da0f53285e87d2821e092237e22a2dcfa7e1c1e44617b1e",
+        "meta.json": "89cd20ab1b8ce15deee1a0f8f3bc6374c01780e466940984a7e279c7c3b7a26c",
+        "plots": "432450c839a602943d190ad738d8e34eb1c2b9c12360d495ef6a83e313298087",
+    },
+    "incremental": {
+        "performance.csv": "45aded439941b4e3cdeb82c60ab18ef32955668995e48db0ce3724dac3d91d40",
+        "meta.json": "09998060b423bfe36cdcc4a0fa107c44ecdafe25e3456ffd2c3675c74beadbce",
+        "plots": "a7b752c485020abe4d25e8dee74c2d4bd5c5a8d660033f66e84151b3f9b1822f",
+    },
+    "window-retrain": {
+        "performance.csv": "1e4004967b9be8f8dbb8a4eb0bd7291db43ffb3198488ff3377cb0a7a277c928",
+        "meta.json": "f359a4531a6815e32bdb5ac2aa0f943b5c22c6d610234932cfc2adb511be119b",
+        "plots": "a99b5dc4477650b549ff74438f33a864f406d79236dd283d75ac2ab43e491620",
+    },
+    "attrs": {
+        "performance.csv": "d3623fd702bf4f5ce03aee4b9999fbebd1e404d488c93feaa6ea54d13c0205b0",
+        "meta.json": "16bc7a3c47dbbf45f2ab2cb0a9ac1030a563273fe71bdc8ada88bc151c832548",
+        "plots": "fdb235fb2aedd67e95694ab0ab5b4d9c6b8fe32e9e8dd48ac4ced7d984f6606a",
+    },
+    "ma-window-150": {
+        "performance.csv": "7fa1114803180c2781ae64743b34484f3ad8d3a1ae5fb221d3ef50ba87651c7e",
+        "meta.json": "9c43e2c95c03ca8c9a7b42b92ce31db5e4d9ae1dfe59fc5c7fbea80b35f5d36e",
+        "plots": "c06c8fd309e655688c7d445b2d9f13155c41c98339f35dc21610e66b5e1b6b43",
+    },
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _digests(out):
+    plots = hashlib.sha256()
+    for path in sorted((out / "plots").glob("*.csv")):
+        plots.update(f"{path.name} {_sha256(path)}\n".encode())
+    return {
+        "performance.csv": _sha256(out / "performance.csv"),
+        "meta.json": _sha256(out / "meta.json"),
+        "plots": plots.hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_run_outputs_match_recorded_digests(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "log.csv").write_text(
+        to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))
+    )
+    assert main(["run", "--log", "log.csv", "--out", "out", *_BASE, *CONFIGS[name]]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path / "out") == GOLDEN[name]

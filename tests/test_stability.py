@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stability_meter import stability
 from stability_meter.errors import ConfigError
 from stability_meter.stability import (
     MovingStats,
@@ -13,7 +14,7 @@ from stability_meter.stability import (
     moving_stats,
 )
 
-from oracles import brute_meta, brute_moving_stats
+from oracles import brute_meta, brute_moving_stats, loop_drop_runs, loop_moving_stats
 
 
 def test_moving_stats_warmup_and_window():
@@ -93,23 +94,94 @@ def test_drops_per_100_points():
     assert mm.drops_per_100_points == pytest.approx(20.0)
 
 
+_COLUMNS = ("value", "ma", "std", "lb", "ub", "drop_id")
+
+
 def test_annotate_rows_mark_the_drop():
-    rows = annotate_series([0.8, 0.8, 0.8, 0.2, 0.8], window=3)
-    assert len(rows) == 5
-    assert [row.is_drop for row in rows] == [False, False, False, True, False]
-    assert rows[3].drop_id == 1
-    assert all(row.drop_id is None for row in rows if not row.is_drop)
+    annotation = annotate_series([0.8, 0.8, 0.8, 0.2, 0.8], window=3)
+    assert len(annotation) == 5
+    assert annotation.is_drop.tolist() == [False, False, False, True, False]
+    assert annotation.drop_id[3] == 1
+    assert np.all(annotation.drop_id[~annotation.is_drop] == 0)
 
 
 def test_annotate_single_point():
-    rows = annotate_series([0.42], window=30)
-    assert len(rows) == 1
-    assert rows[0].std == 0.0 and not rows[0].is_drop
+    annotation = annotate_series([0.42], window=30)
+    assert len(annotation) == 1
+    assert annotation.std[0] == 0.0 and not annotation.is_drop[0]
 
 
 def test_annotate_is_deterministic():
     points = list(np.random.default_rng(7).uniform(size=60))
-    assert annotate_series(points, 10) == annotate_series(points, 10)
+    first, second = annotate_series(points, 10), annotate_series(points, 10)
+    for column in _COLUMNS:
+        assert np.array_equal(getattr(first, column), getattr(second, column))
+    assert first.measures == second.measures
+
+
+def _differential_series(rng, n, kind):
+    if kind == "uniform":
+        return rng.uniform(size=n)
+    if kind == "two-decimal":  # metric-like values with many exact ties
+        return np.round(rng.uniform(size=n), 2)
+    if kind == "three-valued":
+        return rng.choice([0.0, 0.5, 1.0], size=n)
+    # constant runs of random length, so many windows are exactly flat
+    levels = np.round(rng.uniform(size=n), 2)
+    return np.repeat(levels, rng.integers(1, 80, size=n))[:n]
+
+
+def _assert_bit_identical_to_loop(points, window):
+    stats = moving_stats(points, window)
+    ma, phi = loop_moving_stats(points, window)
+    assert np.array_equal(stats.ma, ma)
+    assert np.array_equal(stats.phi, phi)
+    assert np.array_equal(stats.lb, ma - phi)
+    assert np.array_equal(stats.ub, ma + phi)
+    lb = ma - phi
+    below = points < lb - 1e-12 * np.maximum(1.0, np.abs(lb))
+    assert np.array_equal(drop_mask(points, stats), below)
+    runs = loop_drop_runs(below.tolist())
+    drops = detect_drops(points, stats)
+    assert [(d.start, d.end) for d in drops] == runs
+    for drop in drops:
+        segment = slice(drop.start, drop.end + 1)
+        assert drop.points == tuple(points[segment].tolist())
+        assert drop.magnitudes == tuple(np.abs(points[segment] - ma[segment]).tolist())
+    annotation = annotate_series(points, window)
+    assert np.array_equal(annotation.ma, ma) and np.array_equal(annotation.std, phi)
+    expected_ids = np.zeros(len(points), dtype=int)
+    for number, (start, end) in enumerate(runs, start=1):
+        expected_ids[start : end + 1] = number
+    assert np.array_equal(annotation.drop_id, expected_ids)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "two-decimal", "three-valued", "constant-runs"])
+def test_moving_stats_is_bit_identical_to_the_per_point_loop(kind):
+    rng = np.random.default_rng(["uniform", "two-decimal", "three-valued", "constant-runs"].index(kind))
+    for _ in range(10):
+        n = int(rng.integers(1, 3001))
+        window = int(rng.integers(1, 501))
+        _assert_bit_identical_to_loop(_differential_series(rng, n, kind), window)
+
+
+@pytest.mark.parametrize(
+    "n, window",
+    [(1, 1), (1, 500), (2, 1), (29, 30), (30, 30), (31, 30), (127, 128), (128, 128),
+     (129, 128), (300, 129), (600, 256), (3000, 500)],
+)
+def test_moving_stats_bit_identity_around_the_window_length(n, window):
+    rng = np.random.default_rng(n * 1000 + window)
+    for kind in ("uniform", "two-decimal", "three-valued", "constant-runs"):
+        _assert_bit_identical_to_loop(_differential_series(rng, n, kind), window)
+
+
+def test_moving_stats_blocks_do_not_change_the_result(monkeypatch):
+    rng = np.random.default_rng(11)
+    points = _differential_series(rng, 700, "two-decimal")
+    monkeypatch.setattr(stability, "_BLOCK_ELEMENTS", 97)  # several ragged blocks
+    for window in (1, 5, 30, 96, 97, 200):
+        _assert_bit_identical_to_loop(points, window)
 
 
 def _series(seed, max_len=200):
