@@ -33,7 +33,6 @@ from .evaluation import (
     RunResult,
     metrics_from_confusion,
     run_stream,
-    window_metric,
 )
 from .event_model import Event, StreamItem, Trace, parse_log, replay
 from .prefixing import (
@@ -45,7 +44,6 @@ from .prefixing import (
     Prefix,
     default_k_max,
     encode,
-    prefixes_of,
 )
 from .stability import (
     MetaMeasures,

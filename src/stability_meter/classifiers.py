@@ -85,6 +85,19 @@ def _gini(n1: float, n: float) -> float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
+def _gains(ones_left: np.ndarray, n_left: np.ndarray, ones_total: int, n: int, parent: float):
+    """Gini gain of each candidate; every candidate leaves rows on both sides."""
+    n_left = n_left.astype(float)
+    n_right = n - n_left
+    ones_left = ones_left.astype(float)
+    ones_right = float(ones_total) - ones_left
+    p_left = ones_left / n_left
+    p_right = ones_right / n_right
+    gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
+    gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
+    return parent - (n_left * gini_left + n_right * gini_right) / n
+
+
 def _check_width(sample: EncodedSample, mask: tuple, bucket: int) -> None:
     if len(sample.features) != len(mask):
         raise ValueError(
@@ -101,6 +114,11 @@ class DecisionTree:
     index, then sorted value), and the first candidate with the best gain
     wins, so fitting is fully deterministic. Splits must leave at least
     ``min_leaf`` samples on each side.
+
+    Each node searches all features at once (histogram split finding): one
+    stable sort with cumulative label counts covers the numeric columns, and
+    two ``bincount`` calls over (feature, value) keys cover the categorical
+    columns, whose values are coded once per fit.
     """
 
     def __init__(self, max_depth: int = 6, min_leaf: int = 5) -> None:
@@ -121,92 +139,80 @@ class DecisionTree:
         if matrix.ndim != 2 or len(matrix) == 0:
             raise ValueError("fit requires a non-empty 2-D sample matrix")
         mask = np.asarray(numeric_mask, dtype=bool)
-        self.root = self._build(matrix, target, mask, depth=0)
+        if mask.shape != (matrix.shape[1],):
+            raise ValueError(f"numeric mask has {mask.size} flags for {matrix.shape[1]} features")
+        self._numeric = np.flatnonzero(mask)
+        self._categorical = np.flatnonzero(~mask)
+        # Code each categorical column by its sorted distinct values and
+        # offset column c by c * width, so one bincount histograms them all.
+        coded = [np.unique(matrix[:, f], return_inverse=True) for f in self._categorical]
+        self._tables = [table for table, _ in coded]
+        self._width = max((len(table) for table in self._tables), default=0)
+        keys = np.empty((len(coded), len(matrix)), dtype=np.int64)
+        for c, (_, codes) in enumerate(coded):
+            keys[c] = codes + c * self._width
+        numeric = np.ascontiguousarray(matrix[:, self._numeric].T)
+        self.root = self._build(numeric, keys, target, depth=0)
         return self
 
-    def _leaf(self, target: np.ndarray) -> _Node:
-        ones = int(target.sum())
-        return _Node(prediction=int(ones > len(target) - ones))
-
-    def _build(self, matrix: np.ndarray, target: np.ndarray, mask: np.ndarray, depth: int) -> _Node:
+    def _build(self, numeric: np.ndarray, keys: np.ndarray, target: np.ndarray, depth: int) -> _Node:
         n = len(target)
         ones = int(target.sum())
         if ones == 0 or ones == n or depth >= self.max_depth or n < 2 * self.min_leaf:
-            return self._leaf(target)
-        split = self._best_split(matrix, target, mask)
+            return _Node(prediction=int(ones > n - ones))
+        split = self._best_split(numeric, keys, target, ones)
         if split is None:
-            return self._leaf(target)
-        feature, numeric_split, threshold, left_rows = split
-        node = _Node(feature=feature, numeric_split=numeric_split, threshold=threshold)
-        node.left = self._build(matrix[left_rows], target[left_rows], mask, depth + 1)
-        node.right = self._build(matrix[~left_rows], target[~left_rows], mask, depth + 1)
+            return _Node(prediction=int(ones > n - ones))
+        node, left = split
+        right = ~left
+        node.left = self._build(numeric[:, left], keys[:, left], target[left], depth + 1)
+        node.right = self._build(numeric[:, right], keys[:, right], target[right], depth + 1)
         return node
 
-    def _best_split(self, matrix, target, mask):
+    def _best_split(self, numeric, keys, target, ones):
+        """Best (node, left-row mask) over all features, or None.
+
+        ``numeric`` holds one row per numeric feature and ``keys`` one row
+        of offset codes per categorical feature, both in feature-index
+        order. Within each block a flat ``argmax`` over the candidates,
+        feature by feature in ascending value, picks the first maximum;
+        between the blocks a tie goes to the lower feature index.
+        """
         n = len(target)
-        parent = _gini(float(target.sum()), float(n))
-        best_gain = -np.inf
-        best = None
-        for feature in range(matrix.shape[1]):
-            column = matrix[:, feature]
-            if mask[feature]:
-                found = self._numeric_candidates(column, target, n, parent)
-            else:
-                found = self._categorical_candidates(column, target, n, parent)
-            if found is not None and found[0] > best_gain:
-                best_gain, threshold, left_rows = found
-                best = (feature, bool(mask[feature]), threshold, left_rows)
-        if best is None:
+        parent = _gini(float(ones), float(n))
+        found = []
+        if len(numeric):
+            # A cut after sorted position i leaves i + 1 rows on the left.
+            lo, hi = self.min_leaf - 1, n - self.min_leaf
+            order = np.argsort(numeric, axis=1, kind="stable")
+            values = np.take_along_axis(numeric, order, axis=1)
+            ones_left = np.cumsum(target[order], axis=1)
+            feature, cut = np.nonzero(values[:, lo:hi] != values[:, lo + 1 : hi + 1])
+            if len(cut):
+                cut += lo
+                gains = _gains(ones_left[feature, cut], cut + 1, ones, n, parent)
+                pick = int(np.argmax(gains))
+                f, i = feature[pick], cut[pick]
+                threshold = float((values[f, i] + values[f, i + 1]) / 2.0)
+                node = _Node(feature=int(self._numeric[f]), numeric_split=True, threshold=threshold)
+                found.append((gains[pick], node, numeric[f] <= threshold))
+        if len(keys):
+            flat = keys.ravel()
+            size = len(keys) * self._width
+            n_left = np.bincount(flat, minlength=size)
+            ones_left = np.bincount(flat, np.broadcast_to(target, keys.shape).ravel(), size)
+            cells = np.flatnonzero((n_left >= self.min_leaf) & (n_left <= n - self.min_leaf))
+            if len(cells):
+                gains = _gains(ones_left[cells], n_left[cells], ones, n, parent)
+                pick = int(np.argmax(gains))
+                c, code = divmod(int(cells[pick]), self._width)
+                value = float(self._tables[c][code])
+                node = _Node(feature=int(self._categorical[c]), threshold=value)
+                found.append((gains[pick], node, keys[c] == cells[pick]))
+        if not found:
             return None
-        return best
-
-    def _numeric_candidates(self, column, target, n, parent):
-        order = np.argsort(column, kind="stable")
-        values = column[order]
-        ones = np.cumsum(target[order])
-        cuts = np.nonzero(values[:-1] != values[1:])[0]
-        if len(cuts) == 0:
-            return None
-        n_left = cuts + 1
-        n_right = n - n_left
-        valid = (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
-        if not valid.any():
-            return None
-        gains = self._gains(ones[cuts], n_left, float(ones[-1]), n, parent)
-        gains[~valid] = -np.inf
-        pick = int(np.argmax(gains))
-        threshold = float((values[cuts[pick]] + values[cuts[pick] + 1]) / 2.0)
-        return float(gains[pick]), threshold, column <= threshold
-
-    def _categorical_candidates(self, column, target, n, parent):
-        values, inverse = np.unique(column, return_inverse=True)
-        if len(values) < 2:
-            return None
-        n_left = np.bincount(inverse)
-        ones_left = np.bincount(inverse, weights=target.astype(float))
-        n_right = n - n_left
-        valid = (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
-        if not valid.any():
-            return None
-        gains = self._gains(ones_left, n_left, float(target.sum()), n, parent)
-        gains[~valid] = -np.inf
-        pick = int(np.argmax(gains))
-        value = float(values[pick])
-        return float(gains[pick]), value, column == value
-
-    @staticmethod
-    def _gains(ones_left, n_left, ones_total, n, parent):
-        n_left = n_left.astype(float)
-        n_right = n - n_left
-        ones_left = ones_left.astype(float)
-        ones_right = ones_total - ones_left
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_left = ones_left / n_left
-            p_right = ones_right / n_right
-            gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
-            gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
-            weighted = (n_left * gini_left + n_right * gini_right) / n
-        return parent - np.nan_to_num(weighted, nan=np.inf)
+        _, node, left = max(found, key=lambda entry: (entry[0], -entry[1].feature))
+        return node, left
 
     def predict(self, features: Sequence[float]) -> int:
         if self.root is None:

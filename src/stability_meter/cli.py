@@ -137,6 +137,11 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
     traces = parse_log(config.log)
     auto = config.k_max is None
     k_max = default_k_max(traces) if auto else config.k_max
+    if auto and k_max < config.k_min:
+        raise ConfigError(
+            f"--k-max auto resolved to {k_max} (the median case length), below "
+            f"--k-min {config.k_min}; pass an explicit --k-max >= {config.k_min}"
+        )
     buckets = BucketConfig(k_min=config.k_min, k_max=k_max)
     schema = AttributeSchema.from_traces(config.attrs, traces)
     framework = PredictionFramework.build(

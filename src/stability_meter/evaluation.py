@@ -83,33 +83,22 @@ def metrics_from_confusion(tp: int, fp: int, fn: int, tn: int) -> dict[str, floa
     return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
 
 
-def window_metric(window: EvalWindow, metric: str) -> float | None:
-    """Metric over the window's pairs; None when the window is empty."""
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}")
-    if len(window) == 0:
-        return None
-    return metrics_from_confusion(*window.counts())[metric]
-
-
 @dataclass
 class PerformanceSeries:
     """Windowed metric values of one (bucket, metric) pair over time.
 
     Each point is stamped with the ordinal of the triggering label among all
-    labels received and with the stream index of the case-end item.
+    labels received.
     """
 
     bucket: int
     metric: str
     values: list[float] = field(default_factory=list)
     label_indices: list[int] = field(default_factory=list)
-    stream_indices: list[int] = field(default_factory=list)
 
-    def append(self, value: float, label_index: int, stream_index: int) -> None:
+    def append(self, value: float, label_index: int) -> None:
         self.values.append(value)
         self.label_indices.append(label_index)
-        self.stream_indices.append(stream_index)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -239,6 +228,6 @@ def run_stream(
                 continue
             values = metrics_from_confusion(*window.counts())
             for metric in metrics:
-                series[(eval_k, metric)].append(values[metric], labels_seen, stream_index)
+                series[(eval_k, metric)].append(values[metric], labels_seen)
 
     return RunResult(series=series, ledger=ledger, labels_seen=labels_seen)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from math import isfinite
 from pathlib import Path
 from typing import IO, Iterator, Sequence, Union
 
@@ -105,10 +106,13 @@ def parse_log(source: LogSource) -> list[Trace]:
 
     Extra columns become event attributes and are sniffed as numeric when
     every non-empty value parses as a decimal, otherwise kept as strings.
+    A numeric column must hold finite values only; in a string column
+    ``"nan"`` is a plain string.
 
     Raises:
         LogFormatError: missing required column or unparseable timestamp.
-        LogValueError: non-binary or conflicting label values.
+        LogValueError: non-binary or conflicting label values, or a
+            ``nan``/``inf`` value in a numeric column.
         EmptyLogError: no data rows.
     """
     if isinstance(source, (str, Path)):
@@ -159,10 +163,17 @@ def parse_log(source: LogSource) -> list[Trace]:
             raise LogValueError(f"case {case_id!r} has conflicting labels {sorted(labels)}")
         events = []
         for position, (_, activity, timestamp, _, attrs, row) in enumerate(case_rows, start=1):
-            typed = {
-                name: float(value) if numeric[name] else value
-                for name, value in attrs.items()
-            }
+            typed = {}
+            for name, value in attrs.items():
+                if numeric[name]:
+                    number = float(value)
+                    if not isfinite(number):
+                        raise LogValueError(
+                            f"row {row}: numeric column {name!r} has non-finite value {value!r}"
+                        )
+                    typed[name] = number
+                else:
+                    typed[name] = value
             events.append(
                 Event(
                     case_id=case_id,

@@ -126,15 +126,6 @@ def default_k_max(traces: Sequence[Trace]) -> int:
     return lengths[(len(lengths) - 1) // 2]
 
 
-def prefixes_of(trace: Trace, cfg: BucketConfig) -> list[Prefix]:
-    """All prefixes of the trace with lengths in [k_min, min(k_max, N)]."""
-    top = min(cfg.k_max, len(trace.events))
-    return [
-        Prefix(case_id=trace.case_id, k=k, events=tuple(trace.events[:k]))
-        for k in range(cfg.k_min, top + 1)
-    ]
-
-
 def encode(
     prefix: Prefix,
     schema: AttributeSchema,

@@ -4,7 +4,9 @@ Everything here recomputes each window from scratch; nothing is shared
 with the package's code paths. ``brute_*`` use plain Python and
 ``math.fsum`` precision. ``loop_moving_stats`` is the per-point numpy loop
 the package used before it vectorised the full windows, kept as the
-bit-exact reference for that change.
+bit-exact reference for that change. ``ReferenceTree`` is the Gini tree
+that searched splits one feature at a time, kept as the reference for the
+per-node split search.
 """
 
 from __future__ import annotations
@@ -166,3 +168,115 @@ def nb_posterior_scores(samples, features, alpha=1.0, bins=None, numeric_mask=No
             score += math.log((count + alpha) / (n_class[label] + alpha * len(seen)))
         scores.append(score)
     return scores
+
+
+def _ref_gini(n1, n):
+    p = n1 / n
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+
+class ReferenceTree:
+    """Greedy Gini tree that searches splits one feature at a time.
+
+    Candidates are visited in feature-index order, then by ascending value;
+    a feature replaces the best so far only with a strictly larger gain, and
+    within a feature the first maximum wins. ``to_dict`` has the package
+    tree's node layout.
+    """
+
+    def __init__(self, max_depth=6, min_leaf=5):
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.root = None
+
+    def fit(self, features, labels, numeric_mask):
+        matrix = np.asarray(features, dtype=float)
+        target = np.asarray(labels, dtype=np.int64)
+        mask = np.asarray(numeric_mask, dtype=bool)
+        self.root = self._build(matrix, target, mask, depth=0)
+        return self
+
+    def to_dict(self):
+        return self.root
+
+    def _build(self, matrix, target, mask, depth):
+        n = len(target)
+        ones = int(target.sum())
+        leaf = {"kind": "leaf", "prediction": int(ones > n - ones)}
+        if ones == 0 or ones == n or depth >= self.max_depth or n < 2 * self.min_leaf:
+            return leaf
+        split = self._best_split(matrix, target, mask)
+        if split is None:
+            return leaf
+        feature, numeric_split, threshold, left_rows = split
+        return {
+            "kind": "num" if numeric_split else "cat",
+            "feature": feature,
+            "threshold": threshold,
+            "left": self._build(matrix[left_rows], target[left_rows], mask, depth + 1),
+            "right": self._build(matrix[~left_rows], target[~left_rows], mask, depth + 1),
+        }
+
+    def _best_split(self, matrix, target, mask):
+        n = len(target)
+        parent = _ref_gini(float(target.sum()), float(n))
+        best_gain = -np.inf
+        best = None
+        for feature in range(matrix.shape[1]):
+            column = matrix[:, feature]
+            if mask[feature]:
+                found = self._numeric_candidates(column, target, n, parent)
+            else:
+                found = self._categorical_candidates(column, target, n, parent)
+            if found is not None and found[0] > best_gain:
+                best_gain, threshold, left_rows = found
+                best = (feature, bool(mask[feature]), threshold, left_rows)
+        return best
+
+    def _numeric_candidates(self, column, target, n, parent):
+        order = np.argsort(column, kind="stable")
+        values = column[order]
+        ones = np.cumsum(target[order])
+        cuts = np.nonzero(values[:-1] != values[1:])[0]
+        if len(cuts) == 0:
+            return None
+        n_left = cuts + 1
+        n_right = n - n_left
+        valid = (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
+        if not valid.any():
+            return None
+        gains = self._gains(ones[cuts], n_left, float(ones[-1]), n, parent)
+        gains[~valid] = -np.inf
+        pick = int(np.argmax(gains))
+        threshold = float((values[cuts[pick]] + values[cuts[pick] + 1]) / 2.0)
+        return float(gains[pick]), threshold, column <= threshold
+
+    def _categorical_candidates(self, column, target, n, parent):
+        values, inverse = np.unique(column, return_inverse=True)
+        if len(values) < 2:
+            return None
+        n_left = np.bincount(inverse)
+        ones_left = np.bincount(inverse, weights=target.astype(float))
+        n_right = n - n_left
+        valid = (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
+        if not valid.any():
+            return None
+        gains = self._gains(ones_left, n_left, float(target.sum()), n, parent)
+        gains[~valid] = -np.inf
+        pick = int(np.argmax(gains))
+        value = float(values[pick])
+        return float(gains[pick]), value, column == value
+
+    @staticmethod
+    def _gains(ones_left, n_left, ones_total, n, parent):
+        n_left = n_left.astype(float)
+        n_right = n - n_left
+        ones_left = ones_left.astype(float)
+        ones_right = ones_total - ones_left
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_left = ones_left / n_left
+            p_right = ones_right / n_right
+            gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
+            gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
+            weighted = (n_left * gini_left + n_right * gini_right) / n
+        return parent - np.nan_to_num(weighted, nan=np.inf)

@@ -15,7 +15,7 @@ from stability_meter.classifiers import (
 from stability_meter.errors import NotReadyError
 from stability_meter.prefixing import AttributeSchema, BucketConfig, EncodedSample
 
-from oracles import nb_posterior_scores
+from oracles import ReferenceTree, nb_posterior_scores
 
 
 def _sample(features, label=None, bucket=2):
@@ -196,6 +196,80 @@ def test_tree_leaf_tie_breaks_toward_zero():
         [(0,), (0,)], [0, 1], numeric_mask=(False,)
     )
     assert tree.predict((0,)) == 0
+
+
+def _random_column(rng, n, numeric):
+    if not numeric:
+        # non-contiguous and negative category codes, sometimes a constant column
+        values = rng.choice([-7.0, -3.0, -1.0, 0.0, 2.0, 5.0, 11.0, 40.0], int(rng.integers(1, 6)))
+        return rng.choice(values, n)
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return rng.normal(size=n)
+    if kind == 1:
+        return np.round(rng.normal(size=n), 1)  # some ties
+    if kind == 2:
+        return rng.integers(-2, 3, n).astype(float)  # heavy ties
+    return np.full(n, 2.5)  # constant
+
+
+def _random_fit_inputs(rng, masks):
+    n = int(rng.integers(1, 200))
+    width = int(rng.integers(1, 9))
+    if masks == "numeric":
+        mask = [True] * width
+    elif masks == "categorical":
+        mask = [False] * width
+    else:
+        mask = [bool(flag) for flag in rng.random(width) < 0.5]
+    matrix = np.stack([_random_column(rng, n, flag) for flag in mask], axis=1)
+    labels = (rng.random(n) < rng.random()).astype(int)
+    return matrix.tolist(), labels.tolist(), mask
+
+
+def _assert_same_tree(features, labels, mask, max_depth, min_leaf):
+    fast = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(features, labels, mask)
+    slow = ReferenceTree(max_depth=max_depth, min_leaf=min_leaf).fit(features, labels, mask)
+    assert fast.to_dict() == slow.to_dict()
+    return fast
+
+
+@pytest.mark.parametrize("masks", ["mixed", "numeric", "categorical"])
+def test_tree_matches_the_per_feature_reference_on_random_inputs(masks):
+    rng = np.random.default_rng({"mixed": 1, "numeric": 2, "categorical": 3}[masks])
+    for _ in range(300):
+        features, labels, mask = _random_fit_inputs(rng, masks)
+        _assert_same_tree(
+            features, labels, mask, int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        )
+
+
+@pytest.mark.parametrize(
+    "features, labels, mask, min_leaf",
+    [
+        ([(1.5, 2.0)], [1], (True, False), 1),  # a single row
+        ([(0.0,), (1.0,), (0.0,)], [0, 1, 1], (True,), 2),  # n < 2 * min_leaf
+        ([(3.0, 3.0)] * 4 + [(3.0, 3.0)] * 4, [0, 1] * 4, (True, False), 1),  # constant columns
+    ],
+)
+def test_tree_without_a_candidate_split_is_one_leaf(features, labels, mask, min_leaf):
+    tree = _assert_same_tree(features, labels, mask, 3, min_leaf)
+    assert tree.root.prediction is not None
+
+
+@pytest.mark.parametrize("mask", [(True, False, True), (False, True, False), (False, False, True)])
+def test_tree_equal_gains_go_to_the_lowest_feature_index(mask):
+    # all three columns split the rows identically, so every feature has the same best gain
+    column = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    features = [(value, value, value) for value in column]
+    labels = [0, 0, 1, 1, 1, 1]
+    tree = _assert_same_tree(features, labels, mask, 1, 1)
+    assert tree.root.feature == 0
+
+
+def test_tree_rejects_a_mask_of_the_wrong_width():
+    with pytest.raises(ValueError, match="numeric mask"):
+        DecisionTree().fit([(1.0, 2.0)], [1], (True,))
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,28 @@ def test_malformed_log_is_a_format_error(tmp_path, capsys):
     assert "format error" in stderr and "label" in stderr
 
 
+def test_non_finite_numeric_attribute_is_a_value_error(tmp_path, capsys):
+    bad = tmp_path / "inf.csv"
+    bad.write_text("case_id,activity,timestamp,label,amount\nx,a,1,,inf\nx,b,2,1,3\n")
+    code, _, stderr = _run_cli(["run", "--log", str(bad)], capsys)
+    assert code == 3
+    assert "row 2" in stderr and "'amount'" in stderr
+    assert stderr.count("\n") == 1
+
+
+def test_auto_k_max_below_k_min_names_auto_and_the_fix(tmp_path, capsys):
+    lines = ["case_id,activity,timestamp,label"]
+    for index in range(6):
+        lines += [f"c{index},a,{3 * index},", f"c{index},b,{3 * index + 1},", f"c{index},c,{3 * index + 2},1"]
+    log = tmp_path / "median3.csv"
+    log.write_text("\n".join(lines) + "\n")
+    code, _, stderr = _run_cli(["run", "--log", str(log), "--k-min", "5"], capsys)
+    assert code == 2
+    assert "config error" in stderr
+    assert "--k-max auto resolved to 3 (the median case length)" in stderr
+    assert "--k-min 5" in stderr and "explicit --k-max" in stderr
+
+
 def test_bad_config_is_a_config_error(small_log, capsys):
     code, _, stderr = _run_cli(
         ["run", "--log", str(small_log), "--ma-window", "0"], capsys

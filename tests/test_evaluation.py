@@ -9,12 +9,20 @@ from stability_meter.evaluation import (
     EvalWindow,
     metrics_from_confusion,
     run_stream,
-    window_metric,
 )
 from stability_meter.event_model import Event, Trace, replay
 from stability_meter.prefixing import AttributeSchema, BucketConfig
 
 from oracles import confusion_metrics
+
+
+def window_metric(window, metric):
+    """Metric over the window's pairs; None when the window is empty."""
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}")
+    if len(window) == 0:
+        return None
+    return metrics_from_confusion(*window.counts())[metric]
 
 
 def _mk_trace(case_id, activities, label, start, step=10, row_base=0):

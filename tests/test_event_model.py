@@ -112,6 +112,26 @@ def test_mixed_values_make_attribute_categorical():
     assert traces[0].events[0].attributes["size"] == "10"
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_numeric_value_is_rejected_with_row_and_column(cell):
+    with pytest.raises(LogValueError, match=f"row 3: numeric column 'amount'.*{cell!r}"):
+        _parse(
+            "case_id,activity,timestamp,label,amount\n"
+            "a,x,1,,10.5\n"
+            f"a,y,2,1,{cell}\n"
+        )
+
+
+def test_nan_in_a_categorical_column_is_a_plain_string():
+    traces = _parse(
+        "case_id,activity,timestamp,label,size\n"
+        "a,x,1,,nan\n"
+        "a,y,2,1,large\n"
+    )
+    assert attribute_types(traces) == {"size": False}
+    assert traces[0].events[0].attributes["size"] == "nan"
+
+
 def test_empty_attribute_cells_are_missing():
     traces = _parse(
         "case_id,activity,timestamp,label,amount\n"

@@ -23,6 +23,17 @@ CONFIGS = {
     "incremental": ["--model", "incremental"],
     "window-retrain": ["--model", "window-retrain", "--retrain-every", "8"],
     "attrs": ["--model", "incremental", "--attrs", "amount,channel", "--eval-every", "5"],
+    # trees with numeric and categorical splits
+    "retrain-attrs": [
+        "--model",
+        "window-retrain",
+        "--retrain-every",
+        "8",
+        "--attrs",
+        "amount,channel",
+        "--eval-every",
+        "5",
+    ],
     # above numpy's 128-element pairwise-summation block
     "ma-window-150": ["--model", "static", "--ma-window", "150"],
 }
@@ -47,6 +58,11 @@ GOLDEN = {
         "performance.csv": "d3623fd702bf4f5ce03aee4b9999fbebd1e404d488c93feaa6ea54d13c0205b0",
         "meta.json": "16bc7a3c47dbbf45f2ab2cb0a9ac1030a563273fe71bdc8ada88bc151c832548",
         "plots": "fdb235fb2aedd67e95694ab0ab5b4d9c6b8fe32e9e8dd48ac4ced7d984f6606a",
+    },
+    "retrain-attrs": {
+        "performance.csv": "ae87358f32f2b7ad68de149bc10fc1bc20a6ad52ce014ffca16f61dfe2778f1e",
+        "meta.json": "bbf18c475d1cb606c8d977e561031cc5092191eb0fd80e6f65d6962da83c47ae",
+        "plots": "092541a4851df3b6dea519936adb016e0a6ddf18ede3676102fbbcb5e123562e",
     },
     "ma-window-150": {
         "performance.csv": "7fa1114803180c2781ae64743b34484f3ad8d3a1ae5fb221d3ef50ba87651c7e",

@@ -12,8 +12,16 @@ from stability_meter.prefixing import (
     Prefix,
     default_k_max,
     encode,
-    prefixes_of,
 )
+
+
+def prefixes_of(trace, cfg):
+    """All prefixes of the trace with lengths in [k_min, min(k_max, N)]."""
+    top = min(cfg.k_max, len(trace.events))
+    return [
+        Prefix(case_id=trace.case_id, k=k, events=tuple(trace.events[:k]))
+        for k in range(cfg.k_min, top + 1)
+    ]
 
 
 def _trace(case_id, activities, attrs=None):
