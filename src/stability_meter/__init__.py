@@ -39,9 +39,9 @@ from .prefixing import (
     MISSING_CODE,
     AttributeSchema,
     BucketConfig,
+    CasePrefix,
     CategoryCodec,
     EncodedSample,
-    Prefix,
     default_k_max,
     encode,
 )

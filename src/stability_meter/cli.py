@@ -17,6 +17,7 @@ import tempfile
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .advisor import (
     SCENARIO_PROFILES,
@@ -78,14 +79,14 @@ class RunConfig:
         )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks in order via a temp file in the target directory, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
         "w", dir=path.parent, delete=False, encoding="utf-8", newline=""
     )
     try:
-        handle.write(text)
+        handle.writelines(chunks)
         handle.close()
         os.replace(handle.name, path)
     except BaseException:
@@ -181,11 +182,11 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
 
     out_dir = Path(config.out_dir)
     _atomic_write(out_dir / "performance.csv", _performance_csv(reports))
-    _atomic_write(out_dir / "meta.json", _meta_json(config, buckets, auto, reports))
+    _atomic_write(out_dir / "meta.json", (_meta_json(config, buckets, auto, reports),))
     for report in reports:
         _atomic_write(
             out_dir / "plots" / f"series_k{report.bucket}_{report.metric}.csv",
-            _series_csv(report),
+            (_series_csv(report),),
         )
 
     if print_summary:
@@ -193,19 +194,16 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
     return reports
 
 
-def _performance_csv(reports: list[SeriesReport]) -> str:
-    # One string per series rather than one per line: the list of all lines
-    # would sit next to the joined text and raise the run's peak memory.
-    parts = ["label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id\n"]
+def _performance_csv(reports: list[SeriesReport]) -> Iterator[str]:
+    # One chunk per series, written as it is made: the whole text never sits
+    # in memory, nor does its encoded copy.
+    yield "label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id\n"
     for report in reports:
         key = f",{report.bucket},{report.metric},"
-        parts.append(
-            "".join(
-                f"{label_index}{key}{row}\n"
-                for label_index, row in zip(report.label_indices, report.rows)
-            )
+        yield "".join(
+            f"{label_index}{key}{row}\n"
+            for label_index, row in zip(report.label_indices, report.rows)
         )
-    return "".join(parts)
 
 
 def _series_csv(report: SeriesReport) -> str:
@@ -397,7 +395,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "pooled": [asdict(summary) for summary in pooled],
         "rankings": rankings,
     }
-    _atomic_write(Path(args.out) / "compare.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(Path(args.out) / "compare.json", (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
     return 0
 
 
@@ -439,7 +437,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "criteria": list(profile.criteria),
         "ranking": ordered,
     }
-    _atomic_write(out_dir / "ranking.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir / "ranking.json", (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
     return 0
 
 
@@ -448,7 +446,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n_cases=args.cases, drift_at=args.drift_at, seed=args.seed, noise=args.noise
     )
     traces = generate(spec)
-    _atomic_write(Path(args.out), to_csv(traces))
+    _atomic_write(Path(args.out), (to_csv(traces),))
     events = sum(len(trace) for trace in traces)
     print(
         f"wrote {len(traces)} cases ({events} events) to {args.out}; "

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .classifiers import PredictionFramework
 from .errors import ConfigError
 from .event_model import StreamItem
-from .prefixing import AttributeSchema, BucketConfig, CategoryCodec, Prefix, encode
+from .prefixing import AttributeSchema, BucketConfig, CasePrefix, CategoryCodec, encode
 
 METRICS = ("accuracy", "precision", "recall", "f1")
 
@@ -121,7 +121,6 @@ class ResolvedPair:
 @dataclass
 class RunResult:
     series: dict[tuple[int, str], PerformanceSeries]
-    ledger: list[ResolvedPair]
     labels_seen: int
 
 
@@ -135,12 +134,14 @@ def run_stream(
     eval_every: int = 1,
     schema: AttributeSchema | None = None,
     codec: CategoryCodec | None = None,
+    ledger: list | None = None,
 ) -> RunResult:
     """Replay the stream through the framework and collect performance series.
 
-    Returns the per-(bucket, metric) series plus the ledger of resolved
-    prediction/label pairs (the raw material an offline recomputation can be
-    checked against).
+    Returns the per-(bucket, metric) series. When ``ledger`` is a list, each
+    resolved prediction/label pair is appended to it as a
+    :class:`ResolvedPair` (the raw material an offline recomputation can be
+    checked against); by default none is kept.
     """
     if grace < 1:
         raise ConfigError(f"grace period must be >= 1, got {grace}")
@@ -160,22 +161,23 @@ def run_stream(
         for k in buckets.buckets()
         for metric in metrics
     }
-    open_cases: dict[str, list] = {}
+    open_cases: dict[str, CasePrefix] = {}
     pending: dict[str, list[PredictionRecord]] = {}
-    ledger: list[ResolvedPair] = []
     labels_seen = 0
     grace_done = False
 
     for stream_index, item in enumerate(stream, start=1):
         case_id = item.event.case_id
-        events = open_cases.setdefault(case_id, [])
-        events.append(item.event)
-        k = len(events)
+        case = open_cases.get(case_id)
+        if case is None:
+            case = open_cases[case_id] = CasePrefix()
+        case.events.append(item.event)
+        k = len(case.events)
 
         if grace_done and buckets.k_min <= k <= buckets.k_max:
             model = framework.model(k)
             if model.is_ready:
-                sample = encode(Prefix(case_id, k, tuple(events)), schema, codec)
+                sample = encode(case, k, schema, codec)
                 pending.setdefault(case_id, []).append(
                     PredictionRecord(
                         case_id=case_id,
@@ -194,23 +196,22 @@ def run_stream(
 
         for record in pending.pop(case_id, ()):
             windows[record.bucket].add(record.predicted, label)
-            ledger.append(
-                ResolvedPair(
-                    label_index=labels_seen,
-                    stream_index=stream_index,
-                    case_id=case_id,
-                    bucket=record.bucket,
-                    predicted=record.predicted,
-                    actual=label,
-                    model_version=record.model_version,
-                    issued_at=record.issued_at,
+            if ledger is not None:
+                ledger.append(
+                    ResolvedPair(
+                        label_index=labels_seen,
+                        stream_index=stream_index,
+                        case_id=case_id,
+                        bucket=record.bucket,
+                        predicted=record.predicted,
+                        actual=label,
+                        model_version=record.model_version,
+                        issued_at=record.issued_at,
+                    )
                 )
-            )
 
-        for train_k in range(buckets.k_min, min(buckets.k_max, len(events)) + 1):
-            sample = encode(
-                Prefix(case_id, train_k, tuple(events[:train_k])), schema, codec, label=label
-            )
+        for train_k in range(buckets.k_min, min(buckets.k_max, k) + 1):
+            sample = encode(case, train_k, schema, codec, label=label)
             framework.model(train_k).observe_label(sample)
         del open_cases[case_id]
 
@@ -230,4 +231,4 @@ def run_stream(
             for metric in metrics:
                 series[(eval_k, metric)].append(values[metric], labels_seen)
 
-    return RunResult(series=series, ledger=ledger, labels_seen=labels_seen)
+    return RunResult(series=series, labels_seen=labels_seen)

@@ -22,7 +22,7 @@ REQUIRED_COLUMNS = ("case_id", "activity", "timestamp", "label")
 LogSource = Union[str, Path, IO[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One activity occurrence within a case.
 
@@ -96,6 +96,18 @@ def _is_decimal(text: str) -> bool:
         return False
 
 
+def _undecodable_line(path: str | Path) -> int:
+    """1-based line (lines end at ``\\n``) of the first bytes in ``path`` that are not UTF-8."""
+    number = 0
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return number
+
+
 def parse_log(source: LogSource) -> list[Trace]:
     """Parse a CSV event log into labeled traces.
 
@@ -109,83 +121,112 @@ def parse_log(source: LogSource) -> list[Trace]:
     A numeric column must hold finite values only; in a string column
     ``"nan"`` is a plain string.
 
+    Blank lines are skipped, missing cells of a short row count as empty,
+    cells beyond the header are ignored, and of repeated header names the
+    last column wins. Events share one string object per distinct case id
+    and activity, and per categorical value once its column has shown a
+    non-numeric value.
+
     Raises:
-        LogFormatError: missing required column or unparseable timestamp.
+        LogFormatError: missing required column, unparseable timestamp,
+            bytes that are not UTF-8, or a CSV field the reader rejects
+            (such as one above the field size limit).
         LogValueError: non-binary or conflicting label values, or a
             ``nan``/``inf`` value in a numeric column.
         EmptyLogError: no data rows.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as handle:
-            return parse_log(handle)
+            try:
+                return parse_log(handle)
+            except UnicodeDecodeError as err:
+                raise LogFormatError(
+                    f"row {_undecodable_line(source)}: not valid UTF-8 ({err.reason})"
+                ) from None
 
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise EmptyLogError("log is empty (no header row)")
-    for column in REQUIRED_COLUMNS:
-        if column not in reader.fieldnames:
-            raise LogFormatError(f"missing required column '{column}'")
-    attr_names = [name for name in reader.fieldnames if name not in REQUIRED_COLUMNS]
-
-    # (case_id, activity, timestamp, label, raw attrs, row number) per event
-    rows: list[tuple[str, str, int, int | None, dict, int]] = []
-    numeric: dict[str, bool] = {name: True for name in attr_names}
-    for record in reader:
-        row = reader.line_num
-        case_id = (record["case_id"] or "").strip()
-        if not case_id:
-            raise LogValueError(f"row {row}: empty case_id")
-        timestamp = _parse_timestamp(record["timestamp"] or "", row)
-        label = _parse_label(record["label"] or "", row)
-        attrs = {}
-        for name in attr_names:
-            value = record.get(name)
-            if value is None or value.strip() == "":
-                continue
-            attrs[name] = value.strip()
-            if not _is_decimal(value):
-                numeric[name] = False
-        rows.append((case_id, record["activity"] or "", timestamp, label, attrs, row))
-    if not rows:
-        raise EmptyLogError("log contains no events")
-
-    by_case: dict[str, list[tuple]] = {}
-    for item in rows:
-        by_case.setdefault(item[0], []).append(item)
+    reader = csv.reader(source)
+    try:
+        by_case, numeric_names = _read_cases(reader)
+    except csv.Error as err:
+        raise LogFormatError(f"row {reader.line_num}: {err}") from None
 
     traces = []
-    for case_id, case_rows in by_case.items():
-        case_rows.sort(key=lambda item: (item[2], item[5]))
-        labels = {item[3] for item in case_rows if item[3] is not None}
+    for case_id, rows in by_case.items():
+        rows.sort()  # (timestamp, row, ...): rows are unique, so later fields never compare
+        labels = {label for _, _, _, label, _ in rows if label is not None}
         if not labels:
             raise LogValueError(f"case {case_id!r} has no label")
         if len(labels) > 1:
             raise LogValueError(f"case {case_id!r} has conflicting labels {sorted(labels)}")
         events = []
-        for position, (_, activity, timestamp, _, attrs, row) in enumerate(case_rows, start=1):
-            typed = {}
-            for name, value in attrs.items():
-                if numeric[name]:
-                    number = float(value)
-                    if not isfinite(number):
-                        raise LogValueError(
-                            f"row {row}: numeric column {name!r} has non-finite value {value!r}"
-                        )
-                    typed[name] = number
-                else:
-                    typed[name] = value
-            events.append(
-                Event(
-                    case_id=case_id,
-                    activity=activity,
-                    timestamp=timestamp,
-                    position=position,
-                    attributes=typed,
-                    row=row,
-                )
-            )
+        for position, (timestamp, row, activity, _, attrs) in enumerate(rows, start=1):
+            for name in numeric_names:
+                value = attrs.get(name)
+                if value is None:
+                    continue
+                number = float(value)
+                if not isfinite(number):
+                    raise LogValueError(
+                        f"row {row}: numeric column {name!r} has non-finite value {value!r}"
+                    )
+                attrs[name] = number
+            events.append(Event(case_id, activity, timestamp, position, attrs, row))
+        by_case[case_id] = None  # release the row tuples as the events replace them
         traces.append(Trace(case_id=case_id, events=events, label=labels.pop()))
     return traces
+
+
+def _read_cases(reader) -> tuple[dict[str, list[tuple]], list[str]]:
+    """Group the data rows by case and sniff which attribute columns are numeric.
+
+    Returns ``{case_id: [(timestamp, row, activity, label, attrs), ...]}`` in
+    first-appearance order, with attribute values still stripped strings, and
+    the names of the numeric attribute columns in column order.
+    """
+    header = next(reader, None)
+    if header is None:
+        raise EmptyLogError("log is empty (no header row)")
+    column = {name: index for index, name in enumerate(header)}
+    for name in REQUIRED_COLUMNS:
+        if name not in column:
+            raise LogFormatError(f"missing required column '{name}'")
+    case_at, activity_at, time_at, label_at = (column[name] for name in REQUIRED_COLUMNS)
+    attr_columns = [
+        (name, column[name]) for name in dict.fromkeys(header) if name not in REQUIRED_COLUMNS
+    ]
+    width = len(header)
+
+    numeric = {name: True for name, _ in attr_columns}
+    strings: dict[str, str] = {}  # one object per activity and categorical value
+    by_case: dict[str, list[tuple]] = {}
+    for cells in reader:
+        if not cells:
+            continue
+        row = reader.line_num
+        if len(cells) < width:
+            cells.extend([""] * (width - len(cells)))
+        case_id = cells[case_at].strip()
+        if not case_id:
+            raise LogValueError(f"row {row}: empty case_id")
+        timestamp = _parse_timestamp(cells[time_at], row)
+        label = _parse_label(cells[label_at], row)
+        attrs = {}
+        for name, at in attr_columns:
+            value = cells[at].strip()
+            if not value:
+                continue
+            if not numeric[name] or not _is_decimal(value):
+                numeric[name] = False
+                value = strings.setdefault(value, value)
+            attrs[name] = value
+        activity = cells[activity_at]
+        rows = by_case.get(case_id)
+        if rows is None:
+            rows = by_case[case_id] = []
+        rows.append((timestamp, row, strings.setdefault(activity, activity), label, attrs))
+    if not by_case:
+        raise EmptyLogError("log contains no events")
+    return by_case, [name for name, is_numeric in numeric.items() if is_numeric]
 
 
 def replay(traces: Sequence[Trace]) -> Iterator[StreamItem]:
@@ -193,17 +234,18 @@ def replay(traces: Sequence[Trace]) -> Iterator[StreamItem]:
 
     The last event of each case is flagged ``is_case_end`` and carries the
     case label; every other item carries no label. The output order is a
-    deterministic function of the input.
+    deterministic function of the input: full ties keep the trace order.
     """
-    entries = []
-    for trace in traces:
-        last = len(trace.events)
-        for event in trace.events:
-            is_end = event.position == last
-            entries.append((event.timestamp, event.row, event, is_end, trace.label))
-    entries.sort(key=lambda entry: (entry[0], entry[1]))
-    for _, _, event, is_end, label in entries:
-        yield StreamItem(event=event, is_case_end=is_end, label=label if is_end else None)
+    # Keyed by the identity of each trace's last event, not by case id:
+    # traces built in code may share a case id.
+    ends = {id(trace.events[-1]): trace.label for trace in traces if trace.events}
+    events = [event for trace in traces for event in trace.events]
+    events.sort(key=lambda event: (event.timestamp, event.row))
+    for event in events:
+        if id(event) in ends:
+            yield StreamItem(event=event, is_case_end=True, label=ends[id(event)])
+        else:
+            yield StreamItem(event=event, is_case_end=False)
 
 
 def attribute_types(traces: Sequence[Trace]) -> dict[str, bool]:

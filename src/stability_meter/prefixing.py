@@ -37,15 +37,6 @@ class BucketConfig:
 
 
 @dataclass(frozen=True)
-class Prefix:
-    """The first k events of a case."""
-
-    case_id: str
-    k: int
-    events: tuple[Event, ...]
-
-
-@dataclass(frozen=True)
 class EncodedSample:
     """Feature vector for one prefix; label present for training samples."""
 
@@ -126,26 +117,53 @@ def default_k_max(traces: Sequence[Trace]) -> int:
     return lengths[(len(lengths) - 1) // 2]
 
 
+class CasePrefix:
+    """An open case: its events so far and the codes of its first events.
+
+    ``acts`` holds the activity codes and ``slots`` the attribute slots
+    (``len(schema.names)`` per event) of the events coded so far; :func:`encode`
+    extends both lazily, so each event is coded once per case.
+    """
+
+    __slots__ = ("events", "acts", "slots")
+
+    def __init__(self) -> None:
+        self.events: list[Event] = []
+        self.acts: list[int] = []
+        self.slots: list = []
+
+
 def encode(
-    prefix: Prefix,
+    case: CasePrefix,
+    k: int,
     schema: AttributeSchema,
     codec: CategoryCodec,
     label: int | None = None,
 ) -> EncodedSample:
-    """Index-based encoding of a prefix.
+    """Index-based encoding of the case's first ``k`` events.
 
     Features are the activity codes at positions 1..k followed by, per
     position, the schema's attribute values (numeric passed through,
     categorical coded, missing encoded as the reserved missing code).
+
+    Events not coded yet are coded up to position ``k`` only: their
+    activities first, then their attributes. Coding a case's prefixes in
+    increasing ``k`` therefore assigns the codec's codes in the same order
+    as coding each prefix from scratch.
     """
-    features: list = [codec.code(event.activity) for event in prefix.events]
-    for event in prefix.events:
-        for name, is_numeric in zip(schema.names, schema.numeric):
-            value = event.attributes.get(name)
-            if value is None:
-                features.append(0.0 if is_numeric else MISSING_CODE)
-            elif is_numeric:
-                features.append(float(value))
-            else:
-                features.append(codec.code(str(value)))
-    return EncodedSample(bucket=prefix.k, features=tuple(features), label=label)
+    acts = case.acts
+    if len(acts) < k:
+        fresh = case.events[len(acts) : k]
+        acts.extend(codec.code(event.activity) for event in fresh)
+        slots = case.slots
+        for event in fresh:
+            for name, is_numeric in zip(schema.names, schema.numeric):
+                value = event.attributes.get(name)
+                if value is None:
+                    slots.append(0.0 if is_numeric else MISSING_CODE)
+                elif is_numeric:
+                    slots.append(float(value))
+                else:
+                    slots.append(codec.code(str(value)))
+    features = tuple(acts[:k]) + tuple(case.slots[: k * len(schema.names)])
+    return EncodedSample(bucket=k, features=features, label=label)

@@ -6,15 +6,33 @@ with the package's code paths. ``brute_*`` use plain Python and
 the package used before it vectorised the full windows, kept as the
 bit-exact reference for that change. ``ReferenceTree`` is the Gini tree
 that searched splits one feature at a time, kept as the reference for the
-per-node split search.
+per-node split search. ``dict_reader_parse_log``, ``tuple_replay`` and
+``scratch_encode`` are the log parser, replay and prefix encoder the package
+used before it stored events compactly and coded each event once per case,
+kept as the references for those changes.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-from math import fsum
+from dataclasses import dataclass
+from math import fsum, isfinite
+from pathlib import Path
 
 import numpy as np
+
+from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError
+from stability_meter.event_model import (
+    REQUIRED_COLUMNS,
+    Event,
+    StreamItem,
+    Trace,
+    _is_decimal,
+    _parse_label,
+    _parse_timestamp,
+)
+from stability_meter.prefixing import MISSING_CODE, EncodedSample
 
 
 def loop_moving_stats(points, window):
@@ -280,3 +298,114 @@ class ReferenceTree:
             gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
             weighted = (n_left * gini_left + n_right * gini_right) / n
         return parent - np.nan_to_num(weighted, nan=np.inf)
+
+
+def dict_reader_parse_log(source):
+    """Parse a CSV event log with ``csv.DictReader``, one dict per row."""
+    if isinstance(source, (str, Path)):
+        with open(source, newline="", encoding="utf-8") as handle:
+            return dict_reader_parse_log(handle)
+
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None:
+        raise EmptyLogError("log is empty (no header row)")
+    for column in REQUIRED_COLUMNS:
+        if column not in reader.fieldnames:
+            raise LogFormatError(f"missing required column '{column}'")
+    attr_names = [name for name in reader.fieldnames if name not in REQUIRED_COLUMNS]
+
+    rows = []
+    numeric = {name: True for name in attr_names}
+    for record in reader:
+        row = reader.line_num
+        case_id = (record["case_id"] or "").strip()
+        if not case_id:
+            raise LogValueError(f"row {row}: empty case_id")
+        timestamp = _parse_timestamp(record["timestamp"] or "", row)
+        label = _parse_label(record["label"] or "", row)
+        attrs = {}
+        for name in attr_names:
+            value = record.get(name)
+            if value is None or value.strip() == "":
+                continue
+            attrs[name] = value.strip()
+            if not _is_decimal(value):
+                numeric[name] = False
+        rows.append((case_id, record["activity"] or "", timestamp, label, attrs, row))
+    if not rows:
+        raise EmptyLogError("log contains no events")
+
+    by_case = {}
+    for item in rows:
+        by_case.setdefault(item[0], []).append(item)
+
+    traces = []
+    for case_id, case_rows in by_case.items():
+        case_rows.sort(key=lambda item: (item[2], item[5]))
+        labels = {item[3] for item in case_rows if item[3] is not None}
+        if not labels:
+            raise LogValueError(f"case {case_id!r} has no label")
+        if len(labels) > 1:
+            raise LogValueError(f"case {case_id!r} has conflicting labels {sorted(labels)}")
+        events = []
+        for position, (_, activity, timestamp, _, attrs, row) in enumerate(case_rows, start=1):
+            typed = {}
+            for name, value in attrs.items():
+                if numeric[name]:
+                    number = float(value)
+                    if not isfinite(number):
+                        raise LogValueError(
+                            f"row {row}: numeric column {name!r} has non-finite value {value!r}"
+                        )
+                    typed[name] = number
+                else:
+                    typed[name] = value
+            events.append(
+                Event(
+                    case_id=case_id,
+                    activity=activity,
+                    timestamp=timestamp,
+                    position=position,
+                    attributes=typed,
+                    row=row,
+                )
+            )
+        traces.append(Trace(case_id=case_id, events=events, label=labels.pop()))
+    return traces
+
+
+def tuple_replay(traces):
+    """Replay through one (timestamp, row, event, is_end, label) tuple per event."""
+    entries = []
+    for trace in traces:
+        last = len(trace.events)
+        for event in trace.events:
+            is_end = event.position == last
+            entries.append((event.timestamp, event.row, event, is_end, trace.label))
+    entries.sort(key=lambda entry: (entry[0], entry[1]))
+    for _, _, event, is_end, label in entries:
+        yield StreamItem(event=event, is_case_end=is_end, label=label if is_end else None)
+
+
+@dataclass(frozen=True)
+class Prefix:
+    """The first k events of a case."""
+
+    case_id: str
+    k: int
+    events: tuple
+
+
+def scratch_encode(prefix, schema, codec, label=None):
+    """Index-based encoding of a prefix, coding every event from scratch."""
+    features = [codec.code(event.activity) for event in prefix.events]
+    for event in prefix.events:
+        for name, is_numeric in zip(schema.names, schema.numeric):
+            value = event.attributes.get(name)
+            if value is None:
+                features.append(0.0 if is_numeric else MISSING_CODE)
+            elif is_numeric:
+                features.append(float(value))
+            else:
+                features.append(codec.code(str(value)))
+    return EncodedSample(bucket=prefix.k, features=tuple(features), label=label)

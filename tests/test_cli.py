@@ -1,10 +1,18 @@
 import csv
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from stability_meter.cli import main
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+
+from log_strategies import csv_logs
 
 
 @pytest.fixture()
@@ -263,6 +271,24 @@ def test_non_finite_numeric_attribute_is_a_value_error(tmp_path, capsys):
     assert stderr.count("\n") == 1
 
 
+def test_non_utf8_bytes_are_a_format_error_with_the_row(tmp_path, capsys):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"case_id,activity,timestamp,label\nx,a,1,\nx,\xff\xfe,2,1\n")
+    code, _, stderr = _run_cli(["run", "--log", str(bad)], capsys)
+    assert code == 3
+    assert "format error: row 3: not valid UTF-8" in stderr
+    assert stderr.count("\n") == 1
+
+
+def test_oversized_field_is_a_format_error_with_the_row(tmp_path, capsys):
+    bad = tmp_path / "huge.csv"
+    bad.write_text("case_id,activity,timestamp,label\nx,a,1,\nx," + "b" * 131_073 + ",2,1\n")
+    code, _, stderr = _run_cli(["run", "--log", str(bad)], capsys)
+    assert code == 3
+    assert "format error: row 3: field larger than field limit" in stderr
+    assert stderr.count("\n") == 1
+
+
 def test_auto_k_max_below_k_min_names_auto_and_the_fix(tmp_path, capsys):
     lines = ["case_id,activity,timestamp,label"]
     for index in range(6):
@@ -283,3 +309,43 @@ def test_bad_config_is_a_config_error(small_log, capsys):
     assert code == 2
     assert "config error" in stderr
 
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    text=csv_logs(),
+    damage=st.tuples(st.integers(0, 3), st.integers(min_value=0)),
+    model=st.sampled_from(["incremental", "window-retrain", "static"]),
+    attrs=st.sampled_from(["", "amount", "amount,channel", "ghost"]),
+    grace=st.integers(1, 3),
+    k_max=st.sampled_from(["auto", "3"]),
+)
+def test_run_on_random_logs_exits_with_a_documented_code(text, damage, model, attrs, grace, k_max):
+    data = text.encode("utf-8")
+    if damage[0] == 0:  # one log in four gets bytes that are not UTF-8
+        cut = damage[1] % (len(data) + 1)
+        data = data[:cut] + b"\xff\xfe" + data[cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.csv"
+        log.write_bytes(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(
+                [
+                    "run",
+                    "--log", str(log),
+                    "--out", str(Path(tmp) / "out"),
+                    "--model", model,
+                    "--attrs", attrs,
+                    "--grace", str(grace),
+                    "--k-max", k_max,
+                    "--eval-window", "2",
+                    "--ma-window", "3",
+                    "--train-window", "4",
+                ]
+            )
+    event(f"exit {code}")
+    assert code in {0, 2, 3, 4}
+    if code:
+        assert stderr.getvalue().startswith("stability-meter: ")
+        assert stderr.getvalue().count("\n") == 1

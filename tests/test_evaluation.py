@@ -120,9 +120,10 @@ def test_eval_window_evicts_oldest_and_keeps_counts_consistent():
 
 def test_grace_period_suppresses_predictions():
     specs = [(["a", "b"], 1), (["a", "b"], 0), (["a", "b"], 1)]
-    result = _run(specs, grace=2)
+    ledger = []
+    result = _run(specs, grace=2, ledger=ledger)
     assert result.labels_seen == 3
-    assert {pair.case_id for pair in result.ledger} == {"case002"}
+    assert {pair.case_id for pair in ledger} == {"case002"}
 
 
 def test_config_validation():
@@ -137,9 +138,10 @@ def test_config_validation():
 
 def test_window_of_one_tracks_latest_case_correctness():
     specs = [(["a", "b"], 1)] * 4 + [(["a", "b"], label) for label in (1, 0, 1, 0, 0, 1)]
-    result = _run(specs, grace=4, eval_window=1)
+    ledger = []
+    result = _run(specs, grace=4, eval_window=1, ledger=ledger)
     accuracy = result.series[(2, "accuracy")]
-    resolved = {pair.label_index: pair for pair in result.ledger}
+    resolved = {pair.label_index: pair for pair in ledger}
     assert len(accuracy) > 0
     for value, label_index in zip(accuracy.values, accuracy.label_indices):
         assert value in (0.0, 1.0)
@@ -150,12 +152,13 @@ def test_window_of_one_tracks_latest_case_correctness():
 def test_series_matches_offline_replay_of_the_ledger():
     specs = [(["a", "b", "c"], i % 2) for i in range(4)]
     specs += [(["a", "b", "c"], (i // 2) % 2) for i in range(10)]
-    result = _run(specs, grace=4, eval_window=3, k_min=2, k_max=3)
+    ledger = []
+    result = _run(specs, grace=4, eval_window=3, k_min=2, k_max=3, ledger=ledger)
     for bucket in (2, 3):
         for metric in METRICS:
             series = result.series[(bucket, metric)]
             pairs_by_label = {}
-            for pair in result.ledger:
+            for pair in ledger:
                 if pair.bucket == bucket:
                     pairs_by_label[pair.label_index] = (pair.predicted, pair.actual)
             window = deque(maxlen=3)
@@ -171,9 +174,10 @@ def test_series_matches_offline_replay_of_the_ledger():
 def test_ledger_conservation_per_bucket():
     grace_specs = [(["a", "b", "c", "d"], i % 2) for i in range(4)]
     post_specs = [(["a"] * n, n % 2) for n in (2, 3, 4, 2, 5, 4)]
-    result = _run(grace_specs + post_specs, grace=4, k_min=2, k_max=4)
+    ledger = []
+    _run(grace_specs + post_specs, grace=4, k_min=2, k_max=4, ledger=ledger)
     for bucket in (2, 3, 4):
-        resolved = [pair for pair in result.ledger if pair.bucket == bucket]
+        resolved = [pair for pair in ledger if pair.bucket == bucket]
         expected = sum(1 for activities, _ in post_specs if len(activities) >= bucket)
         assert len(resolved) == expected
 
@@ -181,8 +185,9 @@ def test_ledger_conservation_per_bucket():
 def test_short_cases_never_reach_longer_buckets():
     grace_specs = [(["a", "b", "c"], i % 2) for i in range(4)]
     post_specs = [(["a", "b"], 1), (["a", "b", "c"], 0)]
-    result = _run(grace_specs + post_specs, grace=4, k_min=2, k_max=3)
-    bucket3_cases = {pair.case_id for pair in result.ledger if pair.bucket == 3}
+    ledger = []
+    _run(grace_specs + post_specs, grace=4, k_min=2, k_max=3, ledger=ledger)
+    bucket3_cases = {pair.case_id for pair in ledger if pair.bucket == 3}
     assert bucket3_cases == {"case005"}
 
 
@@ -191,17 +196,19 @@ def test_predictions_use_the_model_before_its_own_label_updates_it():
     # the next case is labeled 0; had the label been applied before the
     # prediction, the tie rule would predict 0. The pre-update model says 1.
     specs = [(["a", "b"], 1), (["a", "b"], 0)]
-    result = _run(specs, grace=1)
-    assert len(result.ledger) == 1
-    pair = result.ledger[0]
+    ledger = []
+    _run(specs, grace=1, ledger=ledger)
+    assert len(ledger) == 1
+    pair = ledger[0]
     assert (pair.predicted, pair.actual) == (1, 0)
     assert pair.model_version == 1  # version at issue time, before the update
 
 
 def test_model_versions_in_ledger_never_decrease():
     specs = [(["a", "b"], i % 2) for i in range(20)]
-    result = _run(specs, grace=3)
-    versions = [pair.model_version for pair in result.ledger]
+    ledger = []
+    _run(specs, grace=3, ledger=ledger)
+    versions = [pair.model_version for pair in ledger]
     assert versions == sorted(versions)
 
 

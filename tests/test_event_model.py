@@ -1,9 +1,16 @@
+import random
+import tracemalloc
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings
 
-from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError
-from stability_meter.event_model import attribute_types, parse_log, replay
+from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError, StabilityMeterError
+from stability_meter.event_model import Event, Trace, attribute_types, parse_log, replay
+from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+
+from log_strategies import csv_logs
+from oracles import dict_reader_parse_log, tuple_replay
 
 
 def _parse(text):
@@ -208,3 +215,153 @@ def test_replay_is_deterministic():
     first = list(replay(_parse(BASIC)))
     second = list(replay(_parse(BASIC)))
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the DictReader parser and the tuple replay
+# ---------------------------------------------------------------------------
+
+_H = "case_id,activity,timestamp,label"
+
+HAND_LOGS = {
+    "blank lines": f"\n{_H}\n\na,x,1,\n\n\nb,y,2,0\na,z,3,1\n\n",
+    "blank header": f"\n\n{_H}\na,x,1,1\n",
+    "short and extra cells": (
+        f"{_H},amount,channel\na,x,1\na,y,2,1,6\nb,x,3,0,,web,extra,more\nb,y,4\n"
+    ),
+    "duplicate attribute names": f"{_H},x,x\na,p,1,,1,web\na,q,2,1,2,3\n",
+    "duplicate required names": f"{_H},label,activity\na,p,1,2,1,q\na,p,2,,,r\n",
+    "whitespace": (
+        f"{_H},amount,channel\n a , x , 1 , , 7.5 , web \n a ,y,  2 , 1 ,\t8\t, web\n"
+    ),
+    "iso timestamps and ties": (
+        f"{_H}\nb,x,1970-01-01T00:00:01Z,\na,x,1000,\n"
+        "a,y,1970-01-01T01:00:01+01:00,\nb,y,1970-01-01T00:00:02.500,1\na,z,2500,0\n"
+    ),
+    "rows out of order": f"{_H},amount\na,z,9,1,3\nb,x,4,,1\na,x,2,,2\nb,y,4,0,\na,y,5,,\n",
+    "label on the first row": f"{_H}\na,x,1,1\na,y,2,\na,z,3,\n",
+    "label on a middle row": f"{_H}\na,x,1,\na,y,2,0\na,z,3,\n",
+    "label on every row": f"{_H}\na,x,1,0\na,y,2,0\n",
+    "quoted newline": f'{_H},channel\na,"two\nlines",1,,"w,eb"\na,y,2,1,"say ""hi"""\n',
+    "mixed column": f"{_H},size\na,x,1,,10\na,y,2,,large\nb,x,3,1,10\na,z,4,0,\n",
+    "numeric column with inf": f"{_H},amount,w\na,x,1,,1,2\na,y,2,1,inf,-inf\n",
+    "empty": "",
+    "header only": f"{_H}\n",
+    "missing column": "case_id,activity,label\na,x,1\n",
+    "empty case id": f"{_H}\na,x,1,\n ,y,2,1\n",
+    "bad timestamp before bad label": f"{_H}\na,x,later,7\n",
+    "bad label": f"{_H}\na,x,1,yes\n",
+    "no label before a later non-finite value": f"{_H},amount\na,x,1,,1\nb,x,2,1,nan\n",
+    "non-finite value before a later conflict": f"{_H},amount\na,x,1,1,inf\nb,x,2,1,1\nb,y,3,0,2\n",
+    "conflicting labels": f"{_H}\na,x,1,0\na,y,2,1\n",
+}
+
+
+def _outcome(parser, text):
+    try:
+        return parser(StringIO(text))
+    except StabilityMeterError as err:
+        return (type(err), str(err))
+
+
+def _assert_parsers_agree(text):
+    got, want = _outcome(parse_log, text), _outcome(dict_reader_parse_log, text)
+    assert got == want
+    if isinstance(want, list):
+        for new, old in zip(got, want):
+            for new_event, old_event in zip(new.events, old.events):
+                assert new_event.attributes == old_event.attributes
+                assert [type(v) for v in new_event.attributes.values()] == [
+                    type(v) for v in old_event.attributes.values()
+                ]
+        assert list(replay(got)) == list(tuple_replay(want))
+
+
+@pytest.mark.parametrize("text", HAND_LOGS.values(), ids=HAND_LOGS.keys())
+def test_parse_and_replay_match_the_reference_on_hand_written_logs(text):
+    _assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_parse_and_replay_match_the_reference_on_synth_logs(seed):
+    text = to_csv(generate(DriftLogSpec(n_cases=150, drift_at=75, seed=seed)))
+    header, *rows = text.splitlines(keepends=True)
+    random.Random(seed).shuffle(rows)  # cases interleave and arrive out of order
+    _assert_parsers_agree(text)
+    _assert_parsers_agree(header + "".join(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(csv_logs())
+def test_parse_and_replay_match_the_reference_on_random_logs(text):
+    _assert_parsers_agree(text)
+
+
+def test_parse_shares_one_string_per_case_id_activity_and_category():
+    # multi-character strings: CPython shares one-character strings anyway
+    traces = _parse(
+        "case_id,activity,timestamp,label,channel,amount\n"
+        "ca,start,1,,web,1\ncb,start,2,,web,1\nca,start,3,1,web,2\ncb,end,4,0,phone,2\n"
+    )
+    events = [event for trace in traces for event in trace.events]
+    assert all(event.case_id is trace.case_id for trace in traces for event in trace.events)
+    assert events[0].activity is events[1].activity is events[2].activity
+    webs = [event.attributes["channel"] for event in events[:3]]
+    assert webs[0] is webs[1] is webs[2]
+
+
+def test_events_are_slotted_and_immutable():
+    event = _parse(BASIC)[0].events[0]
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(AttributeError):
+        event.activity = "other"
+
+
+def _programmatic(case_id, activities, label, stamps):
+    events = [
+        Event(case_id=case_id, activity=activity, timestamp=stamp, position=i)
+        for i, (activity, stamp) in enumerate(zip(activities, stamps), start=1)
+    ]
+    return Trace(case_id=case_id, events=events, label=label)
+
+
+def test_replay_matches_the_reference_on_programmatic_traces():
+    # every event has row=0, so only the trace order breaks timestamp ties,
+    # and two traces share a case id
+    traces = [
+        _programmatic("same", ["a", "b"], 1, [5, 5]),
+        _programmatic("same", ["c", "d"], 0, [5, 7]),
+        _programmatic("other", ["e"], 1, [5]),
+    ]
+    items = list(replay(traces))
+    assert items == list(tuple_replay(traces))
+    assert [(item.event.activity, item.label) for item in items] == [
+        ("a", None), ("b", 1), ("c", None), ("e", 1), ("d", 0)
+    ]
+    rng = random.Random(4)
+    traces = [
+        _programmatic(
+            f"c{rng.randint(0, 3)}",
+            "xyz"[: rng.randint(1, 3)],
+            rng.randint(0, 1),
+            sorted(rng.randint(0, 4) for _ in range(3)),
+        )
+        for _ in range(40)
+    ]
+    assert list(replay(traces)) == list(tuple_replay(traces))
+
+
+def test_parse_peak_memory_per_event_stays_small(tmp_path):
+    # Parsing through csv.DictReader, with a dict per row kept next to the
+    # finished events, peaked at ~950 B/event here; one pass over
+    # csv.reader rows into per-case lists stays near 430.
+    path = tmp_path / "log.csv"
+    path.write_text(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))))
+    tracemalloc.start()
+    try:
+        traces = parse_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    events = sum(len(trace) for trace in traces)
+    assert peak / events < 800

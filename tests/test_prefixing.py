@@ -1,3 +1,4 @@
+import random
 from io import StringIO
 
 import pytest
@@ -8,11 +9,14 @@ from stability_meter.prefixing import (
     MISSING_CODE,
     AttributeSchema,
     BucketConfig,
+    CasePrefix,
     CategoryCodec,
-    Prefix,
     default_k_max,
     encode,
 )
+from stability_meter.synthgen import DriftLogSpec, generate
+
+from oracles import Prefix, scratch_encode
 
 
 def prefixes_of(trace, cfg):
@@ -37,6 +41,12 @@ def _trace(case_id, activities, attrs=None):
         for i, activity in enumerate(activities, start=1)
     ]
     return Trace(case_id=case_id, events=events, label=1)
+
+
+def _open_case(trace):
+    case = CasePrefix()
+    case.events.extend(trace.events)
+    return case
 
 
 def _traces_of_lengths(*lengths):
@@ -90,8 +100,7 @@ def test_short_trace_yields_no_prefixes():
 def test_encode_activities_only():
     codec = CategoryCodec()
     schema = AttributeSchema()
-    prefix = Prefix("c", 2, tuple(_trace("c", ["A", "B"]).events))
-    sample = encode(prefix, schema, codec)
+    sample = encode(_open_case(_trace("c", ["A", "B"])), 2, schema, codec)
     assert sample.bucket == 2
     assert sample.features == (codec.code("A"), codec.code("B"))
     assert sample.label is None
@@ -101,7 +110,7 @@ def test_encode_appends_attributes_per_position():
     codec = CategoryCodec()
     schema = AttributeSchema(names=("amount",), numeric=(True,))
     trace = _trace("c", ["A", "B"], attrs=[{"amount": 10.0}, {"amount": 20.0}])
-    sample = encode(Prefix("c", 2, tuple(trace.events)), schema, codec, label=1)
+    sample = encode(_open_case(trace), 2, schema, codec, label=1)
     assert sample.features == (codec.code("A"), codec.code("B"), 10.0, 20.0)
     assert sample.label == 1
 
@@ -110,7 +119,7 @@ def test_encode_missing_attribute_uses_reserved_code():
     codec = CategoryCodec()
     schema = AttributeSchema(names=("channel",), numeric=(False,))
     trace = _trace("c", ["A", "B"], attrs=[{"channel": "web"}, {}])
-    sample = encode(Prefix("c", 2, tuple(trace.events)), schema, codec)
+    sample = encode(_open_case(trace), 2, schema, codec)
     assert sample.features[-1] == MISSING_CODE
     assert sample.features[-2] == codec.code("web")
 
@@ -118,8 +127,8 @@ def test_encode_missing_attribute_uses_reserved_code():
 def test_codes_are_stable_across_cases():
     codec = CategoryCodec()
     schema = AttributeSchema()
-    one = encode(Prefix("c1", 2, tuple(_trace("c1", ["A", "B"]).events)), schema, codec)
-    two = encode(Prefix("c2", 2, tuple(_trace("c2", ["B", "A"]).events)), schema, codec)
+    one = encode(_open_case(_trace("c1", ["A", "B"])), 2, schema, codec)
+    two = encode(_open_case(_trace("c2", ["B", "A"])), 2, schema, codec)
     assert one.features == (two.features[1], two.features[0])
     assert len(codec) == 2
 
@@ -129,8 +138,8 @@ def test_identical_prefix_content_encodes_identically():
     schema = AttributeSchema(names=("amount",), numeric=(True,))
     t1 = _trace("c1", ["A", "B"], attrs=[{"amount": 1.0}, {"amount": 2.0}])
     t2 = _trace("c2", ["A", "B"], attrs=[{"amount": 1.0}, {"amount": 2.0}])
-    s1 = encode(Prefix("c1", 2, tuple(t1.events)), schema, codec)
-    s2 = encode(Prefix("c2", 2, tuple(t2.events)), schema, codec)
+    s1 = encode(_open_case(t1), 2, schema, codec)
+    s2 = encode(_open_case(t2), 2, schema, codec)
     assert s1.features == s2.features
 
 
@@ -163,3 +172,52 @@ def test_bucket_population_matches_case_lengths():
         k: sum(1 for trace in traces if len(trace) >= k) for k in cfg.buckets()
     }
     assert population == expected
+
+
+_SYNTH_SCHEMA = AttributeSchema(names=("amount", "channel"), numeric=(True, False))
+
+
+def _assert_same_coding(traces, lengths_of):
+    """Encode once per case and from scratch, in the same call order."""
+    fresh, scratch = CategoryCodec(), CategoryCodec()
+    for trace in traces:
+        case = CasePrefix()
+        for k in lengths_of(trace):
+            while len(case.events) < k:
+                case.events.append(trace.events[len(case.events)])
+            got = encode(case, k, _SYNTH_SCHEMA, fresh, label=trace.label)
+            want = scratch_encode(
+                Prefix(trace.case_id, k, tuple(trace.events[:k])),
+                _SYNTH_SCHEMA,
+                scratch,
+                label=trace.label,
+            )
+            assert got == want
+    assert fresh._codes == scratch._codes
+
+
+def test_encode_matches_the_scratch_encoder_on_every_prefix():
+    traces = generate(DriftLogSpec(n_cases=120, drift_at=60, seed=5))
+    _assert_same_coding(traces, lambda trace: range(1, len(trace) + 1))
+
+
+def test_encode_matches_the_scratch_encoder_when_lengths_are_skipped():
+    # run_stream encodes a case only at some lengths (after grace, when the
+    # bucket's model is ready), starting anywhere and then at its case end
+    rng = random.Random(7)
+    traces = generate(DriftLogSpec(n_cases=120, drift_at=60, seed=6))
+
+    def some_lengths(trace):
+        return sorted(rng.sample(range(1, len(trace) + 1), rng.randint(1, len(trace))))
+
+    _assert_same_coding(traces, some_lengths)
+
+
+def test_encode_codes_no_event_beyond_the_largest_k():
+    codec = CategoryCodec()
+    schema = AttributeSchema(names=("channel",), numeric=(False,))
+    trace = _trace("c", ["A", "B", "C"], attrs=[{"channel": "web"}, {"channel": "x"}, {"channel": "y"}])
+    case = _open_case(trace)
+    encode(case, 2, schema, codec)
+    assert codec._codes == {"A": 1, "B": 2, "web": 3, "x": 4}
+    assert (case.acts, case.slots) == ([1, 2], [3, 4])
