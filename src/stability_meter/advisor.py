@@ -77,18 +77,6 @@ class ConfigSummary:
     recovery_rate: float | None = None
 
     @classmethod
-    def from_measures(cls, name: str, avg_metric: float, measures: MetaMeasures) -> "ConfigSummary":
-        return cls(
-            name=name,
-            avg_metric=avg_metric,
-            drops=measures.drop_count,
-            volatility=measures.volatility,
-            max_magnitude=measures.max_magnitude,
-            avg_magnitude=measures.avg_magnitude,
-            recovery_rate=measures.recovery_rate,
-        )
-
-    @classmethod
     def from_mapping(cls, entry: Mapping) -> "ConfigSummary":
         try:
             return cls(

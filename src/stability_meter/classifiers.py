@@ -34,24 +34,24 @@ class UpdatePolicy(str, Enum):
     STATIC = "static"
 
 
+MIN_LEAF = 5  # fewest samples a tree split may leave on either side
+LAPLACE = 1.0  # naive Bayes likelihood smoothing
+
+
 @dataclass(frozen=True)
 class LearnerParams:
     """Hyperparameters shared by every bucket model of a framework."""
 
     tree_depth: int = 6
-    min_leaf: int = 5
     train_window: int = 200
     retrain_every: int = 1
     memory: int = 300
-    laplace: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.tree_depth < 1 or self.min_leaf < 1:
-            raise ConfigError("tree depth and min leaf size must be >= 1")
+        if self.tree_depth < 1:
+            raise ConfigError("tree depth must be >= 1")
         if self.train_window < 1 or self.retrain_every < 1 or self.memory < 1:
             raise ConfigError("window sizes and retrain cadence must be >= 1")
-        if self.laplace <= 0:
-            raise ConfigError("laplace smoothing must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ class DecisionTree:
     columns, whose values are coded once per fit.
     """
 
-    def __init__(self, max_depth: int = 6, min_leaf: int = 5) -> None:
+    def __init__(self, max_depth: int = LearnerParams.tree_depth, min_leaf: int = MIN_LEAF) -> None:
         if max_depth < 1 or min_leaf < 1:
             raise ConfigError("max_depth and min_leaf must be >= 1")
         self.max_depth = max_depth
@@ -253,23 +253,18 @@ class IncrementalNaiveBayes:
     Scoring uses an unsmoothed class prior ``n_c / n`` and Laplace-smoothed
     per-feature likelihoods ``(count(f_i = v, c) + a) / (n_c + a * V_i)``
     where ``V_i`` is the number of distinct values of feature i currently in
-    the window. Ties break toward label 0.
+    the window and ``a`` is :data:`LAPLACE`. Ties break toward label 0.
     """
 
     policy = UpdatePolicy.INCREMENTAL
 
     def __init__(
-        self,
-        bucket: int,
-        numeric_mask: Sequence[bool],
-        laplace: float = 1.0,
-        memory: int = 300,
+        self, bucket: int, numeric_mask: Sequence[bool], params: LearnerParams = LearnerParams()
     ) -> None:
         self.bucket = bucket
         self.version = 0
         self._mask = tuple(bool(flag) for flag in numeric_mask)
-        self._alpha = float(laplace)
-        self._capacity = int(memory)
+        self._capacity = params.memory
         self._window: deque = deque()
         self._frozen = not any(self._mask)
         self._bins: dict[int, list[float]] = {}
@@ -340,7 +335,7 @@ class IncrementalNaiveBayes:
             for index, value in enumerate(sample.features):
                 seen = self._counts[index]
                 count = seen.get(self._key(index, value), (0, 0))[label]
-                score += log((count + self._alpha) / (n_label + self._alpha * len(seen)))
+                score += log((count + LAPLACE) / (n_label + LAPLACE * len(seen)))
             scores.append(score)
         return int(scores[1] > scores[0])
 
@@ -356,21 +351,14 @@ class WindowRetrainModel:
     policy = UpdatePolicy.WINDOW_RETRAIN
 
     def __init__(
-        self,
-        bucket: int,
-        numeric_mask: Sequence[bool],
-        train_window: int = 200,
-        tree_depth: int = 6,
-        min_leaf: int = 5,
-        retrain_every: int = 1,
+        self, bucket: int, numeric_mask: Sequence[bool], params: LearnerParams = LearnerParams()
     ) -> None:
         self.bucket = bucket
         self.version = 0
         self._mask = tuple(bool(flag) for flag in numeric_mask)
-        self._window: deque = deque(maxlen=train_window)
-        self._depth = tree_depth
-        self._min_leaf = min_leaf
-        self._retrain_every = retrain_every
+        self._window: deque = deque(maxlen=params.train_window)
+        self._depth = params.tree_depth
+        self._retrain_every = params.retrain_every
         self._pending = 0
         self._grace_done = False
         self._tree: DecisionTree | None = None
@@ -400,9 +388,7 @@ class WindowRetrainModel:
             raise NotReadyError(f"bucket-{self.bucket} training window is empty")
         features = [entry[0] for entry in self._window]
         labels = [entry[1] for entry in self._window]
-        self._tree = DecisionTree(max_depth=self._depth, min_leaf=self._min_leaf).fit(
-            features, labels, self._mask
-        )
+        self._tree = DecisionTree(max_depth=self._depth).fit(features, labels, self._mask)
         self.version += 1
         self._pending = 0
 
@@ -425,25 +411,21 @@ class WindowRetrainModel:
 class StaticModel:
     """Decision tree trained once on the grace samples, then frozen.
 
-    Labeled samples seen before training are collected as the grace set;
-    samples seen afterwards are ignored and do not change the version.
+    Labeled samples seen before training or the end of the grace period are
+    collected as the grace set; samples seen afterwards are ignored and do
+    not change the version. A bucket with no grace samples is never trained.
     """
 
     policy = UpdatePolicy.STATIC
 
     def __init__(
-        self,
-        bucket: int,
-        numeric_mask: Sequence[bool],
-        tree_depth: int = 6,
-        min_leaf: int = 5,
+        self, bucket: int, numeric_mask: Sequence[bool], params: LearnerParams = LearnerParams()
     ) -> None:
         self.bucket = bucket
         self.version = 0
         self._mask = tuple(bool(flag) for flag in numeric_mask)
-        self._grace: list[tuple] = []
-        self._depth = tree_depth
-        self._min_leaf = min_leaf
+        self._grace: list[tuple] | None = []  # None once trained or past grace
+        self._depth = params.tree_depth
         self._tree: DecisionTree | None = None
 
     @property
@@ -451,7 +433,7 @@ class StaticModel:
         return self._tree is not None
 
     def observe_label(self, sample: EncodedSample) -> None:
-        if self._tree is not None:
+        if self._grace is None:
             return
         if sample.label is None:
             raise ValueError("training samples must be labeled")
@@ -467,15 +449,14 @@ class StaticModel:
             raise NotReadyError(f"bucket-{self.bucket} has no grace samples to train on")
         features = [entry[0] for entry in pairs]
         labels = [entry[1] for entry in pairs]
-        self._tree = DecisionTree(max_depth=self._depth, min_leaf=self._min_leaf).fit(
-            features, labels, self._mask
-        )
+        self._tree = DecisionTree(max_depth=self._depth).fit(features, labels, self._mask)
         self.version = 1
+        self._grace = None
 
     def finish_grace(self) -> None:
-        if self._tree is None and self._grace:
+        if self._grace:
             self.train(self._grace)
-            self._grace = []
+        self._grace = None
 
     def predict(self, sample: EncodedSample) -> int:
         if self._tree is None:
@@ -489,6 +470,7 @@ class StaticModel:
 
 
 OutcomeModel = IncrementalNaiveBayes | WindowRetrainModel | StaticModel
+_MODELS = {model.policy: model for model in (IncrementalNaiveBayes, WindowRetrainModel, StaticModel)}
 
 
 class PredictionFramework:
@@ -504,30 +486,11 @@ class PredictionFramework:
         policy: UpdatePolicy | str,
         buckets: BucketConfig,
         schema: AttributeSchema,
-        params: LearnerParams | None = None,
+        params: LearnerParams = LearnerParams(),
     ) -> "PredictionFramework":
         policy = UpdatePolicy(policy)
-        params = params or LearnerParams()
-        models: dict[int, OutcomeModel] = {}
-        for k in buckets.buckets():
-            mask = schema.feature_mask(k)
-            if policy is UpdatePolicy.INCREMENTAL:
-                models[k] = IncrementalNaiveBayes(
-                    k, mask, laplace=params.laplace, memory=params.memory
-                )
-            elif policy is UpdatePolicy.WINDOW_RETRAIN:
-                models[k] = WindowRetrainModel(
-                    k,
-                    mask,
-                    train_window=params.train_window,
-                    tree_depth=params.tree_depth,
-                    min_leaf=params.min_leaf,
-                    retrain_every=params.retrain_every,
-                )
-            else:
-                models[k] = StaticModel(
-                    k, mask, tree_depth=params.tree_depth, min_leaf=params.min_leaf
-                )
+        model = _MODELS[policy]
+        models = {k: model(k, schema.feature_mask(k), params) for k in buckets.buckets()}
         return cls(models=models, policy=policy)
 
     def model(self, bucket: int) -> OutcomeModel:

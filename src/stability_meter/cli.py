@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -56,13 +56,16 @@ class RunConfig:
     attrs: tuple[str, ...] = ()
     seed: int = 0
     out_dir: str = "out"
-    train_window: int = 200
-    tree_depth: int = 6
-    retrain_every: int = 1
-    nb_memory: int = 300
+    train_window: int = LearnerParams.train_window
+    tree_depth: int = LearnerParams.tree_depth
+    retrain_every: int = LearnerParams.retrain_every
+    nb_memory: int = LearnerParams.memory
     eval_every: int = 1
 
     def __post_init__(self) -> None:
+        policies = [policy.value for policy in UpdatePolicy]
+        if self.model not in policies:
+            raise ConfigError(f"unknown model {self.model!r}; expected one of {', '.join(policies)}")
         if self.ma_window < 1:
             raise ConfigError(f"--ma-window must be >= 1, got {self.ma_window}")
         if self.grace < 1:
@@ -233,25 +236,11 @@ def _meta_entry(config_name: str, report: SeriesReport) -> dict:
 def _meta_json(
     config: RunConfig, buckets: BucketConfig, auto: bool, reports: list[SeriesReport]
 ) -> str:
+    configuration = asdict(config)
+    del configuration["out_dir"]
+    configuration.update(log=str(config.log), k_max=buckets.k_max, k_max_auto=auto)
     payload = {
-        "configuration": {
-            "log": str(config.log),
-            "model": config.model,
-            "grace": config.grace,
-            "eval_window": config.eval_window,
-            "ma_window": config.ma_window,
-            "k_min": buckets.k_min,
-            "k_max": buckets.k_max,
-            "k_max_auto": auto,
-            "metrics": list(config.metrics),
-            "attrs": list(config.attrs),
-            "seed": config.seed,
-            "train_window": config.train_window,
-            "tree_depth": config.tree_depth,
-            "retrain_every": config.retrain_every,
-            "nb_memory": config.nb_memory,
-            "eval_every": config.eval_every,
-        },
+        "configuration": configuration,
         "series": [_meta_entry(config.model, report) for report in reports],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -310,29 +299,20 @@ def _parse_metrics(raw: str) -> tuple[str, ...]:
     raise ConfigError(f"--metric must be one of {', '.join(METRICS)} or 'all', got {raw!r}")
 
 
-def _config_from_args(args: argparse.Namespace, model: str) -> RunConfig:
-    return RunConfig(
-        log=args.log,
-        model=model,
-        grace=args.grace,
-        eval_window=args.eval_window,
-        ma_window=args.ma_window,
-        k_min=args.k_min,
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The ``RunConfig`` of the parsed flags; each flag's dest is its field's name."""
+    given = vars(args)
+    values = {field.name: given[field.name] for field in fields(RunConfig) if field.name in given}
+    values.update(
         k_max=_parse_k_max(args.k_max),
         metrics=_parse_metrics(args.metric),
         attrs=_parse_attrs(args.attrs),
-        seed=args.seed,
-        out_dir=args.out,
-        train_window=args.train_window,
-        tree_depth=args.tree_depth,
-        retrain_every=args.retrain_every,
-        nb_memory=args.nb_memory,
-        eval_every=args.eval_every,
     )
+    return RunConfig(**values)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    execute_run(_config_from_args(args, args.model))
+    execute_run(_config_from_args(args))
     return 0
 
 
@@ -340,30 +320,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     models = [name.strip() for name in args.models.split(",") if name.strip()]
     if len(models) < 2:
         raise ConfigError("compare needs at least two models (--models a,b)")
-    metrics = _parse_metrics(args.metric)
-    if len(metrics) != 1:
+    base = _config_from_args(args)
+    if len(base.metrics) != 1:
         raise ConfigError("compare works on a single metric (pass --metric f1, not 'all')")
-    metric = metrics[0]
+    metric = base.metrics[0]
+    # Every config is built, and so validated, before any of them runs.
+    configs = [replace(base, model=model, out_dir=str(Path(base.out_dir) / model)) for model in models]
 
-    for model in models:  # validate early, before running anything
-        try:
-            UpdatePolicy(model)
-        except ValueError:
-            raise ConfigError(
-                f"unknown model {model!r}; expected one of "
-                f"{', '.join(policy.value for policy in UpdatePolicy)}"
-            ) from None
-
-    base = _config_from_args(args, models[0])
     rows = []
     pooled = []
-    for model in models:
-        config = replace(base, model=model, out_dir=str(Path(args.out) / model))
+    for config in configs:
         reports = execute_run(config, print_summary=False)
         for report in reports:
-            rows.append((model, report))
+            rows.append((config.model, report))
         pooled.append(
-            pool_summaries(model, [(r.avg_metric, r.measures) for r in reports])
+            pool_summaries(config.model, [(r.avg_metric, r.measures) for r in reports])
         )
 
     print(f"log: {args.log}  metric: {metric}  models: {', '.join(models)}")
@@ -395,7 +366,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "pooled": [asdict(summary) for summary in pooled],
         "rankings": rankings,
     }
-    _atomic_write(Path(args.out) / "compare.json", (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
+    _atomic_write(Path(base.out_dir) / "compare.json", (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
     return 0
 
 
@@ -456,21 +427,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _add_shared_run_flags(parser: argparse.ArgumentParser) -> None:
+    # Defaults come from RunConfig; --k-max, --metric and --attrs are parsed
+    # into their fields by _config_from_args.
     parser.add_argument("--log", required=True, help="input CSV event log")
-    parser.add_argument("--grace", type=int, default=200, help="labels reserved for training only")
-    parser.add_argument("--eval-window", type=int, default=100, help="completed cases per evaluation window")
-    parser.add_argument("--ma-window", type=int, default=30, help="points in the moving average window")
-    parser.add_argument("--k-min", type=int, default=2, help="smallest prefix length bucket")
+    parser.add_argument("--grace", type=int, default=RunConfig.grace, help="labels reserved for training only")
+    parser.add_argument("--eval-window", type=int, default=RunConfig.eval_window, help="completed cases per evaluation window")
+    parser.add_argument("--ma-window", type=int, default=RunConfig.ma_window, help="points in the moving average window")
+    parser.add_argument("--k-min", type=int, default=RunConfig.k_min, help="smallest prefix length bucket")
     parser.add_argument("--k-max", default="auto", help="largest bucket, or 'auto' (median case length)")
     parser.add_argument("--metric", default="all", help="accuracy|precision|recall|f1|all")
     parser.add_argument("--attrs", default="", help="comma-separated event attributes to encode")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded with the run")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--train-window", type=int, default=200, help="sliding training window (window-retrain)")
-    parser.add_argument("--tree-depth", type=int, default=6, help="decision tree depth cap")
-    parser.add_argument("--retrain-every", type=int, default=1, help="labels between window retrains")
-    parser.add_argument("--nb-memory", type=int, default=300, help="labeled samples the incremental model remembers")
-    parser.add_argument("--eval-every", type=int, default=1, help="labels between evaluation points")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="seed recorded with the run")
+    parser.add_argument("--out", dest="out_dir", default=RunConfig.out_dir, help="output directory")
+    parser.add_argument("--train-window", type=int, default=RunConfig.train_window, help="sliding training window (window-retrain)")
+    parser.add_argument("--tree-depth", type=int, default=RunConfig.tree_depth, help="decision tree depth cap")
+    parser.add_argument("--retrain-every", type=int, default=RunConfig.retrain_every, help="labels between window retrains")
+    parser.add_argument("--nb-memory", type=int, default=RunConfig.nb_memory, help="labeled samples the incremental model remembers")
+    parser.add_argument("--eval-every", type=int, default=RunConfig.eval_every, help="labels between evaluation points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_run_flags(run_parser)
     run_parser.add_argument(
         "--model",
-        default="incremental",
+        default=RunConfig.model,
         choices=[policy.value for policy in UpdatePolicy],
         help="model update policy",
     )

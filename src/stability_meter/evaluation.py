@@ -133,7 +133,6 @@ def run_stream(
     metrics: Sequence[str] = METRICS,
     eval_every: int = 1,
     schema: AttributeSchema | None = None,
-    codec: CategoryCodec | None = None,
     ledger: list | None = None,
 ) -> RunResult:
     """Replay the stream through the framework and collect performance series.
@@ -153,7 +152,7 @@ def run_stream(
         if metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r}")
     schema = schema if schema is not None else AttributeSchema()
-    codec = codec if codec is not None else CategoryCodec()
+    codec = CategoryCodec()
 
     windows = {k: EvalWindow(k, eval_window) for k in buckets.buckets()}
     series = {

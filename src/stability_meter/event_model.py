@@ -97,13 +97,17 @@ def _is_decimal(text: str) -> bool:
 
 
 def _undecodable_line(path: str | Path) -> int:
-    """1-based line (lines end at ``\\n``) of the first bytes in ``path`` that are not UTF-8."""
+    """1-based line of the first bytes in ``path`` that are not UTF-8.
+
+    Lines end at ``\\r``, ``\\n`` or ``\\r\\n``, as for the CSV reader. Each
+    undecodable byte reads as a lone surrogate, which cannot be re-encoded.
+    """
     number = 0
-    with open(path, "rb") as handle:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):
             try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
                 break
     return number
 

@@ -72,7 +72,9 @@ def test_nb_matches_hand_recomputed_posterior_on_holdout():
 
 def test_nb_counts_equal_batch_recount_within_memory():
     rng = np.random.default_rng(5)
-    model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False, False), memory=500)
+    model = IncrementalNaiveBayes(
+        bucket=2, numeric_mask=(False, False), params=LearnerParams(memory=500)
+    )
     history = []
     for _ in range(100):
         features = tuple(int(v) for v in rng.integers(0, 3, size=2))
@@ -92,7 +94,7 @@ def test_nb_counts_equal_batch_recount_within_memory():
 
 
 def test_nb_counts_cover_only_the_memory_window():
-    model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False,), memory=10)
+    model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False,), params=LearnerParams(memory=10))
     for i in range(25):
         model.observe_label(_sample((i % 4,), label=i % 2))
     assert sum(model._class_counts) == 10
@@ -285,7 +287,9 @@ def _labeled_stream(n, rng):
 
 def test_window_retrain_memory_never_exceeds_capacity():
     rng = np.random.default_rng(2)
-    model = WindowRetrainModel(bucket=2, numeric_mask=(False, False), train_window=50)
+    model = WindowRetrainModel(
+        bucket=2, numeric_mask=(False, False), params=LearnerParams(train_window=50)
+    )
     model.finish_grace()  # empty window: nothing to train on yet
     assert not model.is_ready
     for sample in _labeled_stream(200, rng):
@@ -297,7 +301,9 @@ def test_window_retrain_memory_never_exceeds_capacity():
 def test_window_retrain_same_window_gives_identical_trees():
     rng = np.random.default_rng(9)
     samples = list(_labeled_stream(60, rng))
-    model = WindowRetrainModel(bucket=2, numeric_mask=(False, False), train_window=100)
+    model = WindowRetrainModel(
+        bucket=2, numeric_mask=(False, False), params=LearnerParams(train_window=100)
+    )
     for sample in samples:
         model.observe_label(sample)
     model.retrain()
@@ -319,7 +325,9 @@ def test_window_retrain_empty_window_is_not_ready():
 def test_window_retrain_cadence_throttles_retraining():
     rng = np.random.default_rng(4)
     model = WindowRetrainModel(
-        bucket=2, numeric_mask=(False, False), train_window=100, retrain_every=5
+        bucket=2,
+        numeric_mask=(False, False),
+        params=LearnerParams(train_window=100, retrain_every=5),
     )
     for sample in _labeled_stream(10, rng):
         model.observe_label(sample)
@@ -353,6 +361,17 @@ def test_static_model_trains_once_and_freezes():
     assert model.version == 1
     assert json.dumps(model.tree_dict(), sort_keys=True) == snapshot
     assert [model.predict(p) for p in probes] == before
+
+
+def test_static_model_without_grace_samples_ignores_later_labels():
+    rng = np.random.default_rng(3)
+    model = StaticModel(bucket=2, numeric_mask=(False, False))
+    model.finish_grace()  # no grace samples: this bucket is never trained
+    for sample in _labeled_stream(1000, rng):
+        model.observe_label(sample)
+    assert not model.is_ready
+    assert model.version == 0
+    assert not model._grace
 
 
 def test_static_second_training_call_is_a_contract_error():

@@ -3,13 +3,15 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from stability_meter.cli import main
+from stability_meter.classifiers import LearnerParams
+from stability_meter.cli import RunConfig, _config_from_args, build_parser, main
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
@@ -157,6 +159,19 @@ def test_compare_needs_two_models(small_log, capsys):
     assert "config error" in stderr and stderr.count("\n") == 1
 
 
+def test_compare_rejects_an_unknown_model_before_running_any(small_log, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code, _, stderr = _run_cli(
+        ["compare", "--log", str(small_log), "--models", "static,bogus", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert stderr == (
+        "stability-meter: config error: unknown model 'bogus'; "
+        "expected one of incremental, window-retrain, static\n"
+    )
+    assert not out.exists()
+
+
 def test_compare_of_identical_configs_yields_identical_rows(small_log, tmp_path, capsys):
     out = tmp_path / "twin"
     code, _, _ = _run_cli(
@@ -206,7 +221,16 @@ def test_run_with_only_a_log_flag_succeeds(small_log, capsys, tmp_path, monkeypa
     assert code == 0
     meta = json.loads((tmp_path / "out" / "meta.json").read_text())
     assert meta["configuration"]["grace"] == 200
+    assert set(meta["configuration"]) == (
+        {field.name for field in fields(RunConfig)} - {"out_dir"} | {"k_max_auto"}
+    )
     assert (tmp_path / "out" / "performance.csv").exists()
+
+
+def test_flag_defaults_are_the_library_defaults():
+    config = _config_from_args(build_parser().parse_args(["run", "--log", "x"]))
+    assert config == RunConfig(log="x")
+    assert config.learner_params() == LearnerParams()
 
 
 def test_rank_reads_custom_entries_and_writes_ranking(tmp_path, capsys):
@@ -278,6 +302,21 @@ def test_non_utf8_bytes_are_a_format_error_with_the_row(tmp_path, capsys):
     assert code == 3
     assert "format error: row 3: not valid UTF-8" in stderr
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"])
+def test_non_utf8_row_is_the_row_the_reader_reports(tmp_path, capsys, end):
+    # The bad line follows a quoted newline; a bad timestamp there must get
+    # the same row number as bytes that are not UTF-8.
+    rows = {}
+    for name, bad in (("utf8", b"x,\xff\xfe,3,"), ("timestamp", b"x,b,never,")):
+        log = tmp_path / f"{name}.csv"
+        lines = [b"case_id,activity,timestamp,label", b'x,"a\nb",1,', b"x,a,2,", bad, b"x,c,4,1"]
+        log.write_bytes(end.join(lines) + end)
+        code, _, stderr = _run_cli(["run", "--log", str(log)], capsys)
+        assert code == 3 and stderr.count("\n") == 1
+        rows[name] = stderr.split(": ")[2]
+    assert rows == {"utf8": "row 5", "timestamp": "row 5"}
 
 
 def test_oversized_field_is_a_format_error_with_the_row(tmp_path, capsys):
