@@ -11,7 +11,6 @@ from .classifiers import (
     DecisionTree,
     IncrementalNaiveBayes,
     LearnerParams,
-    PredictionFramework,
     StaticModel,
     UpdatePolicy,
     WindowRetrainModel,
@@ -28,7 +27,6 @@ from .evaluation import (
     METRICS,
     EvalWindow,
     PerformanceSeries,
-    PredictionRecord,
     ResolvedPair,
     RunResult,
     metrics_from_confusion,

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NotReadyError
-from .prefixing import AttributeSchema, BucketConfig, EncodedSample
+from .prefixing import EncodedSample
 
 
 class UpdatePolicy(str, Enum):
@@ -40,7 +40,7 @@ LAPLACE = 1.0  # naive Bayes likelihood smoothing
 
 @dataclass(frozen=True)
 class LearnerParams:
-    """Hyperparameters shared by every bucket model of a framework."""
+    """Hyperparameters shared by every bucket model of a run."""
 
     tree_depth: int = 6
     train_window: int = 200
@@ -340,7 +340,41 @@ class IncrementalNaiveBayes:
         return int(scores[1] > scores[0])
 
 
-class WindowRetrainModel:
+class _TreeModel:
+    """A bucket's decision tree; the subclass decides what it is fit on and when.
+
+    The tree policies stay siblings: the benchmark tracer wraps each policy
+    class's methods by name, and a policy subclassing another would have
+    its inherited methods wrapped twice.
+    """
+
+    def __init__(
+        self, bucket: int, numeric_mask: Sequence[bool], params: LearnerParams = LearnerParams()
+    ) -> None:
+        self.bucket = bucket
+        self.version = 0
+        self._mask = tuple(bool(flag) for flag in numeric_mask)
+        self._depth = params.tree_depth
+        self._tree: DecisionTree | None = None
+
+    @property
+    def is_ready(self) -> bool:
+        return self._tree is not None
+
+    def predict(self, sample: EncodedSample) -> int:
+        if self._tree is None:
+            raise NotReadyError(f"bucket-{self.bucket} {self.policy.value} model has no training yet")
+        return self._tree.predict(sample.features)
+
+    def _fit(self, pairs: Iterable[tuple]) -> None:
+        """Fit a fresh tree on (features, label) pairs and bump the version."""
+        features = [entry[0] for entry in pairs]
+        labels = [entry[1] for entry in pairs]
+        self._tree = DecisionTree(max_depth=self._depth).fit(features, labels, self._mask)
+        self.version += 1
+
+
+class WindowRetrainModel(_TreeModel):
     """Decision tree refit from scratch on a sliding window of samples.
 
     Retraining fires on every ``retrain_every``-th labeled sample once the
@@ -353,23 +387,11 @@ class WindowRetrainModel:
     def __init__(
         self, bucket: int, numeric_mask: Sequence[bool], params: LearnerParams = LearnerParams()
     ) -> None:
-        self.bucket = bucket
-        self.version = 0
-        self._mask = tuple(bool(flag) for flag in numeric_mask)
+        super().__init__(bucket, numeric_mask, params)
         self._window: deque = deque(maxlen=params.train_window)
-        self._depth = params.tree_depth
         self._retrain_every = params.retrain_every
         self._pending = 0
         self._grace_done = False
-        self._tree: DecisionTree | None = None
-
-    @property
-    def is_ready(self) -> bool:
-        return self._tree is not None
-
-    @property
-    def window_size(self) -> int:
-        return len(self._window)
 
     def observe_label(self, sample: EncodedSample) -> None:
         if sample.label is None:
@@ -386,10 +408,7 @@ class WindowRetrainModel:
         """Fit a fresh tree on the current window."""
         if not self._window:
             raise NotReadyError(f"bucket-{self.bucket} training window is empty")
-        features = [entry[0] for entry in self._window]
-        labels = [entry[1] for entry in self._window]
-        self._tree = DecisionTree(max_depth=self._depth).fit(features, labels, self._mask)
-        self.version += 1
+        self._fit(self._window)
         self._pending = 0
 
     def finish_grace(self) -> None:
@@ -397,23 +416,13 @@ class WindowRetrainModel:
         if self._window:
             self.retrain()
 
-    def predict(self, sample: EncodedSample) -> int:
-        if self._tree is None:
-            raise NotReadyError(f"bucket-{self.bucket} window model has no training yet")
-        return self._tree.predict(sample.features)
 
-    def tree_dict(self) -> dict:
-        if self._tree is None:
-            raise NotReadyError("no tree fit yet")
-        return self._tree.to_dict()
-
-
-class StaticModel:
+class StaticModel(_TreeModel):
     """Decision tree trained once on the grace samples, then frozen.
 
-    Labeled samples seen before training or the end of the grace period are
-    collected as the grace set; samples seen afterwards are ignored and do
-    not change the version. A bucket with no grace samples is never trained.
+    Labeled samples seen before the end of the grace period are collected as
+    the grace set; samples seen afterwards are ignored and do not change the
+    version. A bucket with no grace samples is never trained.
     """
 
     policy = UpdatePolicy.STATIC
@@ -421,16 +430,8 @@ class StaticModel:
     def __init__(
         self, bucket: int, numeric_mask: Sequence[bool], params: LearnerParams = LearnerParams()
     ) -> None:
-        self.bucket = bucket
-        self.version = 0
-        self._mask = tuple(bool(flag) for flag in numeric_mask)
-        self._grace: list[tuple] | None = []  # None once trained or past grace
-        self._depth = params.tree_depth
-        self._tree: DecisionTree | None = None
-
-    @property
-    def is_ready(self) -> bool:
-        return self._tree is not None
+        super().__init__(bucket, numeric_mask, params)
+        self._grace: list[tuple] | None = []  # None once past grace
 
     def observe_label(self, sample: EncodedSample) -> None:
         if self._grace is None:
@@ -440,62 +441,11 @@ class StaticModel:
         _check_width(sample, self._mask, self.bucket)
         self._grace.append((sample.features, sample.label))
 
-    def train(self, samples: Iterable[tuple]) -> None:
-        """One-shot training; a second call is a contract violation."""
-        if self._tree is not None:
-            raise ValueError("static model is already trained")
-        pairs = list(samples)
-        if not pairs:
-            raise NotReadyError(f"bucket-{self.bucket} has no grace samples to train on")
-        features = [entry[0] for entry in pairs]
-        labels = [entry[1] for entry in pairs]
-        self._tree = DecisionTree(max_depth=self._depth).fit(features, labels, self._mask)
-        self.version = 1
-        self._grace = None
-
     def finish_grace(self) -> None:
         if self._grace:
-            self.train(self._grace)
+            self._fit(self._grace)
         self._grace = None
-
-    def predict(self, sample: EncodedSample) -> int:
-        if self._tree is None:
-            raise NotReadyError(f"bucket-{self.bucket} static model has no training yet")
-        return self._tree.predict(sample.features)
-
-    def tree_dict(self) -> dict:
-        if self._tree is None:
-            raise NotReadyError("no tree fit yet")
-        return self._tree.to_dict()
 
 
 OutcomeModel = IncrementalNaiveBayes | WindowRetrainModel | StaticModel
-_MODELS = {model.policy: model for model in (IncrementalNaiveBayes, WindowRetrainModel, StaticModel)}
-
-
-class PredictionFramework:
-    """One outcome model per prefix-length bucket, all under one policy."""
-
-    def __init__(self, models: dict[int, OutcomeModel], policy: UpdatePolicy) -> None:
-        self.models = models
-        self.policy = policy
-
-    @classmethod
-    def build(
-        cls,
-        policy: UpdatePolicy | str,
-        buckets: BucketConfig,
-        schema: AttributeSchema,
-        params: LearnerParams = LearnerParams(),
-    ) -> "PredictionFramework":
-        policy = UpdatePolicy(policy)
-        model = _MODELS[policy]
-        models = {k: model(k, schema.feature_mask(k), params) for k in buckets.buckets()}
-        return cls(models=models, policy=policy)
-
-    def model(self, bucket: int) -> OutcomeModel:
-        return self.models[bucket]
-
-    def finish_grace(self) -> None:
-        for model in self.models.values():
-            model.finish_grace()
+MODELS = {model.policy: model for model in (IncrementalNaiveBayes, WindowRetrainModel, StaticModel)}

@@ -1,10 +1,11 @@
 """Command-line entry point: ``run``, ``compare``, ``rank``, and ``synth``.
 
-``run`` replays a log through one framework and writes ``performance.csv``,
-``meta.json``, and per-series plot data. ``compare`` runs several update
-policies over the same log and appends scenario rankings. ``rank`` orders
-precomputed configurations for a business scenario. ``synth`` generates a
-drifted synthetic log. All artifacts are plain CSV/JSON written atomically.
+``run`` replays a log through one update policy's models and writes
+``performance.csv``, ``meta.json``, and per-series plot data. ``compare``
+runs several update policies over the same log and appends scenario
+rankings. ``rank`` orders precomputed configurations for a business
+scenario. ``synth`` generates a drifted synthetic log. All artifacts are
+plain CSV/JSON written atomically.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .advisor import (
     pool_summaries,
     rank,
 )
-from .classifiers import LearnerParams, PredictionFramework, UpdatePolicy
+from .classifiers import LearnerParams, UpdatePolicy
 from .errors import (
     ConfigError,
     EmptyLogError,
@@ -39,6 +40,13 @@ from .event_model import parse_log, replay
 from .prefixing import AttributeSchema, BucketConfig, default_k_max
 from .stability import MetaMeasures, SeriesAnnotation, annotate_series, meta_measures
 from .synthgen import DriftLogSpec, generate, to_csv
+
+
+# RunConfig fields checked to be >= 1, in the order they are reported.
+_AT_LEAST_ONE = (
+    "ma_window", "grace", "eval_window", "eval_every",
+    "train_window", "tree_depth", "retrain_every", "nb_memory",
+)
 
 
 @dataclass(frozen=True)
@@ -66,12 +74,13 @@ class RunConfig:
         policies = [policy.value for policy in UpdatePolicy]
         if self.model not in policies:
             raise ConfigError(f"unknown model {self.model!r}; expected one of {', '.join(policies)}")
-        if self.ma_window < 1:
-            raise ConfigError(f"--ma-window must be >= 1, got {self.ma_window}")
-        if self.grace < 1:
-            raise ConfigError(f"--grace must be >= 1, got {self.grace}")
-        if self.eval_window < 1:
-            raise ConfigError(f"--eval-window must be >= 1, got {self.eval_window}")
+        for name in _AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
+        if self.k_min < 2:
+            raise ConfigError(f"--k-min must be >= 2, got {self.k_min}")
+        if self.k_max is not None and self.k_max < self.k_min:
+            raise ConfigError(f"--k-max must be >= --k-min {self.k_min}, got {self.k_max}")
 
     def learner_params(self) -> LearnerParams:
         return LearnerParams(
@@ -148,18 +157,16 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
         )
     buckets = BucketConfig(k_min=config.k_min, k_max=k_max)
     schema = AttributeSchema.from_traces(config.attrs, traces)
-    framework = PredictionFramework.build(
-        config.model, buckets, schema, config.learner_params()
-    )
     result = run_stream(
         replay(traces),
-        framework,
+        config.model,
         buckets,
         grace=config.grace,
         eval_window=config.eval_window,
         metrics=config.metrics,
         eval_every=config.eval_every,
         schema=schema,
+        params=config.learner_params(),
     )
 
     order = {metric: index for index, metric in enumerate(config.metrics)}
@@ -260,6 +267,15 @@ def _table_row(label: str, metric: str, avg: float, measures: MetaMeasures) -> s
     )
 
 
+def _summary_fields(summary: ConfigSummary) -> str:
+    """One configuration's pooled measures, as ``compare`` and ``rank`` print them."""
+    return (
+        f"avg={summary.avg_metric:.3f}  drops={summary.drops}  "
+        f"volatility={summary.volatility:.3f}  max_mag={_format_float(summary.max_magnitude)}  "
+        f"avg_mag={_format_float(summary.avg_magnitude)}  recovery={_format_float(summary.recovery_rate)}"
+    )
+
+
 def _print_summary(
     config: RunConfig,
     buckets: BucketConfig,
@@ -347,11 +363,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print()
     print("pooled per configuration:")
     for summary in pooled:
-        print(
-            f"{summary.name:>15}  avg={summary.avg_metric:.3f}  drops={summary.drops}  "
-            f"volatility={summary.volatility:.3f}  max_mag={_format_float(summary.max_magnitude)}  "
-            f"avg_mag={_format_float(summary.avg_magnitude)}  recovery={_format_float(summary.recovery_rate)}"
-        )
+        print(f"{summary.name:>15}  {_summary_fields(summary)}")
     rankings = {}
     print()
     for scenario, profile in SCENARIO_PROFILES.items():
@@ -396,12 +408,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     by_name = {summary.name: summary for summary in summaries}
     print(f"scenario: {args.scenario}  criteria: {', '.join(profile.criteria)}")
     for position, name in enumerate(ordered, start=1):
-        summary = by_name[name]
-        print(
-            f"{position:>3}. {name}  avg={summary.avg_metric:.3f}  drops={summary.drops}  "
-            f"volatility={summary.volatility:.3f}  max_mag={_format_float(summary.max_magnitude)}  "
-            f"avg_mag={_format_float(summary.avg_magnitude)}  recovery={_format_float(summary.recovery_rate)}"
-        )
+        print(f"{position:>3}. {name}  {_summary_fields(by_name[name])}")
     out_dir = Path(args.out) if args.out else Path(args.meta).parent
     payload = {
         "scenario": args.scenario,

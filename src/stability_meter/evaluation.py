@@ -1,13 +1,14 @@
-"""Continuous evaluation of a prediction framework over a replayed stream.
+"""Continuous evaluation of per-bucket outcome models over a replayed stream.
 
-The protocol: the first ``grace`` labels only train the models (no
-predictions, no evaluation). Afterwards, every event that completes a prefix
-of a bucketed length gets a prediction from the bucket's current model,
-pending until its case completes. Each arriving label resolves the case's
-pending predictions into per-bucket moving windows of the last
-``eval_window`` completed cases, triggers the policy's model update, and
-appends one point per (bucket, metric) to the performance series, computed
-over the bucket's current window.
+Each prefix-length bucket gets one model of the run's update policy. The
+protocol: the first ``grace`` labels only train the models (no predictions,
+no evaluation). Afterwards, every event that completes a prefix of a
+bucketed length gets a prediction from the bucket's current model, pending
+until its case completes. Each arriving label resolves the case's pending
+predictions into per-bucket moving windows of the last ``eval_window``
+completed cases, triggers the policy's model update, and appends one point
+per (bucket, metric) to the performance series, computed over the bucket's
+current window.
 """
 
 from __future__ import annotations
@@ -16,23 +17,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .classifiers import PredictionFramework
+from .classifiers import MODELS, LearnerParams, OutcomeModel, UpdatePolicy
 from .errors import ConfigError
 from .event_model import StreamItem
 from .prefixing import AttributeSchema, BucketConfig, CasePrefix, CategoryCodec, encode
 
 METRICS = ("accuracy", "precision", "recall", "f1")
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """A prediction issued at a prefix, pending until the label arrives."""
-
-    case_id: str
-    bucket: int
-    predicted: int
-    model_version: int
-    issued_at: int
 
 
 class EvalWindow:
@@ -122,25 +112,27 @@ class ResolvedPair:
 class RunResult:
     series: dict[tuple[int, str], PerformanceSeries]
     labels_seen: int
+    models: dict[int, OutcomeModel]  # bucket -> its model, as trained by the run
 
 
 def run_stream(
     stream: Iterable[StreamItem],
-    framework: PredictionFramework,
+    policy: UpdatePolicy | str,
     buckets: BucketConfig,
     grace: int = 200,
     eval_window: int = 100,
     metrics: Sequence[str] = METRICS,
     eval_every: int = 1,
     schema: AttributeSchema | None = None,
+    params: LearnerParams = LearnerParams(),
     ledger: list | None = None,
 ) -> RunResult:
-    """Replay the stream through the framework and collect performance series.
+    """Replay the stream through one ``policy`` model per bucket.
 
-    Returns the per-(bucket, metric) series. When ``ledger`` is a list, each
-    resolved prediction/label pair is appended to it as a
-    :class:`ResolvedPair` (the raw material an offline recomputation can be
-    checked against); by default none is kept.
+    Returns the per-(bucket, metric) series and the trained models. When
+    ``ledger`` is a list, each resolved prediction/label pair is appended to
+    it as a :class:`ResolvedPair` (the raw material an offline recomputation
+    can be checked against); by default none is kept.
     """
     if grace < 1:
         raise ConfigError(f"grace period must be >= 1, got {grace}")
@@ -154,6 +146,9 @@ def run_stream(
     schema = schema if schema is not None else AttributeSchema()
     codec = CategoryCodec()
 
+    model_class = MODELS[UpdatePolicy(policy)]
+    models = {k: model_class(k, schema.feature_mask(k), params) for k in buckets.buckets()}
+
     windows = {k: EvalWindow(k, eval_window) for k in buckets.buckets()}
     series = {
         (k, metric): PerformanceSeries(bucket=k, metric=metric)
@@ -161,7 +156,7 @@ def run_stream(
         for metric in metrics
     }
     open_cases: dict[str, CasePrefix] = {}
-    pending: dict[str, list[PredictionRecord]] = {}
+    pending: dict[str, list[tuple]] = {}  # case id -> (bucket, predicted, version, issued_at)
     labels_seen = 0
     grace_done = False
 
@@ -174,17 +169,11 @@ def run_stream(
         k = len(case.events)
 
         if grace_done and buckets.k_min <= k <= buckets.k_max:
-            model = framework.model(k)
+            model = models[k]
             if model.is_ready:
                 sample = encode(case, k, schema, codec)
                 pending.setdefault(case_id, []).append(
-                    PredictionRecord(
-                        case_id=case_id,
-                        bucket=k,
-                        predicted=model.predict(sample),
-                        model_version=model.version,
-                        issued_at=stream_index,
-                    )
+                    (k, model.predict(sample), model.version, stream_index)
                 )
 
         if not item.is_case_end:
@@ -193,30 +182,24 @@ def run_stream(
         label = item.label
         labels_seen += 1
 
-        for record in pending.pop(case_id, ()):
-            windows[record.bucket].add(record.predicted, label)
+        for bucket, predicted, version, issued_at in pending.pop(case_id, ()):
+            windows[bucket].add(predicted, label)
             if ledger is not None:
                 ledger.append(
                     ResolvedPair(
-                        label_index=labels_seen,
-                        stream_index=stream_index,
-                        case_id=case_id,
-                        bucket=record.bucket,
-                        predicted=record.predicted,
-                        actual=label,
-                        model_version=record.model_version,
-                        issued_at=record.issued_at,
+                        labels_seen, stream_index, case_id, bucket, predicted, label, version, issued_at
                     )
                 )
 
         for train_k in range(buckets.k_min, min(buckets.k_max, k) + 1):
             sample = encode(case, train_k, schema, codec, label=label)
-            framework.model(train_k).observe_label(sample)
+            models[train_k].observe_label(sample)
         del open_cases[case_id]
 
         if not grace_done:
             if labels_seen >= grace:
-                framework.finish_grace()
+                for model in models.values():
+                    model.finish_grace()
                 grace_done = True
             continue
 
@@ -230,4 +213,4 @@ def run_stream(
             for metric in metrics:
                 series[(eval_k, metric)].append(values[metric], labels_seen)
 
-    return RunResult(series=series, labels_seen=labels_seen)
+    return RunResult(series=series, labels_seen=labels_seen, models=models)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError, EmptyLogError
-from .event_model import Event, Trace
+from .event_model import Event, Trace, attribute_types
 
 # Categorical code reserved for values absent from an event.
 MISSING_CODE = 0
@@ -67,8 +67,8 @@ class AttributeSchema:
         A name never observed in the log is treated as categorical (it will
         always encode to the missing code).
         """
-        from .event_model import attribute_types
-
+        if not names:
+            return cls()
         kinds = attribute_types(traces)
         return cls(
             names=tuple(names),

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from stability_meter.advisor import SCENARIO_PROFILES, ConfigSummary, rank
-from stability_meter.classifiers import LearnerParams, PredictionFramework
 from stability_meter.cli import main
 from stability_meter.evaluation import metrics_from_confusion, run_stream
 from stability_meter.event_model import replay
-from stability_meter.prefixing import AttributeSchema, BucketConfig
+from stability_meter.prefixing import BucketConfig
 from stability_meter.stability import (
     MovingStats,
     detect_drops,
@@ -161,10 +160,7 @@ def test_criterion_7_drift_experiment_directional():
     buckets = BucketConfig(k_min=4, k_max=4)
     series = {}
     for policy in ("static", "incremental"):
-        framework = PredictionFramework.build(
-            policy, buckets, AttributeSchema(), LearnerParams()
-        )
-        result = run_stream(replay(traces), framework, buckets, grace=200, eval_window=100)
+        result = run_stream(replay(traces), policy, buckets, grace=200, eval_window=100)
         series[policy] = result.series[(4, "accuracy")]
 
     # static: at least one significant drop within 200 labels after the drift

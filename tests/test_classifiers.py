@@ -7,12 +7,12 @@ from stability_meter.classifiers import (
     DecisionTree,
     IncrementalNaiveBayes,
     LearnerParams,
-    PredictionFramework,
     StaticModel,
     UpdatePolicy,
     WindowRetrainModel,
 )
 from stability_meter.errors import NotReadyError
+from stability_meter.evaluation import run_stream
 from stability_meter.prefixing import AttributeSchema, BucketConfig, EncodedSample
 
 from oracles import ReferenceTree, nb_posterior_scores
@@ -20,6 +20,11 @@ from oracles import ReferenceTree, nb_posterior_scores
 
 def _sample(features, label=None, bucket=2):
     return EncodedSample(bucket=bucket, features=tuple(features), label=label)
+
+
+def _tree_json(model):
+    """The tree model's current tree, as canonical JSON."""
+    return json.dumps(model._tree.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +251,19 @@ def test_tree_matches_the_per_feature_reference_on_random_inputs(masks):
         )
 
 
+def test_tree_ignores_the_order_of_its_rows():
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        features, labels, mask = _random_fit_inputs(rng, "mixed")
+        depth, min_leaf = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+        order = rng.permutation(len(labels))
+        fitted = DecisionTree(depth, min_leaf).fit(features, labels, mask)
+        shuffled = DecisionTree(depth, min_leaf).fit(
+            [features[i] for i in order], [labels[i] for i in order], mask
+        )
+        assert shuffled.to_dict() == fitted.to_dict()
+
+
 @pytest.mark.parametrize(
     "features, labels, mask, min_leaf",
     [
@@ -294,7 +312,7 @@ def test_window_retrain_memory_never_exceeds_capacity():
     assert not model.is_ready
     for sample in _labeled_stream(200, rng):
         model.observe_label(sample)
-        assert model.window_size <= 50
+        assert len(model._window) <= 50
     assert model.is_ready
 
 
@@ -307,10 +325,10 @@ def test_window_retrain_same_window_gives_identical_trees():
     for sample in samples:
         model.observe_label(sample)
     model.retrain()
-    first = json.dumps(model.tree_dict(), sort_keys=True)
+    first = _tree_json(model)
     version = model.version
     model.retrain()
-    assert json.dumps(model.tree_dict(), sort_keys=True) == first
+    assert _tree_json(model) == first
     assert model.version == version + 1
 
 
@@ -352,14 +370,14 @@ def test_static_model_trains_once_and_freezes():
         model.observe_label(sample)
     model.finish_grace()
     assert model.version == 1
-    snapshot = json.dumps(model.tree_dict(), sort_keys=True)
+    snapshot = _tree_json(model)
     probes = [_sample((i % 2, i % 3)) for i in range(6)]
     before = [model.predict(p) for p in probes]
     # post-grace labels with inverted outcomes must change nothing
     for sample in _labeled_stream(100, rng):
         model.observe_label(_sample(sample.features, label=1 - sample.label))
     assert model.version == 1
-    assert json.dumps(model.tree_dict(), sort_keys=True) == snapshot
+    assert _tree_json(model) == snapshot
     assert [model.predict(p) for p in probes] == before
 
 
@@ -372,13 +390,6 @@ def test_static_model_without_grace_samples_ignores_later_labels():
     assert not model.is_ready
     assert model.version == 0
     assert not model._grace
-
-
-def test_static_second_training_call_is_a_contract_error():
-    model = StaticModel(bucket=2, numeric_mask=(False,))
-    model.train([((0,), 0), ((1,), 1)] * 3)
-    with pytest.raises(ValueError):
-        model.train([((0,), 0)])
 
 
 def test_static_predict_before_training_raises():
@@ -403,8 +414,8 @@ def test_static_predict_before_training_raises():
 def test_framework_builds_one_model_per_bucket(policy, kind):
     buckets = BucketConfig(k_min=2, k_max=5)
     schema = AttributeSchema(names=("amount",), numeric=(True,))
-    framework = PredictionFramework.build(policy, buckets, schema, LearnerParams())
-    assert sorted(framework.models) == [2, 3, 4, 5]
-    assert all(isinstance(model, kind) for model in framework.models.values())
-    assert framework.policy is UpdatePolicy(policy)
-    assert framework.model(3).bucket == 3
+    models = run_stream([], policy, buckets, schema=schema).models
+    assert sorted(models) == [2, 3, 4, 5]
+    assert all(isinstance(model, kind) for model in models.values())
+    assert all(model.policy is UpdatePolicy(policy) for model in models.values())
+    assert models[3].bucket == 3

@@ -349,6 +349,78 @@ def test_bad_config_is_a_config_error(small_log, capsys):
     assert "config error" in stderr
 
 
+_BAD_SETTINGS = [
+    (["--ma-window", "0"], "--ma-window must be >= 1, got 0"),
+    (["--grace", "0"], "--grace must be >= 1, got 0"),
+    (["--eval-window", "-3"], "--eval-window must be >= 1, got -3"),
+    (["--eval-every", "0"], "--eval-every must be >= 1, got 0"),
+    (["--train-window", "0"], "--train-window must be >= 1, got 0"),
+    (["--tree-depth", "0"], "--tree-depth must be >= 1, got 0"),
+    (["--retrain-every", "0"], "--retrain-every must be >= 1, got 0"),
+    (["--nb-memory", "0"], "--nb-memory must be >= 1, got 0"),
+    (["--k-min", "1"], "--k-min must be >= 2, got 1"),
+    (["--k-min", "5", "--k-max", "4"], "--k-max must be >= --k-min 5, got 4"),
+    (["--nb-memory", "0", "--grace", "0", "--ma-window", "0"], "--ma-window must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, message", _BAD_SETTINGS, ids=[" ".join(flags) for flags, _ in _BAD_SETTINGS]
+)
+def test_bad_setting_names_its_flag_before_the_log_is_read(tmp_path, capsys, flags, message):
+    code, _, stderr = _run_cli(["run", "--log", str(tmp_path / "missing.csv"), *flags], capsys)
+    assert code == 2
+    assert stderr == f"stability-meter: config error: {message}\n"
+
+
+_COMPARE_STDOUT = """\
+log: LOG  metric: accuracy  models: incremental, window-retrain, static
+         config  bucket  metric          avg  drops  volatility   max_mag   avg_mag  recovery
+    incremental       2  accuracy      0.427      9       0.034     0.300     0.089     6.778
+    incremental       3  accuracy      0.472      9       0.038     0.300     0.081     7.444
+ window-retrain       2  accuracy      0.427      9       0.034     0.300     0.089     6.778
+ window-retrain       3  accuracy      0.492      9       0.040     0.300     0.082     7.556
+         static       2  accuracy      0.427      9       0.034     0.300     0.089     6.778
+         static       3  accuracy      0.435      9       0.033     0.300     0.083     7.222
+
+pooled per configuration:
+    incremental  avg=0.449  drops=18  volatility=0.036  max_mag=0.300  avg_mag=0.085  recovery=7.111
+ window-retrain  avg=0.459  drops=18  volatility=0.037  max_mag=0.300  avg_mag=0.085  recovery=7.167
+         static  avg=0.431  drops=18  volatility=0.034  max_mag=0.300  avg_mag=0.086  recovery=7.000
+
+scenario hf-lr (recovery_rate, avg_magnitude): static > incremental > window-retrain
+scenario lf-hr (drops, volatility, max_magnitude): static > incremental > window-retrain
+scenario hf-hr (volatility, drops, recovery_rate, avg_magnitude): static > incremental > window-retrain
+"""
+
+_RANK_STDOUT = """\
+scenario: lf-hr  criteria: drops, volatility, max_magnitude
+  1. static  avg=0.431  drops=18  volatility=0.034  max_mag=0.300  avg_mag=0.086  recovery=7.000
+  2. incremental  avg=0.449  drops=18  volatility=0.036  max_mag=0.300  avg_mag=0.085  recovery=7.111
+  3. window-retrain  avg=0.459  drops=18  volatility=0.037  max_mag=0.300  avg_mag=0.085  recovery=7.167
+"""
+
+
+def test_compare_and_rank_print_the_same_pooled_fields(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text(to_csv(generate(DriftLogSpec(n_cases=240, drift_at=120, seed=3))))
+    out = tmp_path / "cmp"
+    code, stdout, _ = _run_cli(
+        [
+            "compare", "--log", str(log), "--grace", "40", "--eval-window", "20",
+            "--ma-window", "10", "--k-max", "3", "--metric", "accuracy", "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert stdout.replace(str(log), "LOG") == _COMPARE_STDOUT
+    code, stdout, _ = _run_cli(
+        ["rank", "--meta", str(out / "compare.json"), "--scenario", "lf-hr"], capsys
+    )
+    assert code == 0
+    assert stdout == _RANK_STDOUT
+
+
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(

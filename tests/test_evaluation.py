@@ -2,7 +2,6 @@ from collections import deque
 
 import pytest
 
-from stability_meter.classifiers import LearnerParams, PredictionFramework
 from stability_meter.errors import ConfigError
 from stability_meter.evaluation import (
     METRICS,
@@ -11,7 +10,7 @@ from stability_meter.evaluation import (
     run_stream,
 )
 from stability_meter.event_model import Event, Trace, replay
-from stability_meter.prefixing import AttributeSchema, BucketConfig
+from stability_meter.prefixing import BucketConfig
 
 from oracles import confusion_metrics
 
@@ -55,10 +54,9 @@ def _sequential_traces(specs):
 def _run(specs, policy="incremental", grace=2, eval_window=10, k_min=2, k_max=2, **kwargs):
     traces = _sequential_traces(specs)
     buckets = BucketConfig(k_min=k_min, k_max=k_max)
-    framework = PredictionFramework.build(policy, buckets, AttributeSchema(), LearnerParams())
     return run_stream(
         replay(traces),
-        framework,
+        policy,
         buckets,
         grace=grace,
         eval_window=eval_window,

@@ -160,6 +160,14 @@ def test_schema_from_traces_sniffs_kinds():
     assert schema.numeric == (True, False, False)
 
 
+def test_schema_without_attributes_does_not_read_the_traces():
+    class Unreadable:
+        def __iter__(self):
+            raise AssertionError("traces were read")
+
+    assert AttributeSchema.from_traces((), Unreadable()) == AttributeSchema()
+
+
 def test_bucket_population_matches_case_lengths():
     # bucket k receives exactly one sample per case of length >= k
     traces = _traces_of_lengths(2, 3, 5, 5, 7)
