@@ -54,6 +54,6 @@ from .stability import (
     meta_measures,
     moving_stats,
 )
-from .synthgen import DriftLogSpec, branch_of, case_regime, generate, oracle_label, to_csv
+from .synthgen import DriftLogSpec, case_regime, generate, oracle_label, to_csv
 
 __version__ = "0.1.0"

@@ -449,3 +449,12 @@ class StaticModel(_TreeModel):
 
 OutcomeModel = IncrementalNaiveBayes | WindowRetrainModel | StaticModel
 MODELS = {model.policy: model for model in (IncrementalNaiveBayes, WindowRetrainModel, StaticModel)}
+
+
+def model_class(policy: UpdatePolicy | str) -> type[OutcomeModel]:
+    """The model class of an update policy; an unknown one is a ``ConfigError``."""
+    try:
+        return MODELS[UpdatePolicy(policy)]
+    except ValueError:
+        expected = ", ".join(known.value for known in UpdatePolicy)
+        raise ConfigError(f"unknown model {policy!r}; expected one of {expected}") from None

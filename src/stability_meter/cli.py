@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -27,7 +26,7 @@ from .advisor import (
     pool_summaries,
     rank,
 )
-from .classifiers import LearnerParams, UpdatePolicy
+from .classifiers import LearnerParams, UpdatePolicy, model_class
 from .errors import (
     ConfigError,
     EmptyLogError,
@@ -35,7 +34,7 @@ from .errors import (
     LogValueError,
     StabilityMeterError,
 )
-from .evaluation import METRICS, run_stream
+from .evaluation import METRICS, PerformanceSeries, run_stream
 from .event_model import parse_log, replay
 from .prefixing import AttributeSchema, BucketConfig, default_k_max
 from .stability import MetaMeasures, SeriesAnnotation, annotate_series, meta_measures
@@ -71,9 +70,7 @@ class RunConfig:
     eval_every: int = 1
 
     def __post_init__(self) -> None:
-        policies = [policy.value for policy in UpdatePolicy]
-        if self.model not in policies:
-            raise ConfigError(f"unknown model {self.model!r}; expected one of {', '.join(policies)}")
+        model_class(self.model)
         for name in _AT_LEAST_ONE:
             if getattr(self, name) < 1:
                 raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
@@ -100,6 +97,9 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     try:
         handle.writelines(chunks)
         handle.close()
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(handle.name, 0o666 & ~umask)  # as open() would make it, not the temp file's 0600
         os.replace(handle.name, path)
     except BaseException:
         handle.close()
@@ -116,18 +116,14 @@ def _format_float(value: float | None, width: str = ".3f") -> str:
 class SeriesReport:
     """One evaluated (bucket, metric) series with its analysis artifacts."""
 
-    bucket: int
-    metric: str
-    values: list[float]
-    label_indices: list[int]
+    series: PerformanceSeries
     annotation: SeriesAnnotation
     measures: MetaMeasures
 
     @property
     def avg_metric(self) -> float:
-        return sum(self.values) / len(self.values)
+        return sum(self.series.values) / len(self.series.values)
 
-    @cached_property
     def rows(self) -> list[str]:
         """Each point's ``value,ma,std,lb,ub,is_drop,drop_id`` CSV fields."""
         columns = self.annotation
@@ -157,8 +153,12 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
         )
     buckets = BucketConfig(k_min=config.k_min, k_max=k_max)
     schema = AttributeSchema.from_traces(config.attrs, traces)
+    # From here on only the replay generator holds the parsed events, and it
+    # lets them go when the stream ends.
+    stream = replay(traces)
+    del traces
     result = run_stream(
-        replay(traces),
+        stream,
         config.model,
         buckets,
         grace=config.grace,
@@ -169,66 +169,52 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
         params=config.learner_params(),
     )
 
-    order = {metric: index for index, metric in enumerate(config.metrics)}
-    keys = sorted(
-        (key for key, series in result.series.items() if len(series)),
-        key=lambda key: (key[0], order[key[1]]),
-    )
-
+    # run_stream keys its series by bucket, then metric in config.metrics order.
     reports = []
-    for bucket, metric in keys:
-        series = result.series[(bucket, metric)]
-        annotation = annotate_series(series.values, config.ma_window)
-        reports.append(
-            SeriesReport(
-                bucket=bucket,
-                metric=metric,
-                values=list(series.values),
-                label_indices=list(series.label_indices),
-                annotation=annotation,
-                measures=meta_measures(series.values, config.ma_window, annotation=annotation),
-            )
-        )
+    for series in result.series.values():
+        if len(series):
+            annotation = annotate_series(series.values, config.ma_window)
+            measures = meta_measures(series.values, config.ma_window, annotation=annotation)
+            reports.append(SeriesReport(series, annotation, measures))
 
     out_dir = Path(config.out_dir)
-    _atomic_write(out_dir / "performance.csv", _performance_csv(reports))
+    _atomic_write(out_dir / "performance.csv", _performance_csv(reports, out_dir / "plots"))
     _atomic_write(out_dir / "meta.json", (_meta_json(config, buckets, auto, reports),))
-    for report in reports:
-        _atomic_write(
-            out_dir / "plots" / f"series_k{report.bucket}_{report.metric}.csv",
-            (_series_csv(report),),
-        )
 
     if print_summary:
         _print_summary(config, buckets, auto, result.labels_seen, reports)
     return reports
 
 
-def _performance_csv(reports: list[SeriesReport]) -> Iterator[str]:
-    # One chunk per series, written as it is made: the whole text never sits
-    # in memory, nor does its encoded copy.
+def _performance_csv(reports: list[SeriesReport], plots_dir: Path) -> Iterator[str]:
+    # One chunk per series, written as it is made, and the series' plot file
+    # written from the same rows just before it: the whole text never sits in
+    # memory, nor does its encoded copy, nor more than one series' rows.
     yield "label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id\n"
     for report in reports:
-        key = f",{report.bucket},{report.metric},"
+        series = report.series
+        rows = report.rows()
+        plot = plots_dir / f"series_k{series.bucket}_{series.metric}.csv"
+        _atomic_write(plot, (_series_csv(series.label_indices, rows),))
+        key = f",{series.bucket},{series.metric},"
         yield "".join(
-            f"{label_index}{key}{row}\n"
-            for label_index, row in zip(report.label_indices, report.rows)
+            f"{label_index}{key}{row}\n" for label_index, row in zip(series.label_indices, rows)
         )
 
 
-def _series_csv(report: SeriesReport) -> str:
+def _series_csv(label_indices: list[int], rows: list[str]) -> str:
     lines = ["label_index,value,ma,std,lb,ub,is_drop,drop_id"]
-    lines.extend(f"{label_index},{row}" for label_index, row in zip(report.label_indices, report.rows))
+    lines.extend(f"{label_index},{row}" for label_index, row in zip(label_indices, rows))
     return "\n".join(lines) + "\n"
 
 
 def _meta_entry(config_name: str, report: SeriesReport) -> dict:
-    measures = report.measures
+    measures, series = report.measures, report.series
     return {
-        "name": f"{config_name}/k{report.bucket}/{report.metric}",
+        "name": f"{config_name}/k{series.bucket}/{series.metric}",
         "config": config_name,
-        "bucket": report.bucket,
-        "metric": report.metric,
+        "bucket": series.bucket,
+        "metric": series.metric,
         "avg_metric": report.avg_metric,
         "n_points": measures.n_points,
         "drops": measures.drop_count,
@@ -259,9 +245,10 @@ _TABLE_HEADER = (
 )
 
 
-def _table_row(label: str, metric: str, avg: float, measures: MetaMeasures) -> str:
+def _table_row(report: SeriesReport) -> str:
+    series, measures = report.series, report.measures
     return (
-        f"{label:>6}  {metric:<9}  {avg:>8.3f}  {measures.drop_count:>5}  "
+        f"{series.bucket:>6}  {series.metric:<9}  {report.avg_metric:>8.3f}  {measures.drop_count:>5}  "
         f"{measures.volatility:>10.3f}  {_format_float(measures.max_magnitude):>8}  "
         f"{_format_float(measures.avg_magnitude):>8}  {_format_float(measures.recovery_rate):>8}"
     )
@@ -291,7 +278,7 @@ def _print_summary(
     print(f"buckets: k_min={buckets.k_min} k_max={buckets.k_max}{suffix}  labels: {labels_seen}")
     print(_TABLE_HEADER)
     for report in reports:
-        print(_table_row(str(report.bucket), report.metric, report.avg_metric, report.measures))
+        print(_table_row(report))
 
 
 def _parse_attrs(raw: str) -> tuple[str, ...]:
@@ -356,10 +343,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(f"log: {args.log}  metric: {metric}  models: {', '.join(models)}")
     print(f"{'config':>15}  " + _TABLE_HEADER)
     for model, report in rows:
-        print(
-            f"{model:>15}  "
-            + _table_row(str(report.bucket), report.metric, report.avg_metric, report.measures)
-        )
+        print(f"{model:>15}  " + _table_row(report))
     print()
     print("pooled per configuration:")
     for summary in pooled:

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .classifiers import MODELS, LearnerParams, OutcomeModel, UpdatePolicy
+from .classifiers import LearnerParams, OutcomeModel, UpdatePolicy, model_class
 from .errors import ConfigError
 from .event_model import StreamItem
 from .prefixing import AttributeSchema, BucketConfig, CasePrefix, CategoryCodec, encode
@@ -136,8 +136,6 @@ def run_stream(
     """
     if grace < 1:
         raise ConfigError(f"grace period must be >= 1, got {grace}")
-    if eval_window < 1:
-        raise ConfigError(f"evaluation window must be >= 1, got {eval_window}")
     if eval_every < 1:
         raise ConfigError(f"evaluation cadence must be >= 1, got {eval_every}")
     for metric in metrics:
@@ -146,8 +144,8 @@ def run_stream(
     schema = schema if schema is not None else AttributeSchema()
     codec = CategoryCodec()
 
-    model_class = MODELS[UpdatePolicy(policy)]
-    models = {k: model_class(k, schema.feature_mask(k), params) for k in buckets.buckets()}
+    model_type = model_class(policy)
+    models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
 
     windows = {k: EvalWindow(k, eval_window) for k in buckets.buckets()}
     series = {

@@ -39,13 +39,6 @@ class MovingStats:
     lb: np.ndarray
     ub: np.ndarray
 
-    @classmethod
-    def from_ma_phi(cls, ma: Sequence[float], phi: Sequence[float], window: int = 1) -> "MovingStats":
-        """Assemble stats from externally supplied ma/phi values."""
-        ma_arr = np.asarray(ma, dtype=float)
-        phi_arr = np.asarray(phi, dtype=float)
-        return cls(window=window, ma=ma_arr, phi=phi_arr, lb=ma_arr - phi_arr, ub=ma_arr + phi_arr)
-
 
 @dataclass(frozen=True)
 class SignificantDrop:
@@ -62,9 +55,6 @@ class SignificantDrop:
 
     def __len__(self) -> int:
         return self.end - self.start + 1
-
-    def indices(self) -> range:
-        return range(self.start, self.end + 1)
 
 
 @dataclass(frozen=True)

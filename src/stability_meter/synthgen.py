@@ -94,11 +94,6 @@ def oracle_label(branch: str, regime: int) -> int:
     return int(branch == positive_branch(regime))
 
 
-def branch_of(trace: Trace) -> str:
-    """The branching activity of a generated case (its second event)."""
-    return trace.events[1].activity
-
-
 def _case_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 

@@ -33,6 +33,7 @@ from stability_meter.event_model import (
     _parse_timestamp,
 )
 from stability_meter.prefixing import MISSING_CODE, EncodedSample
+from stability_meter.stability import MovingStats
 
 
 def loop_moving_stats(points, window):
@@ -91,6 +92,12 @@ def brute_moving_stats(points, window):
     lb = [m - s for m, s in zip(ma, phi)]
     ub = [m + s for m, s in zip(ma, phi)]
     return ma, phi, lb, ub
+
+
+def stats_from_ma_phi(ma, phi, window=1):
+    """``MovingStats`` assembled from supplied ma/phi values, not computed ones."""
+    ma, phi = np.asarray(ma, dtype=float), np.asarray(phi, dtype=float)
+    return MovingStats(window=window, ma=ma, phi=phi, lb=ma - phi, ub=ma + phi)
 
 
 def brute_drop_runs(points, window):

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
+import stat
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from stability_meter import cli
 from stability_meter.classifiers import LearnerParams
 from stability_meter.cli import RunConfig, _config_from_args, build_parser, main
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
@@ -64,6 +68,67 @@ def test_run_smoke_produces_all_artifacts(small_log, tmp_path, capsys):
         plot = out / "plots" / f"series_k{entry['bucket']}_{entry['metric']}.csv"
         assert plot.exists()
     assert "k_max=" in stdout
+
+
+def test_run_files_get_the_mode_the_umask_allows(small_log, tmp_path, capsys):
+    out = tmp_path / "out"
+    previous = os.umask(0o022)
+    try:
+        code, _, _ = _run_cli(
+            ["run", "--log", str(small_log), "--grace", "20", "--eval-window", "10", "--out", str(out)],
+            capsys,
+        )
+    finally:
+        os.umask(previous)
+    assert code == 0
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.rglob("*") if path.is_file()}
+    assert {"performance.csv", "meta.json"} < set(modes)
+    assert modes == dict.fromkeys(modes, 0o644)
+
+
+def test_failed_plot_write_leaves_no_performance_csv_or_temp_file(small_log, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plots").write_text("a file where the plots directory goes\n")
+    code, _, stderr = _run_cli(
+        ["run", "--log", str(small_log), "--grace", "20", "--eval-window", "10", "--out", str(out)],
+        capsys,
+    )
+    assert code == 4
+    assert stderr.startswith("stability-meter: i/o error:")
+    assert stderr.count("\n") == 1
+    assert [path.name for path in out.iterdir()] == ["plots"]
+
+
+def test_writing_performance_csv_keeps_no_finished_series_rows(tmp_path, capsys, monkeypatch):
+    # Memory that the performance.csv write allocates and still holds at its
+    # peak must stay well below the file's size: only one series' rows at a time.
+    log = tmp_path / "log.csv"
+    log.write_text(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))))
+    write = cli._atomic_write
+    peaks = {}
+
+    def measured_write(path, chunks):
+        if path.name != "performance.csv":
+            return write(path, chunks)
+        tracemalloc.start()
+        try:
+            write(path, chunks)
+            peaks[path] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_atomic_write", measured_write)
+    code, _, _ = _run_cli(
+        [
+            "run", "--log", str(log), "--out", str(tmp_path / "out"),
+            "--model", "static", "--grace", "50", "--eval-window", "20",
+        ],
+        capsys,
+    )
+    assert code == 0
+    [(path, peak)] = peaks.items()
+    assert peak < 0.5 * path.stat().st_size
 
 
 def test_run_is_byte_identical_across_repeats(small_log, tmp_path, capsys):

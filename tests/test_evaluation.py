@@ -134,6 +134,14 @@ def test_config_validation():
         _run(specs, metrics=("auc",))
 
 
+def test_unknown_policy_is_a_config_error():
+    with pytest.raises(
+        ConfigError,
+        match="^unknown model 'bogus'; expected one of incremental, window-retrain, static$",
+    ):
+        run_stream([], "bogus", BucketConfig(2, 3))
+
+
 def test_window_of_one_tracks_latest_case_correctness():
     specs = [(["a", "b"], 1)] * 4 + [(["a", "b"], label) for label in (1, 0, 1, 0, 0, 1)]
     ledger = []

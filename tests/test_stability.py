@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from stability_meter import stability
 from stability_meter.errors import ConfigError
 from stability_meter.stability import (
-    MovingStats,
     annotate_series,
     detect_drops,
     drop_mask,
@@ -14,7 +13,13 @@ from stability_meter.stability import (
     moving_stats,
 )
 
-from oracles import brute_meta, brute_moving_stats, loop_drop_runs, loop_moving_stats
+from oracles import (
+    brute_meta,
+    brute_moving_stats,
+    loop_drop_runs,
+    loop_moving_stats,
+    stats_from_ma_phi,
+)
 
 
 def test_moving_stats_warmup_and_window():
@@ -54,7 +59,7 @@ def test_first_point_never_drops():
 
 def test_detect_drops_on_supplied_fragment_stats():
     # drop classification applied to externally supplied ma/phi values
-    stats = MovingStats.from_ma_phi(ma=[0.7, 0.69, 0.66], phi=[0.03, 0.03, 0.04])
+    stats = stats_from_ma_phi(ma=[0.7, 0.69, 0.66], phi=[0.03, 0.03, 0.04])
     drops = detect_drops([0.75, 0.65, 0.5], stats)
     assert len(drops) == 1
     assert drops[0].points == (0.65, 0.5)
@@ -219,7 +224,7 @@ def test_structural_invariants(points, window):
     # bounds sanity
     assert np.all(stats.lb <= stats.ma) and np.all(stats.ma <= stats.ub)
     # partition identity: drops are disjoint, maximal, and cover all drop points
-    flagged = {i for drop in mm.drops for i in drop.indices()}
+    flagged = {i for drop in mm.drops for i in range(drop.start, drop.end + 1)}
     mask = drop_mask(points, stats)
     below = {i for i in range(len(points)) if mask[i]}
     assert flagged == below

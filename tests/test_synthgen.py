@@ -11,7 +11,6 @@ from stability_meter.synthgen import (
     MIN_CASE_LENGTH,
     START_ACTIVITY,
     DriftLogSpec,
-    branch_of,
     case_regime,
     generate,
     oracle_label,
@@ -66,7 +65,7 @@ def test_noiseless_log_is_perfectly_predicted_by_the_rule():
     spec = DriftLogSpec(n_cases=300, drift_at=300, seed=9, noise=0.0)
     traces = generate(spec)
     hits = sum(
-        1 for trace in traces if oracle_label(branch_of(trace), regime=1) == trace.label
+        1 for trace in traces if oracle_label(trace.events[1].activity, regime=1) == trace.label
     )
     assert hits == len(traces)
 
@@ -76,7 +75,7 @@ def test_regime_one_rule_degrades_after_the_drift():
     traces = generate(spec)
     post = traces[spec.drift_at :]
     hits = sum(
-        1 for trace in post if oracle_label(branch_of(trace), regime=1) == trace.label
+        1 for trace in post if oracle_label(trace.events[1].activity, regime=1) == trace.label
     )
     assert hits / len(post) < 0.6
 
