@@ -143,14 +143,14 @@ class DecisionTree:
             raise ValueError(f"numeric mask has {mask.size} flags for {matrix.shape[1]} features")
         self._numeric = np.flatnonzero(mask)
         self._categorical = np.flatnonzero(~mask)
-        # Code each categorical column by its sorted distinct values and
-        # offset column c by c * width, so one bincount histograms them all.
-        coded = [np.unique(matrix[:, f], return_inverse=True) for f in self._categorical]
-        self._tables = [table for table, _ in coded]
-        self._width = max((len(table) for table in self._tables), default=0)
-        keys = np.empty((len(coded), len(matrix)), dtype=np.int64)
-        for c, (_, codes) in enumerate(coded):
-            keys[c] = codes + c * self._width
+        # Code every categorical cell against one sorted table of the
+        # distinct values (ascending within each column too) and offset
+        # column c by c * width, so one bincount histograms them all.
+        cells = matrix[:, self._categorical].T
+        self._table, codes = np.unique(cells, return_inverse=True)
+        self._width = len(self._table)
+        offsets = np.arange(len(cells), dtype=np.int64)[:, None] * self._width
+        keys = codes.reshape(cells.shape).astype(np.int64, copy=False) + offsets
         numeric = np.ascontiguousarray(matrix[:, self._numeric].T)
         self.root = self._build(numeric, keys, target, depth=0)
         return self
@@ -206,7 +206,7 @@ class DecisionTree:
                 gains = _gains(ones_left[cells], n_left[cells], ones, n, parent)
                 pick = int(np.argmax(gains))
                 c, code = divmod(int(cells[pick]), self._width)
-                value = float(self._tables[c][code])
+                value = float(self._table[code])
                 node = _Node(feature=int(self._categorical[c]), threshold=value)
                 found.append((gains[pick], node, keys[c] == cells[pick]))
         if not found:

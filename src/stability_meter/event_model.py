@@ -9,7 +9,7 @@ label of a case travels with its last event.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
 from pathlib import Path
@@ -29,16 +29,25 @@ class Event:
     ``timestamp`` is normalized to integer milliseconds. ``position`` is the
     1-based index of the event within its case. ``row`` is the physical line
     the event came from (header = line 1) and breaks timestamp ties during
-    replay. ``attributes`` maps attribute names to typed values (float for
-    numeric columns, str otherwise); names missing on this event are absent.
+    replay. ``values`` holds the attribute values aligned with ``names``:
+    float for numeric columns, str otherwise, ``None`` for an empty cell.
+    Every event of a parsed log shares one ``names`` tuple.
     """
 
     case_id: str
     activity: str
     timestamp: int
     position: int
-    attributes: dict = field(default_factory=dict)
+    names: tuple[str, ...] = ()
+    values: tuple = ()
     row: int = 0
+
+    def attribute(self, name: str):
+        """The value of attribute ``name``, or None when absent or empty."""
+        try:
+            return self.values[self.names.index(name)]
+        except ValueError:
+            return None
 
 
 @dataclass
@@ -127,16 +136,19 @@ def parse_log(source: LogSource) -> list[Trace]:
 
     Blank lines are skipped, missing cells of a short row count as empty,
     cells beyond the header are ignored, and of repeated header names the
-    last column wins. Events share one string object per distinct case id
-    and activity, and per categorical value once its column has shown a
+    last column wins. Case ids and attribute values are stripped of
+    surrounding whitespace; activities are kept as written. Events share
+    one tuple of attribute names, and one string object per distinct case
+    id and activity, and per categorical value once its column has shown a
     non-numeric value.
 
     Raises:
         LogFormatError: missing required column, unparseable timestamp,
             bytes that are not UTF-8, or a CSV field the reader rejects
             (such as one above the field size limit).
-        LogValueError: non-binary or conflicting label values, or a
-            ``nan``/``inf`` value in a numeric column.
+        LogValueError: empty case id or activity, non-binary or
+            conflicting label values, or a ``nan``/``inf`` value in a
+            numeric column.
         EmptyLogError: no data rows.
     """
     if isinstance(source, (str, Path)):
@@ -150,7 +162,7 @@ def parse_log(source: LogSource) -> list[Trace]:
 
     reader = csv.reader(source)
     try:
-        by_case, numeric_names = _read_cases(reader)
+        by_case, names, numeric_at = _read_cases(reader)
     except csv.Error as err:
         raise LogFormatError(f"row {reader.line_num}: {err}") from None
 
@@ -163,29 +175,33 @@ def parse_log(source: LogSource) -> list[Trace]:
         if len(labels) > 1:
             raise LogValueError(f"case {case_id!r} has conflicting labels {sorted(labels)}")
         events = []
-        for position, (timestamp, row, activity, _, attrs) in enumerate(rows, start=1):
-            for name in numeric_names:
-                value = attrs.get(name)
-                if value is None:
-                    continue
-                number = float(value)
-                if not isfinite(number):
-                    raise LogValueError(
-                        f"row {row}: numeric column {name!r} has non-finite value {value!r}"
-                    )
-                attrs[name] = number
-            events.append(Event(case_id, activity, timestamp, position, attrs, row))
+        for position, (timestamp, row, activity, _, values) in enumerate(rows, start=1):
+            if numeric_at:
+                typed = list(values)
+                for at in numeric_at:
+                    value = typed[at]
+                    if value is None:
+                        continue
+                    number = float(value)
+                    if not isfinite(number):
+                        raise LogValueError(
+                            f"row {row}: numeric column {names[at]!r} has non-finite value {value!r}"
+                        )
+                    typed[at] = number
+                values = tuple(typed)
+            events.append(Event(case_id, activity, timestamp, position, names, values, row))
         by_case[case_id] = None  # release the row tuples as the events replace them
         traces.append(Trace(case_id=case_id, events=events, label=labels.pop()))
     return traces
 
 
-def _read_cases(reader) -> tuple[dict[str, list[tuple]], list[str]]:
+def _read_cases(reader) -> tuple[dict[str, list[tuple]], tuple[str, ...], list[int]]:
     """Group the data rows by case and sniff which attribute columns are numeric.
 
-    Returns ``{case_id: [(timestamp, row, activity, label, attrs), ...]}`` in
-    first-appearance order, with attribute values still stripped strings, and
-    the names of the numeric attribute columns in column order.
+    Returns ``{case_id: [(timestamp, row, activity, label, values), ...]}``
+    in first-appearance order, the attribute names, and the indices of the
+    numeric ones. ``values`` aligns with the names and holds stripped
+    strings, or None for an empty cell.
     """
     header = next(reader, None)
     if header is None:
@@ -195,12 +211,11 @@ def _read_cases(reader) -> tuple[dict[str, list[tuple]], list[str]]:
         if name not in column:
             raise LogFormatError(f"missing required column '{name}'")
     case_at, activity_at, time_at, label_at = (column[name] for name in REQUIRED_COLUMNS)
-    attr_columns = [
-        (name, column[name]) for name in dict.fromkeys(header) if name not in REQUIRED_COLUMNS
-    ]
+    names = tuple(name for name in dict.fromkeys(header) if name not in REQUIRED_COLUMNS)
+    attr_at = [column[name] for name in names]
     width = len(header)
 
-    numeric = {name: True for name, _ in attr_columns}
+    numeric = [True] * len(names)
     strings: dict[str, str] = {}  # one object per activity and categorical value
     by_case: dict[str, list[tuple]] = {}
     for cells in reader:
@@ -212,25 +227,27 @@ def _read_cases(reader) -> tuple[dict[str, list[tuple]], list[str]]:
         case_id = cells[case_at].strip()
         if not case_id:
             raise LogValueError(f"row {row}: empty case_id")
+        activity = cells[activity_at]
+        if not activity.strip():
+            raise LogValueError(f"row {row}: empty activity")
         timestamp = _parse_timestamp(cells[time_at], row)
         label = _parse_label(cells[label_at], row)
-        attrs = {}
-        for name, at in attr_columns:
+        values = []
+        for index, at in enumerate(attr_at):
             value = cells[at].strip()
             if not value:
-                continue
-            if not numeric[name] or not _is_decimal(value):
-                numeric[name] = False
+                value = None
+            elif not numeric[index] or not _is_decimal(value):
+                numeric[index] = False
                 value = strings.setdefault(value, value)
-            attrs[name] = value
-        activity = cells[activity_at]
+            values.append(value)
         rows = by_case.get(case_id)
         if rows is None:
             rows = by_case[case_id] = []
-        rows.append((timestamp, row, strings.setdefault(activity, activity), label, attrs))
+        rows.append((timestamp, row, strings.setdefault(activity, activity), label, tuple(values)))
     if not by_case:
         raise EmptyLogError("log contains no events")
-    return by_case, [name for name, is_numeric in numeric.items() if is_numeric]
+    return by_case, names, [index for index, is_numeric in enumerate(numeric) if is_numeric]
 
 
 def replay(traces: Sequence[Trace]) -> Iterator[StreamItem]:
@@ -257,6 +274,7 @@ def attribute_types(traces: Sequence[Trace]) -> dict[str, bool]:
     kinds: dict[str, bool] = {}
     for trace in traces:
         for event in trace.events:
-            for name, value in event.attributes.items():
-                kinds[name] = isinstance(value, float)
+            for name, value in zip(event.names, event.values):
+                if value is not None:
+                    kinds[name] = isinstance(value, float)
     return kinds

@@ -158,7 +158,7 @@ def encode(
         slots = case.slots
         for event in fresh:
             for name, is_numeric in zip(schema.names, schema.numeric):
-                value = event.attributes.get(name)
+                value = event.attribute(name)
                 if value is None:
                     slots.append(0.0 if is_numeric else MISSING_CODE)
                 elif is_numeric:

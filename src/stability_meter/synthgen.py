@@ -25,6 +25,7 @@ BRANCH_ACTIVITIES = ("manual_review", "auto_check")
 FILLER_ACTIVITIES = ("collect_docs", "verify_income", "assess_risk", "request_info")
 CLOSE_ACTIVITY = "close_case"
 CHANNELS = ("web", "branch", "phone")
+ATTRIBUTE_NAMES = ("amount", "channel")
 
 MIN_CASE_LENGTH = 4
 MAX_CASE_LENGTH = 16
@@ -131,10 +132,8 @@ def generate(spec: DriftLogSpec) -> list[Trace]:
                     activity=activity,
                     timestamp=timestamp,
                     position=position,
-                    attributes={
-                        "amount": round(rng.uniform(50.0, 5000.0), 2),
-                        "channel": rng.choice(CHANNELS),
-                    },
+                    names=ATTRIBUTE_NAMES,
+                    values=(round(rng.uniform(50.0, 5000.0), 2), rng.choice(CHANNELS)),
                     row=row,
                 )
             )
@@ -157,6 +156,6 @@ def to_csv(traces: list[Trace]) -> str:
             label = str(trace.label) if event.position == last else ""
             out.write(
                 f"{event.case_id},{event.activity},{event.timestamp},{label},"
-                f"{event.attributes['amount']},{event.attributes['channel']}\n"
+                f"{event.attribute('amount')},{event.attribute('channel')}\n"
             )
     return out.getvalue()

@@ -9,7 +9,8 @@ that searched splits one feature at a time, kept as the reference for the
 per-node split search. ``dict_reader_parse_log``, ``tuple_replay`` and
 ``scratch_encode`` are the log parser, replay and prefix encoder the package
 used before it stored events compactly and coded each event once per case,
-kept as the references for those changes.
+kept as the references for those changes; they read attributes through
+``attribute_map``, not ``Event.attribute``.
 """
 
 from __future__ import annotations
@@ -320,6 +321,7 @@ def dict_reader_parse_log(source):
         if column not in reader.fieldnames:
             raise LogFormatError(f"missing required column '{column}'")
     attr_names = [name for name in reader.fieldnames if name not in REQUIRED_COLUMNS]
+    names = tuple(dict.fromkeys(attr_names))
 
     rows = []
     numeric = {name: True for name in attr_names}
@@ -328,6 +330,9 @@ def dict_reader_parse_log(source):
         case_id = (record["case_id"] or "").strip()
         if not case_id:
             raise LogValueError(f"row {row}: empty case_id")
+        activity = record["activity"] or ""
+        if not activity.strip():
+            raise LogValueError(f"row {row}: empty activity")
         timestamp = _parse_timestamp(record["timestamp"] or "", row)
         label = _parse_label(record["label"] or "", row)
         attrs = {}
@@ -338,7 +343,7 @@ def dict_reader_parse_log(source):
             attrs[name] = value.strip()
             if not _is_decimal(value):
                 numeric[name] = False
-        rows.append((case_id, record["activity"] or "", timestamp, label, attrs, row))
+        rows.append((case_id, activity, timestamp, label, attrs, row))
     if not rows:
         raise EmptyLogError("log contains no events")
 
@@ -373,7 +378,8 @@ def dict_reader_parse_log(source):
                     activity=activity,
                     timestamp=timestamp,
                     position=position,
-                    attributes=typed,
+                    names=names,
+                    values=tuple(typed.get(name) for name in names),
                     row=row,
                 )
             )
@@ -403,12 +409,20 @@ class Prefix:
     events: tuple
 
 
+def attribute_map(event):
+    """``{name: value}`` of the event's non-empty attributes, in name order."""
+    return {
+        name: value for name, value in zip(event.names, event.values, strict=True) if value is not None
+    }
+
+
 def scratch_encode(prefix, schema, codec, label=None):
     """Index-based encoding of a prefix, coding every event from scratch."""
     features = [codec.code(event.activity) for event in prefix.events]
     for event in prefix.events:
+        attributes = attribute_map(event)
         for name, is_numeric in zip(schema.names, schema.numeric):
-            value = event.attributes.get(name)
+            value = attributes.get(name)
             if value is None:
                 features.append(0.0 if is_numeric else MISSING_CODE)
             elif is_numeric:

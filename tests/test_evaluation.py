@@ -31,7 +31,6 @@ def _mk_trace(case_id, activities, label, start, step=10, row_base=0):
             activity=activity,
             timestamp=start + i * step,
             position=i + 1,
-            attributes={},
             row=row_base + i + 1,
         )
         for i, activity in enumerate(activities)

@@ -10,7 +10,7 @@ from stability_meter.event_model import Event, Trace, attribute_types, parse_log
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
-from oracles import dict_reader_parse_log, tuple_replay
+from oracles import attribute_map, dict_reader_parse_log, tuple_replay
 
 
 def _parse(text):
@@ -92,6 +92,17 @@ def test_iso_timestamps_normalized_to_milliseconds():
     assert [event.timestamp for event in traces[0].events] == [1000, 2500]
 
 
+@pytest.mark.parametrize("cell", ["", " ", "\t"])
+def test_empty_activity_is_rejected_with_its_row(cell):
+    with pytest.raises(LogValueError, match="^row 3: empty activity$"):
+        _parse(f"case_id,activity,timestamp,label\na,x,1,\na,{cell},2,1\n")
+
+
+def test_activities_keep_their_whitespace():
+    traces = _parse("case_id,activity,timestamp,label\na, a ,1,\na,a,2,\na,a ,3,1\n")
+    assert [event.activity for event in traces[0].events] == [" a ", "a", "a "]
+
+
 def test_bad_timestamp_rejected():
     with pytest.raises(LogFormatError, match="timestamp"):
         _parse("case_id,activity,timestamp,label\na,x,not-a-time,1\n")
@@ -104,8 +115,8 @@ def test_attribute_type_sniffing():
         "a,y,2,1,20,phone\n"
     )
     events = traces[0].events
-    assert events[0].attributes == {"amount": 10.5, "channels": "web"}
-    assert events[1].attributes == {"amount": 20.0, "channels": "phone"}
+    assert attribute_map(events[0]) == {"amount": 10.5, "channels": "web"}
+    assert attribute_map(events[1]) == {"amount": 20.0, "channels": "phone"}
     assert attribute_types(traces) == {"amount": True, "channels": False}
 
 
@@ -116,7 +127,7 @@ def test_mixed_values_make_attribute_categorical():
         "a,y,2,1,large\n"
     )
     assert attribute_types(traces) == {"size": False}
-    assert traces[0].events[0].attributes["size"] == "10"
+    assert traces[0].events[0].attribute("size") == "10"
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -136,7 +147,7 @@ def test_nan_in_a_categorical_column_is_a_plain_string():
         "a,y,2,1,large\n"
     )
     assert attribute_types(traces) == {"size": False}
-    assert traces[0].events[0].attributes["size"] == "nan"
+    assert traces[0].events[0].attribute("size") == "nan"
 
 
 def test_empty_attribute_cells_are_missing():
@@ -145,8 +156,9 @@ def test_empty_attribute_cells_are_missing():
         "a,x,1,,\n"
         "a,y,2,1,3.5\n"
     )
-    assert "amount" not in traces[0].events[0].attributes
-    assert traces[0].events[1].attributes["amount"] == 3.5
+    assert traces[0].events[0].values == (None,)
+    assert traces[0].events[0].attribute("amount") is None
+    assert traces[0].events[1].attribute("amount") == 3.5
 
 
 def test_replay_interleaves_cases_by_timestamp():
@@ -249,6 +261,7 @@ HAND_LOGS = {
     "header only": f"{_H}\n",
     "missing column": "case_id,activity,label\na,x,1\n",
     "empty case id": f"{_H}\na,x,1,\n ,y,2,1\n",
+    "empty activity before a bad timestamp": f"{_H}\na,x,1,\na, ,later,1\n",
     "bad timestamp before bad label": f"{_H}\na,x,later,7\n",
     "bad label": f"{_H}\na,x,1,yes\n",
     "no label before a later non-finite value": f"{_H},amount\na,x,1,,1\nb,x,2,1,nan\n",
@@ -270,10 +283,9 @@ def _assert_parsers_agree(text):
     if isinstance(want, list):
         for new, old in zip(got, want):
             for new_event, old_event in zip(new.events, old.events):
-                assert new_event.attributes == old_event.attributes
-                assert [type(v) for v in new_event.attributes.values()] == [
-                    type(v) for v in old_event.attributes.values()
-                ]
+                new_map, old_map = attribute_map(new_event), attribute_map(old_event)
+                assert new_map == old_map
+                assert [type(v) for v in new_map.values()] == [type(v) for v in old_map.values()]
         assert list(replay(got)) == list(tuple_replay(want))
 
 
@@ -306,8 +318,9 @@ def test_parse_shares_one_string_per_case_id_activity_and_category():
     events = [event for trace in traces for event in trace.events]
     assert all(event.case_id is trace.case_id for trace in traces for event in trace.events)
     assert events[0].activity is events[1].activity is events[2].activity
-    webs = [event.attributes["channel"] for event in events[:3]]
+    webs = [event.attribute("channel") for event in events[:3]]
     assert webs[0] is webs[1] is webs[2]
+    assert all(event.names is events[0].names for event in events)
 
 
 def test_events_are_slotted_and_immutable():
@@ -315,6 +328,20 @@ def test_events_are_slotted_and_immutable():
     assert not hasattr(event, "__dict__")
     with pytest.raises(AttributeError):
         event.activity = "other"
+
+
+def test_parsed_events_hold_tuples_not_dicts():
+    traces = _parse(
+        "case_id,activity,timestamp,label,amount,channel\n"
+        "a,x,1,,5,web\na,y,2,1,,\nb,x,3,0,7.5,phone\n"
+    )
+    for trace in traces:
+        for event in trace.events:
+            assert type(event.names) is tuple and type(event.values) is tuple
+            assert len(event.values) == len(event.names) == 2
+            assert not any(isinstance(getattr(event, slot), dict) for slot in Event.__slots__)
+    assert traces[0].events[1].values == (None, None)
+    assert traces[0].events[1].attribute("ghost") is None
 
 
 def _programmatic(case_id, activities, label, stamps):
@@ -354,7 +381,9 @@ def test_replay_matches_the_reference_on_programmatic_traces():
 def test_parse_peak_memory_per_event_stays_small(tmp_path):
     # Parsing through csv.DictReader, with a dict per row kept next to the
     # finished events, peaked at ~950 B/event here; one pass over
-    # csv.reader rows into per-case lists stays near 430.
+    # csv.reader rows into per-case lists, with an attribute dict per
+    # event, at ~430; one value tuple per event sharing one name tuple per
+    # log stays near 280.
     path = tmp_path / "log.csv"
     path.write_text(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))))
     tracemalloc.start()
@@ -364,4 +393,4 @@ def test_parse_peak_memory_per_event_stays_small(tmp_path):
     finally:
         tracemalloc.stop()
     events = sum(len(trace) for trace in traces)
-    assert peak / events < 800
+    assert peak / events < 330

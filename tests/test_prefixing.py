@@ -4,7 +4,7 @@ from io import StringIO
 import pytest
 
 from stability_meter.errors import ConfigError, EmptyLogError
-from stability_meter.event_model import Event, Trace, parse_log
+from stability_meter.event_model import Event, Trace, attribute_types, parse_log
 from stability_meter.prefixing import (
     MISSING_CODE,
     AttributeSchema,
@@ -29,13 +29,16 @@ def prefixes_of(trace, cfg):
 
 
 def _trace(case_id, activities, attrs=None):
+    """A trace whose i-th event has the names and values of ``attrs[i - 1]``."""
+    attrs = attrs or [{}] * len(activities)
     events = [
         Event(
             case_id=case_id,
             activity=activity,
             timestamp=i,
             position=i,
-            attributes=dict(attrs[i - 1]) if attrs else {},
+            names=tuple(attrs[i - 1]),
+            values=tuple(attrs[i - 1].values()),
             row=i + 1,
         )
         for i, activity in enumerate(activities, start=1)
@@ -122,6 +125,44 @@ def test_encode_missing_attribute_uses_reserved_code():
     sample = encode(_open_case(trace), 2, schema, codec)
     assert sample.features[-1] == MISSING_CODE
     assert sample.features[-2] == codec.code("web")
+
+
+def test_encode_looks_attributes_up_by_name():
+    # events built in code need not share a name tuple or its order
+    attrs = [
+        {"amount": 1.5, "channel": "web"},
+        {"channel": "phone", "amount": 4.0, "extra": "x"},
+        {},
+        {"channel": None, "amount": None},
+    ]
+    trace = _trace("c", ["A", "B", "C", "D"], attrs=attrs)
+    assert trace.events[0].names == ("amount", "channel")
+    assert trace.events[1].names == ("channel", "amount", "extra")
+    assert attribute_types([trace]) == {"amount": True, "channel": False, "extra": False}
+    schema = AttributeSchema(names=("channel", "ghost", "amount"), numeric=(False, False, True))
+    codec, scratch = CategoryCodec(), CategoryCodec()
+    case = _open_case(trace)
+    for k in range(1, 5):
+        want = scratch_encode(Prefix("c", k, tuple(trace.events[:k])), schema, scratch)
+        assert encode(case, k, schema, codec) == want
+    assert want.features[4:] == (
+        codec.code("web"), MISSING_CODE, 1.5,
+        codec.code("phone"), MISSING_CODE, 4.0,
+        MISSING_CODE, MISSING_CODE, 0.0,
+        MISSING_CODE, MISSING_CODE, 0.0,
+    )
+
+
+def test_a_column_empty_on_every_row_is_categorical_and_missing():
+    traces = parse_log(
+        StringIO("case_id,activity,timestamp,label,note,amount\na,x,1,,,2\na,y,2,1, ,3\n")
+    )
+    schema = AttributeSchema.from_traces(["note", "amount"], traces)
+    assert schema.numeric == (False, True)
+    codec = CategoryCodec()
+    sample = encode(_open_case(traces[0]), 2, schema, codec)
+    assert sample.features[2:] == (MISSING_CODE, 2.0, MISSING_CODE, 3.0)
+    assert len(codec) == 2
 
 
 def test_codes_are_stable_across_cases():

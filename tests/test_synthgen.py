@@ -100,5 +100,5 @@ def test_csv_round_trips_through_the_parser():
 def test_attribute_columns_are_sniffed_as_expected():
     traces = generate(DriftLogSpec(n_cases=5, drift_at=3, seed=1))
     event = traces[0].events[0]
-    assert isinstance(event.attributes["amount"], float)
-    assert event.attributes["channel"] in ("web", "branch", "phone")
+    assert isinstance(event.attribute("amount"), float)
+    assert event.attribute("channel") in ("web", "branch", "phone")
