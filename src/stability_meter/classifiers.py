@@ -5,12 +5,16 @@ The three policies differ only in how they react to newly labeled cases:
 * ``incremental``: a categorical naive Bayes whose counts are updated on
   every label, with bounded memory so old evidence ages out.
 * ``window-retrain``: a decision tree refit from scratch on a sliding
-  window of the most recent labeled samples.
+  window of the most recent labeled samples, kept as a ring buffer of
+  feature rows that each fit reads in place.
 * ``static``: the same tree learner fit once on the grace-period samples
   and frozen afterwards.
 
 All learners are deterministic: identical sample streams produce identical
-model states and predictions. Prediction ties break toward label 0.
+model states and predictions. Prediction ties break toward label 0. The
+tree depends only on the multiset of its training rows, not on their order,
+and its per-node split search is exact: ``tests/oracles.py`` keeps a
+one-feature-at-a-time reference that it must match tree for tree.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import log
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ class UpdatePolicy(str, Enum):
 
 MIN_LEAF = 5  # fewest samples a tree split may leave on either side
 LAPLACE = 1.0  # naive Bayes likelihood smoothing
+_FIRST_WINDOW_ROWS = 64  # a window-retrain buffer's first size; it doubles up to train_window
 
 
 @dataclass(frozen=True)
@@ -86,16 +91,17 @@ def _gini(n1: float, n: float) -> float:
 
 
 def _gains(ones_left: np.ndarray, n_left: np.ndarray, ones_total: int, n: int, parent: float):
-    """Gini gain of each candidate; every candidate leaves rows on both sides."""
-    n_left = n_left.astype(float)
+    """Gini gain of each candidate (float counts); every candidate leaves rows on both sides."""
     n_right = n - n_left
-    ones_left = ones_left.astype(float)
-    ones_right = float(ones_total) - ones_left
+    ones_right = ones_total - ones_left
     p_left = ones_left / n_left
     p_right = ones_right / n_right
     gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
     gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
     return parent - (n_left * gini_left + n_right * gini_right) / n
+
+
+_NO_CANDIDATES = np.empty(0, dtype=np.int64)
 
 
 def _check_width(sample: EncodedSample, mask: tuple, bucket: int) -> None:
@@ -116,9 +122,12 @@ class DecisionTree:
     ``min_leaf`` samples on each side.
 
     Each node searches all features at once (histogram split finding): one
-    stable sort with cumulative label counts covers the numeric columns, and
-    two ``bincount`` calls over (feature, value) keys cover the categorical
-    columns, whose values are coded once per fit.
+    sort with cumulative label counts covers the numeric columns, and two
+    ``bincount`` calls over (feature, value) keys cover the categorical
+    columns, whose values are coded once per fit. One gain computation
+    scores both kinds of candidate. A node's row and label counts come from
+    its parent's chosen split, and a child that will be a leaf is never
+    sliced out, so the cost of a fit is a few numpy calls per searched node.
     """
 
     def __init__(self, max_depth: int = LearnerParams.tree_depth, min_leaf: int = MIN_LEAF) -> None:
@@ -130,19 +139,19 @@ class DecisionTree:
 
     def fit(
         self,
-        features: Sequence[Sequence[float]],
-        labels: Sequence[int],
+        features: Sequence[Sequence[float]] | np.ndarray,
+        labels: Sequence[int] | np.ndarray,
         numeric_mask: Sequence[bool],
     ) -> "DecisionTree":
         matrix = np.asarray(features, dtype=float)
-        target = np.asarray(labels, dtype=np.int64)
+        target = np.asarray(labels, dtype=bool)
         if matrix.ndim != 2 or len(matrix) == 0:
             raise ValueError("fit requires a non-empty 2-D sample matrix")
         mask = np.asarray(numeric_mask, dtype=bool)
         if mask.shape != (matrix.shape[1],):
             raise ValueError(f"numeric mask has {mask.size} flags for {matrix.shape[1]} features")
-        self._numeric = np.flatnonzero(mask)
-        self._categorical = np.flatnonzero(~mask)
+        self._numeric = mask.nonzero()[0]
+        self._categorical = (~mask).nonzero()[0]
         # Code every categorical cell against one sorted table of the
         # distinct values (ascending within each column too) and offset
         # column c by c * width, so one bincount histograms them all.
@@ -152,67 +161,67 @@ class DecisionTree:
         offsets = np.arange(len(cells), dtype=np.int64)[:, None] * self._width
         keys = codes.reshape(cells.shape).astype(np.int64, copy=False) + offsets
         numeric = np.ascontiguousarray(matrix[:, self._numeric].T)
-        self.root = self._build(numeric, keys, target, depth=0)
+        self._lanes = np.arange(len(numeric))[:, None]  # row index of each numeric feature
+        ones = int(np.count_nonzero(target))
+        self.root = self._node(numeric, keys, target, slice(None), len(target), ones, depth=0)
         return self
 
-    def _build(self, numeric: np.ndarray, keys: np.ndarray, target: np.ndarray, depth: int) -> _Node:
-        n = len(target)
-        ones = int(target.sum())
-        if ones == 0 or ones == n or depth >= self.max_depth or n < 2 * self.min_leaf:
-            return _Node(prediction=int(ones > n - ones))
-        split = self._best_split(numeric, keys, target, ones)
-        if split is None:
-            return _Node(prediction=int(ones > n - ones))
-        node, left = split
-        right = ~left
-        node.left = self._build(numeric[:, left], keys[:, left], target[left], depth + 1)
-        node.right = self._build(numeric[:, right], keys[:, right], target[right], depth + 1)
-        return node
-
-    def _best_split(self, numeric, keys, target, ones):
-        """Best (node, left-row mask) over all features, or None.
+    def _node(self, numeric, keys, target, rows, n: int, ones: int, depth: int) -> _Node:
+        """The subtree over ``rows`` of the parent's arrays: ``n`` rows, ``ones`` of label 1.
 
         ``numeric`` holds one row per numeric feature and ``keys`` one row
         of offset codes per categorical feature, both in feature-index
-        order. Within each block a flat ``argmax`` over the candidates,
-        feature by feature in ascending value, picks the first maximum;
-        between the blocks a tie goes to the lower feature index.
+        order. The numeric cuts and then the categorical cells go into one
+        gain array; ``argmax`` picks the first maximum, which within each
+        block is the lowest feature and then the lowest value. A numeric
+        pick yields to an equal categorical gain of a lower feature index.
         """
-        n = len(target)
-        parent = _gini(float(ones), float(n))
-        found = []
+        if ones == 0 or ones == n or depth >= self.max_depth or n < 2 * self.min_leaf:
+            return _Node(prediction=int(ones > n - ones))
+        numeric, keys, target = numeric[:, rows], keys[:, rows], target[rows]
+        min_leaf = self.min_leaf
+        num_n = num_ones = cat_n = cat_ones = _NO_CANDIDATES
         if len(numeric):
-            # A cut after sorted position i leaves i + 1 rows on the left.
-            lo, hi = self.min_leaf - 1, n - self.min_leaf
-            order = np.argsort(numeric, axis=1, kind="stable")
-            values = np.take_along_axis(numeric, order, axis=1)
-            ones_left = np.cumsum(target[order], axis=1)
-            feature, cut = np.nonzero(values[:, lo:hi] != values[:, lo + 1 : hi + 1])
-            if len(cut):
-                cut += lo
-                gains = _gains(ones_left[feature, cut], cut + 1, ones, n, parent)
-                pick = int(np.argmax(gains))
-                f, i = feature[pick], cut[pick]
-                threshold = float((values[f, i] + values[f, i + 1]) / 2.0)
-                node = _Node(feature=int(self._numeric[f]), numeric_split=True, threshold=threshold)
-                found.append((gains[pick], node, numeric[f] <= threshold))
+            # A cut after sorted position lo + i leaves lo + i + 1 rows on the left.
+            lo, hi = min_leaf - 1, n - min_leaf
+            order = numeric.argsort(axis=1, kind="stable")
+            values = numeric[self._lanes, order]
+            feature, cut = (values[:, lo:hi] != values[:, lo + 1 : hi + 1]).nonzero()
+            num_n = cut + min_leaf
+            num_ones = target[order].cumsum(axis=1)[:, lo:hi][feature, cut]
         if len(keys):
-            flat = keys.ravel()
             size = len(keys) * self._width
-            n_left = np.bincount(flat, minlength=size)
-            ones_left = np.bincount(flat, np.broadcast_to(target, keys.shape).ravel(), size)
-            cells = np.flatnonzero((n_left >= self.min_leaf) & (n_left <= n - self.min_leaf))
-            if len(cells):
-                gains = _gains(ones_left[cells], n_left[cells], ones, n, parent)
-                pick = int(np.argmax(gains))
-                c, code = divmod(int(cells[pick]), self._width)
-                value = float(self._table[code])
-                node = _Node(feature=int(self._categorical[c]), threshold=value)
-                found.append((gains[pick], node, keys[c] == cells[pick]))
-        if not found:
-            return None
-        _, node, left = max(found, key=lambda entry: (entry[0], -entry[1].feature))
-        return node, left
+            counts = np.bincount(keys.ravel(), minlength=size)
+            cells = ((counts >= min_leaf) & (counts <= n - min_leaf)).nonzero()[0]
+            cat_n = counts[cells]
+            cat_ones = np.bincount(keys[:, target].ravel(), minlength=size)[cells]
+        split_n = np.concatenate((num_n, cat_n), dtype=float)
+        if not len(split_n):
+            return _Node(prediction=int(ones > n - ones))
+        split_ones = np.concatenate((num_ones, cat_ones), dtype=float)
+        gains = _gains(split_ones, split_n, ones, n, _gini(float(ones), float(n)))
+        pick = int(gains.argmax())
+        boundary = len(num_n)
+        if pick < boundary < len(gains):
+            rival = boundary + int(gains[boundary:].argmax())
+            if gains[rival] == gains[pick]:
+                column = int(cells[rival - boundary]) // self._width
+                if self._categorical[column] < self._numeric[feature[pick]]:
+                    pick = rival
+        if pick < boundary:
+            f, i = feature[pick], lo + cut[pick]
+            threshold = float((values[f, i] + values[f, i + 1]) / 2.0)
+            node = _Node(feature=int(self._numeric[f]), numeric_split=True, threshold=threshold)
+            left = numeric[f] <= threshold
+        else:
+            cell = int(cells[pick - boundary])
+            column, code = divmod(cell, self._width)
+            node = _Node(feature=int(self._categorical[column]), threshold=float(self._table[code]))
+            left = keys[column] == cell
+        n_left, ones_left = int(split_n[pick]), int(split_ones[pick])
+        node.left = self._node(numeric, keys, target, left, n_left, ones_left, depth + 1)
+        node.right = self._node(numeric, keys, target, ~left, n - n_left, ones - ones_left, depth + 1)
+        return node
 
     def predict(self, features: Sequence[float]) -> int:
         if self.root is None:
@@ -366,10 +375,8 @@ class _TreeModel:
             raise NotReadyError(f"bucket-{self.bucket} {self.policy.value} model has no training yet")
         return self._tree.predict(sample.features)
 
-    def _fit(self, pairs: Iterable[tuple]) -> None:
-        """Fit a fresh tree on (features, label) pairs and bump the version."""
-        features = [entry[0] for entry in pairs]
-        labels = [entry[1] for entry in pairs]
+    def _fit(self, features, labels) -> None:
+        """Fit a fresh tree on aligned features and labels and bump the version."""
         self._tree = DecisionTree(max_depth=self._depth).fit(features, labels, self._mask)
         self.version += 1
 
@@ -379,7 +386,11 @@ class WindowRetrainModel(_TreeModel):
 
     Retraining fires on every ``retrain_every``-th labeled sample once the
     grace period is over; the first fit happens when the grace period ends.
-    The stored window never exceeds ``train_window`` samples.
+    The window is a ring buffer of at most ``train_window`` feature rows and
+    labels: each labeled sample overwrites the oldest slot once the window
+    is full, and a fit reads the filled slots as they lie, since row order
+    does not change the tree. The buffer grows by doubling up to
+    ``train_window`` rows, so a large window costs only what it holds.
     """
 
     policy = UpdatePolicy.WINDOW_RETRAIN
@@ -388,7 +399,11 @@ class WindowRetrainModel(_TreeModel):
         self, bucket: int, numeric_mask: Sequence[bool], params: LearnerParams = LearnerParams()
     ) -> None:
         super().__init__(bucket, numeric_mask, params)
-        self._window: deque = deque(maxlen=params.train_window)
+        self._train_window = params.train_window
+        rows = min(params.train_window, _FIRST_WINDOW_ROWS)
+        self._rows = np.empty((rows, len(self._mask)))
+        self._labels = np.empty(rows, dtype=np.int64)
+        self._seen = 0  # labeled samples written so far
         self._retrain_every = params.retrain_every
         self._pending = 0
         self._grace_done = False
@@ -397,7 +412,14 @@ class WindowRetrainModel(_TreeModel):
         if sample.label is None:
             raise ValueError("window update requires a labeled sample")
         _check_width(sample, self._mask, self.bucket)
-        self._window.append((sample.features, sample.label))
+        slot = self._seen % self._train_window
+        if slot == len(self._labels):
+            grown = min(2 * slot, self._train_window)
+            self._rows = np.concatenate((self._rows, np.empty((grown - slot, len(self._mask)))))
+            self._labels = np.concatenate((self._labels, np.empty(grown - slot, dtype=np.int64)))
+        self._rows[slot] = sample.features
+        self._labels[slot] = sample.label
+        self._seen += 1
         if not self._grace_done:
             return
         self._pending += 1
@@ -406,14 +428,15 @@ class WindowRetrainModel(_TreeModel):
 
     def retrain(self) -> None:
         """Fit a fresh tree on the current window."""
-        if not self._window:
+        if not self._seen:
             raise NotReadyError(f"bucket-{self.bucket} training window is empty")
-        self._fit(self._window)
+        filled = min(self._seen, self._train_window)
+        self._fit(self._rows[:filled], self._labels[:filled])
         self._pending = 0
 
     def finish_grace(self) -> None:
         self._grace_done = True
-        if self._window:
+        if self._seen:
             self.retrain()
 
 
@@ -443,7 +466,8 @@ class StaticModel(_TreeModel):
 
     def finish_grace(self) -> None:
         if self._grace:
-            self._fit(self._grace)
+            features, labels = zip(*self._grace)
+            self._fit(features, labels)
         self._grace = None
 
 

@@ -37,7 +37,9 @@ from .errors import (
 from .evaluation import METRICS, PerformanceSeries, run_stream
 from .event_model import parse_log, replay
 from .prefixing import AttributeSchema, BucketConfig, default_k_max
-from .stability import MetaMeasures, SeriesAnnotation, annotate_series, meta_measures
+from .stability import MetaMeasures, SeriesAnnotation, annotate_series
+# Not called here; kept importable as cli.meta_measures, which perfbench's tracer wraps.
+from .stability import meta_measures  # noqa: F401
 from .synthgen import DriftLogSpec, generate, to_csv
 
 
@@ -118,7 +120,10 @@ class SeriesReport:
 
     series: PerformanceSeries
     annotation: SeriesAnnotation
-    measures: MetaMeasures
+
+    @property
+    def measures(self) -> MetaMeasures:
+        return self.annotation.measures
 
     @property
     def avg_metric(self) -> float:
@@ -168,14 +173,18 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
         schema=schema,
         params=config.learner_params(),
     )
+    if config.grace >= result.labels_seen:
+        print(
+            f"stability-meter: warning: --grace {config.grace} covers all "
+            f"{result.labels_seen} labels; nothing was evaluated",
+            file=sys.stderr,
+        )
 
     # run_stream keys its series by bucket, then metric in config.metrics order.
     reports = []
     for series in result.series.values():
         if len(series):
-            annotation = annotate_series(series.values, config.ma_window)
-            measures = meta_measures(series.values, config.ma_window, annotation=annotation)
-            reports.append(SeriesReport(series, annotation, measures))
+            reports.append(SeriesReport(series, annotate_series(series.values, config.ma_window)))
 
     out_dir = Path(config.out_dir)
     _atomic_write(out_dir / "performance.csv", _performance_csv(reports, out_dir / "plots"))

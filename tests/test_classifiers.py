@@ -1,9 +1,11 @@
 import json
+from collections import deque
 
 import numpy as np
 import pytest
 
 from stability_meter.classifiers import (
+    MIN_LEAF,
     DecisionTree,
     IncrementalNaiveBayes,
     LearnerParams,
@@ -13,7 +15,15 @@ from stability_meter.classifiers import (
 )
 from stability_meter.errors import NotReadyError
 from stability_meter.evaluation import run_stream
-from stability_meter.prefixing import AttributeSchema, BucketConfig, EncodedSample
+from stability_meter.prefixing import (
+    AttributeSchema,
+    BucketConfig,
+    CasePrefix,
+    CategoryCodec,
+    EncodedSample,
+    encode,
+)
+from stability_meter.synthgen import DriftLogSpec, generate
 
 from oracles import ReferenceTree, nb_posterior_scores
 
@@ -312,7 +322,7 @@ def test_window_retrain_memory_never_exceeds_capacity():
     assert not model.is_ready
     for sample in _labeled_stream(200, rng):
         model.observe_label(sample)
-        assert len(model._window) <= 50
+        assert len(model._rows) <= 50 and len(model._labels) <= 50
     assert model.is_ready
 
 
@@ -356,6 +366,45 @@ def test_window_retrain_cadence_throttles_retraining():
     assert model.version == base + 1  # one retrain after 5 labels, next at 10
     predicted = model.predict(_sample((1, 0)))
     assert predicted in (0, 1)
+
+
+def _synth_samples(attrs, seed, k=3, cases=320):
+    """Labeled k-prefix samples of a seeded synth log, one per case of length >= k."""
+    traces = generate(DriftLogSpec(n_cases=cases, drift_at=cases // 2, seed=seed))
+    schema = AttributeSchema.from_traces(attrs, traces)
+    codec = CategoryCodec()
+    samples = []
+    for trace in traces:
+        if len(trace) >= k:
+            case = CasePrefix()
+            case.events.extend(trace.events)
+            samples.append(encode(case, k, schema, codec, label=trace.label))
+    return schema.feature_mask(k), samples
+
+
+@pytest.mark.parametrize("attrs", [(), ("amount", "channel")])
+@pytest.mark.parametrize("retrain_every", [1, 7])
+@pytest.mark.parametrize("train_window", [20, 200])
+def test_window_retrain_trees_match_a_reference_fit_of_the_last_window(attrs, retrain_every, train_window):
+    mask, samples = _synth_samples(attrs, seed=retrain_every + train_window)
+    params = LearnerParams(train_window=train_window, retrain_every=retrain_every)
+    model = WindowRetrainModel(bucket=3, numeric_mask=mask, params=params)
+    window = deque(maxlen=train_window)
+    grace = 40
+    retrains = 0
+    for index, sample in enumerate(samples, start=1):
+        version = model.version
+        model.observe_label(sample)
+        window.append(sample)
+        if index == grace:
+            model.finish_grace()
+        if model.version != version:
+            retrains += 1
+            reference = ReferenceTree(max_depth=params.tree_depth, min_leaf=MIN_LEAF).fit(
+                [entry.features for entry in window], [entry.label for entry in window], mask
+            )
+            assert model._tree.to_dict() == reference.to_dict(), f"retrain after sample {index}"
+    assert retrains == 1 + (len(samples) - grace) // retrain_every
 
 
 # ---------------------------------------------------------------------------

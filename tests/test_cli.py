@@ -292,6 +292,19 @@ def test_run_with_only_a_log_flag_succeeds(small_log, capsys, tmp_path, monkeypa
     assert (tmp_path / "out" / "performance.csv").exists()
 
 
+@pytest.mark.parametrize("grace", [59, 60, 500])
+def test_grace_covering_every_label_warns_and_still_succeeds(small_log, capsys, tmp_path, grace):
+    out = tmp_path / "out"
+    code, _, err = _run_cli(["run", "--log", str(small_log), "--grace", str(grace), "--out", str(out)], capsys)
+    assert code == 0
+    if grace < 60:  # the log has 60 labeled cases
+        assert err == ""
+        return
+    assert err == f"stability-meter: warning: --grace {grace} covers all 60 labels; nothing was evaluated\n"
+    assert (out / "performance.csv").read_text() == "label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id\n"
+    assert json.loads((out / "meta.json").read_text())["series"] == []
+
+
 def test_flag_defaults_are_the_library_defaults():
     config = _config_from_args(build_parser().parse_args(["run", "--log", "x"]))
     assert config == RunConfig(log="x")
