@@ -208,17 +208,23 @@ class DecisionTree:
                 column = int(cells[rival - boundary]) // self._width
                 if self._categorical[column] < self._numeric[feature[pick]]:
                     pick = rival
+        n_left, ones_left = int(split_n[pick]), int(split_ones[pick])
         if pick < boundary:
             f, i = feature[pick], lo + cut[pick]
             threshold = float((values[f, i] + values[f, i + 1]) / 2.0)
             node = _Node(feature=int(self._numeric[f]), numeric_split=True, threshold=threshold)
             left = numeric[f] <= threshold
+            if not values[f, i] <= threshold < values[f, i + 1]:
+                # The midpoint of adjacent doubles can round up to the upper
+                # value, and a sum past the float range becomes +-inf: the
+                # rows sent left are then not the cut's, so count the mask.
+                n_left = int(np.count_nonzero(left))
+                ones_left = int(np.count_nonzero(target[left]))
         else:
             cell = int(cells[pick - boundary])
             column, code = divmod(cell, self._width)
             node = _Node(feature=int(self._categorical[column]), threshold=float(self._table[code]))
             left = keys[column] == cell
-        n_left, ones_left = int(split_n[pick]), int(split_ones[pick])
         node.left = self._node(numeric, keys, target, left, n_left, ones_left, depth + 1)
         node.right = self._node(numeric, keys, target, ~left, n - n_left, ones - ones_left, depth + 1)
         return node

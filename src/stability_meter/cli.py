@@ -37,9 +37,7 @@ from .errors import (
 from .evaluation import METRICS, PerformanceSeries, run_stream
 from .event_model import parse_log, replay
 from .prefixing import AttributeSchema, BucketConfig, default_k_max
-from .stability import MetaMeasures, SeriesAnnotation, annotate_series
-# Not called here; kept importable as cli.meta_measures, which perfbench's tracer wraps.
-from .stability import meta_measures  # noqa: F401
+from .stability import MetaMeasures, SeriesAnnotation, annotate_series, meta_measures
 from .synthgen import DriftLogSpec, generate, to_csv
 
 
@@ -120,10 +118,7 @@ class SeriesReport:
 
     series: PerformanceSeries
     annotation: SeriesAnnotation
-
-    @property
-    def measures(self) -> MetaMeasures:
-        return self.annotation.measures
+    measures: MetaMeasures
 
     @property
     def avg_metric(self) -> float:
@@ -184,7 +179,9 @@ def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesRep
     reports = []
     for series in result.series.values():
         if len(series):
-            reports.append(SeriesReport(series, annotate_series(series.values, config.ma_window)))
+            annotation = annotate_series(series.values, config.ma_window)
+            measures = meta_measures(series.values, config.ma_window, annotation=annotation)
+            reports.append(SeriesReport(series, annotation, measures))
 
     out_dir = Path(config.out_dir)
     _atomic_write(out_dir / "performance.csv", _performance_csv(reports, out_dir / "plots"))

@@ -221,13 +221,18 @@ def annotate_series(points: Sequence[float], window: int) -> SeriesAnnotation:
     )
 
 
-def meta_measures(points: Sequence[float], window: int) -> MetaMeasures:
+def meta_measures(
+    points: Sequence[float], window: int, *, annotation: SeriesAnnotation | None = None
+) -> MetaMeasures:
     """Compute the four stability meta-measures of a series.
 
     Volatility is the mean of all per-point moving standard deviations.
     Magnitudes aggregate |p_i - ma_i| over all drop points; the recovery
     rate is the mean drop length. The magnitude and recovery fields are
-    absent (None) when the series has no drops. ``annotate_series`` returns
-    the same measures together with the per-point analysis.
+    absent (None) when the series has no drops. Pass the
+    ``annotate_series(points, window)`` result as ``annotation`` to reuse
+    its analysis instead of repeating it.
     """
-    return annotate_series(points, window).measures
+    if annotation is None:
+        annotation = annotate_series(points, window)
+    return annotation.measures

@@ -261,6 +261,30 @@ def test_tree_matches_the_per_feature_reference_on_random_inputs(masks):
         )
 
 
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        (0.3, 0.30000000000000004),  # the midpoint rounds up to the upper value
+        (1e308, 1.7e308),  # the sum overflows to inf
+        (-1.7e308, -1e308),  # the sum overflows to -inf
+    ],
+)
+def test_tree_matches_the_reference_when_a_midpoint_is_not_between_its_values(low, high):
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        n = int(rng.integers(2, 80))
+        column = rng.choice([low, high], size=n)
+        other = rng.integers(0, 3, size=n).astype(float)
+        # Labels follow the two values, with some noise, so the cut is often chosen.
+        labels = ((column == high) ^ (rng.random(n) < rng.random() * 0.3)).astype(int)
+        features = np.stack([column, other], axis=1).tolist()
+        mask = [True, bool(rng.random() < 0.5)]
+        with np.errstate(over="ignore"):
+            _assert_same_tree(
+                features, labels.tolist(), mask, int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            )
+
+
 def test_tree_ignores_the_order_of_its_rows():
     rng = np.random.default_rng(29)
     for _ in range(400):
