@@ -32,7 +32,7 @@ from .evaluation import (
     metrics_from_confusion,
     run_stream,
 )
-from .event_model import Event, StreamItem, Trace, parse_log, replay
+from .event_model import Event, EventLog, StreamItem, Trace, parse_log, replay
 from .prefixing import (
     MISSING_CODE,
     AttributeSchema,

@@ -35,7 +35,7 @@ from .errors import (
     StabilityMeterError,
 )
 from .evaluation import METRICS, PerformanceSeries, run_stream
-from .event_model import parse_log, replay
+from .event_model import EventLog, parse_log, replay
 from .prefixing import AttributeSchema, BucketConfig, default_k_max
 from .stability import MetaMeasures, SeriesAnnotation, annotate_series, meta_measures
 from .synthgen import DriftLogSpec, generate, to_csv
@@ -141,22 +141,28 @@ class SeriesReport:
         ]
 
 
-def execute_run(config: RunConfig, print_summary: bool = True) -> list[SeriesReport]:
-    """Run one configuration end to end and write its artifacts."""
-    traces = parse_log(config.log)
+def execute_run(
+    config: RunConfig, print_summary: bool = True, log: EventLog | None = None
+) -> list[SeriesReport]:
+    """Run one configuration end to end and write its artifacts.
+
+    ``log`` is ``config.log`` already parsed; without it the run parses the file.
+    """
+    if log is None:
+        log = parse_log(config.log)
     auto = config.k_max is None
-    k_max = default_k_max(traces) if auto else config.k_max
+    k_max = default_k_max(log) if auto else config.k_max
     if auto and k_max < config.k_min:
         raise ConfigError(
             f"--k-max auto resolved to {k_max} (the median case length), below "
             f"--k-min {config.k_min}; pass an explicit --k-max >= {config.k_min}"
         )
     buckets = BucketConfig(k_min=config.k_min, k_max=k_max)
-    schema = AttributeSchema.from_traces(config.attrs, traces)
-    # From here on only the replay generator holds the parsed events, and it
-    # lets them go when the stream ends.
-    stream = replay(traces)
-    del traces
+    schema = AttributeSchema.from_traces(config.attrs, log)
+    # From here on only the replay generator holds the parsed log (unless the
+    # caller keeps it), and it lets it go when the stream ends.
+    stream = replay(log)
+    del log
     result = run_stream(
         stream,
         config.model,
@@ -335,11 +341,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     metric = base.metrics[0]
     # Every config is built, and so validated, before any of them runs.
     configs = [replace(base, model=model, out_dir=str(Path(base.out_dir) / model)) for model in models]
+    log = parse_log(base.log)
 
     rows = []
     pooled = []
     for config in configs:
-        reports = execute_run(config, print_summary=False)
+        reports = execute_run(config, print_summary=False, log=log)
         for report in reports:
             rows.append((config.model, report))
         pooled.append(

@@ -1,25 +1,42 @@
-"""Event log model: events, labeled traces, and replay of a log as a stream.
+"""Event log model: a columnar event table, per-case views, and replay.
 
 A log is a CSV file with one row per event (columns ``case_id``, ``activity``,
-``timestamp``, ``label``, plus arbitrary attribute columns). Replay turns the
-parsed traces back into a single timestamp-ordered stream in which the outcome
-label of a case travels with its last event.
+``timestamp``, ``label``, plus arbitrary attribute columns). :func:`parse_log`
+reads it into an :class:`EventLog`, which holds typed per-event columns,
+string tables and one label per case, and no :class:`Event` objects. An
+event is built only when it is asked for: indexing the log builds a
+:class:`Trace` view of one case, and :func:`replay` builds each event of the
+timestamp-ordered stream as it yields it, so a streaming consumer holds only
+the events of the cases it still has open. The outcome label of a case
+travels with its last event.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from math import isfinite
 from pathlib import Path
-from typing import IO, Iterator, Sequence, Union
+from typing import IO, Iterator, Union
+
+import numpy as np
 
 from .errors import EmptyLogError, LogFormatError, LogValueError
 
 REQUIRED_COLUMNS = ("case_id", "activity", "timestamp", "label")
 
 LogSource = Union[str, Path, IO[str]]
+
+# Timestamps are held as int64 milliseconds.
+_TIMESTAMP_RANGE = range(-(2**63), 2**63)
+# Cells of a numeric-looking column whose text is joined into one string.
+_TEXT_CHUNK = 1024
+# Events built per step of replay.
+_REPLAY_CHUNK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,21 +88,165 @@ class StreamItem:
     label: int | None = None
 
 
+class _StringTable(dict):
+    """Text -> id, ids given in first-use order; ``strings[id]`` is the text.
+
+    Id 0 stands for an empty cell and reads back as None.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.strings: list = [None]
+
+    def __missing__(self, text: str) -> int:
+        at = self[text] = len(self.strings)
+        self.strings.append(text)
+        return at
+
+
+class EventLog(Sequence):
+    """A log held as columns: a ``Sequence[Trace]`` that builds each trace on demand.
+
+    Events are stored grouped by case, cases in first-appearance order, each
+    case's events in its own order. Per event there is an activity string id,
+    an int64 ``timestamp``, the ``row`` and, per attribute of ``names``, one
+    column: float64 values with a bool ``missing`` mask for a numeric
+    attribute, string ids (0 for an empty cell) with ``missing`` None for a
+    categorical one. ``strings`` maps ids back to text. Case ``i`` owns the
+    events ``bounds[i]:bounds[i + 1]`` and has id ``case_ids[i]`` and label
+    ``labels[i]``. ``order`` is the stream order: a stable sort of the
+    events by (timestamp, row).
+    """
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        strings: list,
+        case_ids: list[str],
+        labels: list[int],
+        bounds: np.ndarray,
+        activity: np.ndarray,
+        timestamp: np.ndarray,
+        row: np.ndarray,
+        columns: list[np.ndarray],
+        missing: list[np.ndarray | None],
+    ) -> None:
+        self.names = names
+        self.strings = strings
+        self.case_ids = case_ids
+        self.labels = labels
+        self.bounds = bounds
+        self.activity = activity
+        self.timestamp = timestamp
+        self.row = row
+        self.columns = columns
+        self.missing = missing
+        self.order = np.lexsort((row, timestamp))
+
+    @classmethod
+    def from_traces(cls, traces: Sequence[Trace]) -> EventLog:
+        """The log of traces built in code: one case per trace, in trace order.
+
+        Each trace keeps its event order, so its last event closes it and
+        events tied on (timestamp, row) replay in trace order. Traces may
+        share a case id. The attribute columns are the union of the events'
+        names; a column is numeric when every value in it is a float, and a
+        categorical value is held as its ``str``.
+        """
+        events = [event for trace in traces for event in trace.events]
+        names = tuple(dict.fromkeys(name for event in events for name in event.names))
+        table = _StringTable()
+        columns, missing = [], []
+        for name in names:
+            cells = [event.attribute(name) for event in events]
+            if all(value is None or isinstance(value, float) for value in cells):
+                columns.append(np.array([0.0 if value is None else value for value in cells], np.float64))
+                missing.append(np.array([value is None for value in cells], bool))
+            else:
+                columns.append(
+                    np.array([0 if value is None else table[str(value)] for value in cells], np.int32)
+                )
+                missing.append(None)
+        lengths = [len(trace.events) for trace in traces]
+        return cls(
+            names=names,
+            strings=table.strings,
+            case_ids=[trace.case_id for trace in traces],
+            labels=[trace.label for trace in traces],
+            bounds=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+            activity=np.array([table[event.activity] for event in events], np.int32),
+            timestamp=np.array([event.timestamp for event in events], np.int64),
+            row=np.array([event.row for event in events], np.int64),
+            columns=columns,
+            missing=missing,
+        )
+
+    @classmethod
+    def of(cls, traces: Sequence[Trace]) -> EventLog:
+        """``traces`` itself when it is an ``EventLog``, else its :meth:`from_traces`."""
+        return traces if isinstance(traces, EventLog) else cls.from_traces(traces)
+
+    def __len__(self) -> int:
+        return len(self.case_ids)
+
+    def __getitem__(self, index: int) -> Trace:
+        case = range(len(self.case_ids))[index]
+        at = np.arange(self.bounds[case], self.bounds[case + 1])
+        events = list(self._events(at, np.full(len(at), case)))
+        return Trace(self.case_ids[case], events, self.labels[case])
+
+    def lengths(self) -> np.ndarray:
+        """The number of events of each case."""
+        return np.diff(self.bounds)
+
+    def kinds(self) -> dict[str, bool]:
+        """Attribute name -> True when numeric, for each column with a non-empty cell."""
+        return {
+            name: mask is not None
+            for name, column, mask in zip(self.names, self.columns, self.missing)
+            if (column.any() if mask is None else not mask.all())
+        }
+
+    def _events(self, at: np.ndarray, case: np.ndarray) -> Iterator[Event]:
+        """The events at indices ``at``, which belong to the cases ``case``."""
+        names, case_ids, strings = self.names, self.case_ids, self.strings
+        cells = []
+        for column, mask in zip(self.columns, self.missing):
+            if mask is None:
+                cells.append(map(strings.__getitem__, column[at].tolist()))
+            else:
+                numbers = column[at].tolist()
+                for empty in np.flatnonzero(mask[at]).tolist():
+                    numbers[empty] = None
+                cells.append(numbers)
+        for case_at, activity, timestamp, position, row, values in zip(
+            case.tolist(),
+            map(strings.__getitem__, self.activity[at].tolist()),
+            self.timestamp[at].tolist(),
+            (at - self.bounds[case] + 1).tolist(),
+            self.row[at].tolist(),
+            zip(*cells) if cells else repeat(()),
+        ):
+            yield Event(case_ids[case_at], activity, timestamp, position, names, values, row)
+
+
 def _parse_timestamp(raw: str, row: int) -> int:
     """Normalize an integer or ISO-8601 timestamp to milliseconds."""
     text = raw.strip()
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    try:
-        iso = text.replace("Z", "+00:00")
-        moment = datetime.fromisoformat(iso)
-    except ValueError:
-        raise LogFormatError(f"row {row}: cannot parse timestamp {raw!r}") from None
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return int(moment.timestamp() * 1000)
+        try:
+            iso = text.replace("Z", "+00:00")
+            moment = datetime.fromisoformat(iso)
+        except ValueError:
+            raise LogFormatError(f"row {row}: cannot parse timestamp {raw!r}") from None
+        if moment.tzinfo is None:
+            moment = moment.replace(tzinfo=timezone.utc)
+        value = int(moment.timestamp() * 1000)
+    if value not in _TIMESTAMP_RANGE:
+        raise LogFormatError(f"row {row}: timestamp out of range")
+    return value
 
 
 def _parse_label(raw: str, row: int) -> int | None:
@@ -95,14 +256,6 @@ def _parse_label(raw: str, row: int) -> int | None:
     if text in ("0", "1"):
         return int(text)
     raise LogValueError(f"row {row}: label must be 0 or 1, got {raw!r}")
-
-
-def _is_decimal(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def _undecodable_line(path: str | Path) -> int:
@@ -121,8 +274,74 @@ def _undecodable_line(path: str | Path) -> int:
     return number
 
 
-def parse_log(source: LogSource) -> list[Trace]:
-    """Parse a CSV event log into labeled traces.
+class _Cells:
+    """One attribute column while the log is read.
+
+    While every non-empty cell so far is a decimal, the column holds float
+    values, an empty-cell mask, the non-finite cells as (event, text), and
+    the text of every cell, joined ``_TEXT_CHUNK`` cells at a time. Its first
+    other cell turns it categorical: the kept text becomes string ids, so
+    each earlier cell reads back as written.
+    """
+
+    __slots__ = ("numbers", "empty", "non_finite", "chunks", "texts", "ids")
+
+    def __init__(self) -> None:
+        self.numbers = array("d")
+        self.empty = bytearray()
+        self.non_finite: list[tuple[int, str]] = []
+        self.chunks: list[str] = []
+        self.texts: list[str] = []
+        self.ids: array | None = None
+
+    def add(self, text: str, event: int, table: _StringTable) -> None:
+        """Append the stripped cell ``text`` of event number ``event``."""
+        if self.ids is None:
+            if text:
+                try:
+                    number = float(text)
+                except ValueError:
+                    self._become_categorical(table)
+                    self.ids.append(table[text])
+                    return
+                if not isfinite(number):
+                    self.non_finite.append((event, text))
+                self.numbers.append(number)
+                self.empty.append(0)
+            else:
+                self.numbers.append(0.0)
+                self.empty.append(1)
+            texts = self.texts
+            texts.append(text)  # a decimal's text holds no newline
+            if len(texts) == _TEXT_CHUNK:
+                self.chunks.append("\n".join(texts))
+                texts.clear()
+        else:
+            self.ids.append(table[text] if text else 0)
+
+    def _become_categorical(self, table: _StringTable) -> None:
+        ids = self.ids = array("i")
+        for chunk in self.chunks:
+            ids.extend(table[text] if text else 0 for text in chunk.split("\n"))
+        ids.extend(table[text] if text else 0 for text in self.texts)
+        self.numbers = self.empty = self.non_finite = self.chunks = self.texts = None
+
+    def finish(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The column and its empty-cell mask (None if categorical), events in ``order``.
+
+        The read buffers are released.
+        """
+        if self.ids is not None:
+            column, mask = np.frombuffer(self.ids, np.int32)[order], None
+        else:
+            column = np.frombuffer(self.numbers, np.float64)[order]
+            mask = np.frombuffer(self.empty, bool)[order]
+        self.numbers = self.empty = self.non_finite = self.chunks = self.texts = self.ids = None
+        return column, mask
+
+
+def parse_log(source: LogSource) -> EventLog:
+    """Parse a CSV event log into an :class:`EventLog`.
 
     Rows are grouped by ``case_id``; within a case, events are ordered by
     timestamp with ties broken by the original row order, and positions are
@@ -132,20 +351,25 @@ def parse_log(source: LogSource) -> list[Trace]:
     Extra columns become event attributes and are sniffed as numeric when
     every non-empty value parses as a decimal, otherwise kept as strings.
     A numeric column must hold finite values only; in a string column
-    ``"nan"`` is a plain string.
+    ``"nan"`` is a plain string. An empty numeric cell is marked missing,
+    not stored as a number.
 
     Blank lines are skipped, missing cells of a short row count as empty,
     cells beyond the header are ignored, and of repeated header names the
     last column wins. Case ids and attribute values are stripped of
-    surrounding whitespace; activities are kept as written. Events share
-    one tuple of attribute names, and one string object per distinct case
-    id and activity, and per categorical value once its column has shown a
-    non-numeric value.
+    surrounding whitespace; activities are kept as written. Built events
+    share one tuple of attribute names, and one string object per distinct
+    case id, activity and categorical value.
+
+    Errors come in this order: the first bad row while reading (its case
+    id, activity, timestamp, then label), then, per case in first-appearance
+    order, a missing or conflicting label, then the case's first non-finite
+    numeric cell in (timestamp, row) order.
 
     Raises:
-        LogFormatError: missing required column, unparseable timestamp,
-            bytes that are not UTF-8, or a CSV field the reader rejects
-            (such as one above the field size limit).
+        LogFormatError: missing required column, unparseable or out-of-range
+            timestamp, bytes that are not UTF-8, or a CSV field the reader
+            rejects (such as one above the field size limit).
         LogValueError: empty case id or activity, non-binary or
             conflicting label values, or a ``nan``/``inf`` value in a
             numeric column.
@@ -162,47 +386,12 @@ def parse_log(source: LogSource) -> list[Trace]:
 
     reader = csv.reader(source)
     try:
-        by_case, names, numeric_at = _read_cases(reader)
+        return _read_log(reader)
     except csv.Error as err:
         raise LogFormatError(f"row {reader.line_num}: {err}") from None
 
-    traces = []
-    for case_id, rows in by_case.items():
-        rows.sort()  # (timestamp, row, ...): rows are unique, so later fields never compare
-        labels = {label for _, _, _, label, _ in rows if label is not None}
-        if not labels:
-            raise LogValueError(f"case {case_id!r} has no label")
-        if len(labels) > 1:
-            raise LogValueError(f"case {case_id!r} has conflicting labels {sorted(labels)}")
-        events = []
-        for position, (timestamp, row, activity, _, values) in enumerate(rows, start=1):
-            if numeric_at:
-                typed = list(values)
-                for at in numeric_at:
-                    value = typed[at]
-                    if value is None:
-                        continue
-                    number = float(value)
-                    if not isfinite(number):
-                        raise LogValueError(
-                            f"row {row}: numeric column {names[at]!r} has non-finite value {value!r}"
-                        )
-                    typed[at] = number
-                values = tuple(typed)
-            events.append(Event(case_id, activity, timestamp, position, names, values, row))
-        by_case[case_id] = None  # release the row tuples as the events replace them
-        traces.append(Trace(case_id=case_id, events=events, label=labels.pop()))
-    return traces
 
-
-def _read_cases(reader) -> tuple[dict[str, list[tuple]], tuple[str, ...], list[int]]:
-    """Group the data rows by case and sniff which attribute columns are numeric.
-
-    Returns ``{case_id: [(timestamp, row, activity, label, values), ...]}``
-    in first-appearance order, the attribute names, and the indices of the
-    numeric ones. ``values`` aligns with the names and holds stripped
-    strings, or None for an empty cell.
-    """
+def _read_log(reader) -> EventLog:
     header = next(reader, None)
     if header is None:
         raise EmptyLogError("log is empty (no header row)")
@@ -212,12 +401,14 @@ def _read_cases(reader) -> tuple[dict[str, list[tuple]], tuple[str, ...], list[i
             raise LogFormatError(f"missing required column '{name}'")
     case_at, activity_at, time_at, label_at = (column[name] for name in REQUIRED_COLUMNS)
     names = tuple(name for name in dict.fromkeys(header) if name not in REQUIRED_COLUMNS)
-    attr_at = [column[name] for name in names]
+    attributes = [(column[name], _Cells()) for name in names]
     width = len(header)
 
-    numeric = [True] * len(names)
-    strings: dict[str, str] = {}  # one object per activity and categorical value
-    by_case: dict[str, list[tuple]] = {}
+    table = _StringTable()
+    case_of: dict[str, int] = {}
+    case_ids: list[str] = []
+    labels: list[int | None] = []  # per case: None until labeled, -1 once conflicting
+    cases, activities, timestamps, rows = array("i"), array("i"), array("q"), array("q")
     for cells in reader:
         if not cells:
             continue
@@ -232,49 +423,98 @@ def _read_cases(reader) -> tuple[dict[str, list[tuple]], tuple[str, ...], list[i
             raise LogValueError(f"row {row}: empty activity")
         timestamp = _parse_timestamp(cells[time_at], row)
         label = _parse_label(cells[label_at], row)
-        values = []
-        for index, at in enumerate(attr_at):
-            value = cells[at].strip()
-            if not value:
-                value = None
-            elif not numeric[index] or not _is_decimal(value):
-                numeric[index] = False
-                value = strings.setdefault(value, value)
-            values.append(value)
-        rows = by_case.get(case_id)
-        if rows is None:
-            rows = by_case[case_id] = []
-        rows.append((timestamp, row, strings.setdefault(activity, activity), label, tuple(values)))
-    if not by_case:
+        case = case_of.get(case_id)
+        if case is None:
+            case = case_of[case_id] = len(case_ids)
+            case_ids.append(case_id)
+            labels.append(label)
+        elif label is not None:
+            seen = labels[case]
+            if seen is None:
+                labels[case] = label
+            elif seen != label:
+                labels[case] = -1
+        event = len(rows)
+        cases.append(case)
+        activities.append(table[activity])
+        timestamps.append(timestamp)
+        rows.append(row)
+        for at, cells_of in attributes:
+            cells_of.add(cells[at].strip(), event, table)
+    if not case_ids:
         raise EmptyLogError("log contains no events")
-    return by_case, names, [index for index, is_numeric in enumerate(numeric) if is_numeric]
+
+    first_unlabeled = next(
+        (case for case, label in enumerate(labels) if label is None or label < 0), len(case_ids)
+    )
+    non_finite = min(
+        (
+            (cases[event], timestamps[event], rows[event], index, text)
+            for index, (_, cells_of) in enumerate(attributes)
+            if cells_of.ids is None
+            for event, text in cells_of.non_finite
+        ),
+        default=None,
+    )
+    if non_finite is not None and non_finite[0] < first_unlabeled:
+        _, _, row, index, text = non_finite
+        raise LogValueError(f"row {row}: numeric column {names[index]!r} has non-finite value {text!r}")
+    if first_unlabeled < len(case_ids):
+        case_id = case_ids[first_unlabeled]
+        if labels[first_unlabeled] is None:
+            raise LogValueError(f"case {case_id!r} has no label")
+        raise LogValueError(f"case {case_id!r} has conflicting labels [0, 1]")
+
+    # Group the events by case, each case in (timestamp, row) order. Each
+    # read buffer is released once its column is rearranged.
+    timestamp, row = np.frombuffer(timestamps, np.int64), np.frombuffer(rows, np.int64)
+    case = np.frombuffer(cases, np.int32)
+    del timestamps, rows, cases
+    order = np.lexsort((row, timestamp, case))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(case, minlength=len(case_ids)))))
+    del case
+    columns, missing = [], []
+    for _, cells_of in attributes:
+        values, mask = cells_of.finish(order)
+        columns.append(values)
+        missing.append(mask)
+    activity = np.frombuffer(activities, np.int32)[order]
+    del activities
+    timestamp = timestamp[order]
+    row = row[order]
+    return EventLog(
+        names=names,
+        strings=table.strings,
+        case_ids=case_ids,
+        labels=labels,
+        bounds=bounds,
+        activity=activity,
+        timestamp=timestamp,
+        row=row,
+        columns=columns,
+        missing=missing,
+    )
 
 
 def replay(traces: Sequence[Trace]) -> Iterator[StreamItem]:
-    """Replay traces as one stream ordered by (timestamp, original row).
+    """Replay a log as one stream ordered by (timestamp, original row).
 
-    The last event of each case is flagged ``is_case_end`` and carries the
-    case label; every other item carries no label. The output order is a
-    deterministic function of the input: full ties keep the trace order.
+    ``traces`` is an :class:`EventLog`, or traces built in code, which go
+    through :meth:`EventLog.from_traces`. The last event of each case is
+    flagged ``is_case_end`` and carries the case label; every other item
+    carries no label. The output order is a deterministic function of the
+    input: full ties keep the trace order. Each event is built as it is
+    yielded, so the stream holds no event that its consumer has let go.
     """
-    # Keyed by the identity of each trace's last event, not by case id:
-    # traces built in code may share a case id.
-    ends = {id(trace.events[-1]): trace.label for trace in traces if trace.events}
-    events = [event for trace in traces for event in trace.events]
-    events.sort(key=lambda event: (event.timestamp, event.row))
-    for event in events:
-        if id(event) in ends:
-            yield StreamItem(event=event, is_case_end=True, label=ends[id(event)])
-        else:
-            yield StreamItem(event=event, is_case_end=False)
+    log = EventLog.of(traces)
+    bounds, labels = log.bounds, log.labels
+    for start in range(0, len(log.order), _REPLAY_CHUNK):
+        at = log.order[start : start + _REPLAY_CHUNK]
+        case = np.searchsorted(bounds, at, side="right") - 1
+        ends = (at + 1 == bounds[case + 1]).tolist()
+        for event, case_at, is_end in zip(log._events(at, case), case.tolist(), ends):
+            if is_end:
+                yield StreamItem(event=event, is_case_end=True, label=labels[case_at])
+            else:
+                yield StreamItem(event=event, is_case_end=False)
 
-
-def attribute_types(traces: Sequence[Trace]) -> dict[str, bool]:
-    """Map attribute name -> True when its values are numeric (floats)."""
-    kinds: dict[str, bool] = {}
-    for trace in traces:
-        for event in trace.events:
-            for name, value in zip(event.names, event.values):
-                if value is not None:
-                    kinds[name] = isinstance(value, float)
-    return kinds

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, EmptyLogError
-from .event_model import Event, Trace, attribute_types
+from .event_model import Event, EventLog, Trace
 
 # Categorical code reserved for values absent from an event.
 MISSING_CODE = 0
@@ -62,14 +64,16 @@ class AttributeSchema:
 
     @classmethod
     def from_traces(cls, names: Sequence[str], traces: Sequence[Trace]) -> "AttributeSchema":
-        """Build a schema for ``names``, sniffing kinds from trace values.
+        """Build a schema for ``names`` with the column kinds of the log.
 
-        A name never observed in the log is treated as categorical (it will
-        always encode to the missing code).
+        ``traces`` is an :class:`EventLog` or traces built in code (see
+        :meth:`EventLog.from_traces`). A name never observed in the log, or
+        whose cells are all empty, is treated as categorical (it will always
+        encode to the missing code).
         """
         if not names:
             return cls()
-        kinds = attribute_types(traces)
+        kinds = EventLog.of(traces).kinds()
         return cls(
             names=tuple(names),
             numeric=tuple(bool(kinds.get(name, False)) for name in names),
@@ -111,10 +115,10 @@ class CategoryCodec:
 
 def default_k_max(traces: Sequence[Trace]) -> int:
     """Lower median of the case lengths (deterministic for even counts)."""
-    if not traces:
+    lengths = np.sort(EventLog.of(traces).lengths())
+    if not len(lengths):
         raise EmptyLogError("cannot derive a maximum prefix length from an empty log")
-    lengths = sorted(len(trace) for trace in traces)
-    return lengths[(len(lengths) - 1) // 2]
+    return int(lengths[(len(lengths) - 1) // 2])
 
 
 class CasePrefix:

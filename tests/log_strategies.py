@@ -27,7 +27,7 @@ _VALID = {
 _INVALID = {
     "case_id": [""],
     "activity": [""],
-    "timestamp": ["", "soon"],
+    "timestamp": ["", "soon", "99999999999999999999"],
     "label": ["2"],
     "amount": ["nan", "inf", "many"],
     "channel": ["web"],

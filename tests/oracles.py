@@ -29,7 +29,6 @@ from stability_meter.event_model import (
     Event,
     StreamItem,
     Trace,
-    _is_decimal,
     _parse_label,
     _parse_timestamp,
 )
@@ -306,6 +305,14 @@ class ReferenceTree:
             gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
             weighted = (n_left * gini_left + n_right * gini_right) / n
         return parent - np.nan_to_num(weighted, nan=np.inf)
+
+
+def _is_decimal(text):
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
 
 
 def dict_reader_parse_log(source):

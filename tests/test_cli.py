@@ -216,6 +216,40 @@ def test_compare_emits_rows_per_config_and_rankings(small_log, tmp_path, capsys)
     assert (out / "static" / "meta.json").exists()
 
 
+def _tree_bytes(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_compare_parses_once_and_each_model_matches_a_separate_run(
+    small_log, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    parse = cli.parse_log
+
+    def counting_parse(source):
+        calls.append(source)
+        return parse(source)
+
+    monkeypatch.setattr(cli, "parse_log", counting_parse)
+    models = ("incremental", "window-retrain", "static")
+    flags = ["--log", str(small_log), "--grace", "20", "--eval-window", "10", "--retrain-every", "3"]
+    code, _, _ = _run_cli(
+        ["compare", *flags, "--models", ",".join(models), "--out", str(tmp_path / "cmp")], capsys
+    )
+    assert code == 0
+    assert calls == [str(small_log)]
+    for model in models:
+        alone = tmp_path / "alone" / model
+        code, _, _ = _run_cli(
+            ["run", *flags, "--model", model, "--metric", "f1", "--out", str(alone)], capsys
+        )
+        assert code == 0
+        compared = _tree_bytes(tmp_path / "cmp" / model)
+        assert {"performance.csv", "meta.json"} < set(compared)
+        assert any(name.startswith("plots") for name in compared)
+        assert compared == _tree_bytes(alone)
+
+
 def test_compare_needs_two_models(small_log, capsys):
     code, _, stderr = _run_cli(
         ["compare", "--log", str(small_log), "--models", "incremental"], capsys
@@ -371,6 +405,15 @@ def test_non_finite_numeric_attribute_is_a_value_error(tmp_path, capsys):
     assert code == 3
     assert "row 2" in stderr and "'amount'" in stderr
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("stamp", ["99999999999999999999", "-9223372036854775809"])
+def test_timestamp_beyond_int64_is_a_format_error(tmp_path, capsys, stamp):
+    bad = tmp_path / "far.csv"
+    bad.write_text(f"case_id,activity,timestamp,label\nx,a,1,\nx,b,{stamp},1\n")
+    code, _, stderr = _run_cli(["run", "--log", str(bad), "--out", str(tmp_path / "out")], capsys)
+    assert code == 3
+    assert stderr == "stability-meter: format error: row 3: timestamp out of range\n"
 
 
 def test_non_utf8_bytes_are_a_format_error_with_the_row(tmp_path, capsys):

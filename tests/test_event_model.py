@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError, StabilityMeterError
-from stability_meter.event_model import Event, Trace, attribute_types, parse_log, replay
+from stability_meter.event_model import Event, EventLog, Trace, parse_log, replay
+from stability_meter.prefixing import AttributeSchema, CasePrefix, CategoryCodec, encode
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
@@ -117,7 +118,7 @@ def test_attribute_type_sniffing():
     events = traces[0].events
     assert attribute_map(events[0]) == {"amount": 10.5, "channels": "web"}
     assert attribute_map(events[1]) == {"amount": 20.0, "channels": "phone"}
-    assert attribute_types(traces) == {"amount": True, "channels": False}
+    assert traces.kinds() == {"amount": True, "channels": False}
 
 
 def test_mixed_values_make_attribute_categorical():
@@ -126,7 +127,7 @@ def test_mixed_values_make_attribute_categorical():
         "a,x,1,,10\n"
         "a,y,2,1,large\n"
     )
-    assert attribute_types(traces) == {"size": False}
+    assert traces.kinds() == {"size": False}
     assert traces[0].events[0].attribute("size") == "10"
 
 
@@ -146,7 +147,7 @@ def test_nan_in_a_categorical_column_is_a_plain_string():
         "a,x,1,,nan\n"
         "a,y,2,1,large\n"
     )
-    assert attribute_types(traces) == {"size": False}
+    assert traces.kinds() == {"size": False}
     assert traces[0].events[0].attribute("size") == "nan"
 
 
@@ -267,6 +268,31 @@ HAND_LOGS = {
     "no label before a later non-finite value": f"{_H},amount\na,x,1,,1\nb,x,2,1,nan\n",
     "non-finite value before a later conflict": f"{_H},amount\na,x,1,1,inf\nb,x,2,1,1\nb,y,3,0,2\n",
     "conflicting labels": f"{_H}\na,x,1,0\na,y,2,1\n",
+    "timestamp out of range": f"{_H}\na,x,1,\na,y,99999999999999999999,1\n",
+    "timestamp below the range": f"{_H}\na,x,-9223372036854775809,1\n",
+    "timestamps at the ends of the range": (
+        f"{_H}\na,x,-9223372036854775808,\na,y,9223372036854775807,1\n"
+    ),
+    "timestamp one past the range": f"{_H}\na,x,9223372036854775808,1\n",
+    "numeric column turns categorical after many rows": (
+        f"{_H},amount\n"
+        + "".join(f"c{i % 7},x,{i},{i % 7 % 2},{i}.50\n" for i in range(3000))
+        + "c0,y,3000,, \nc1,y,3001,,large\nc2,y,3002,,1e3\n"
+    ),
+    "nan in the first row": f"{_H},amount\na,x,1,,nan\na,y,2,,1\nb,x,3,1,2\na,z,4,1,3\n",
+    "inf in a middle row": f"{_H},amount\na,x,1,,1\nb,x,2,,inf\nb,y,3,1,2\na,y,4,0,3\n",
+    "-inf in the last row": f"{_H},amount\na,x,1,,1\nb,x,2,1,2\na,y,3,0,-inf\n",
+    "non-finite cells in rows out of order": (
+        f"{_H},amount,w\nb,x,1,0,1,1\na,z,9,1,1,inf\na,x,2,,nan,1\na,y,5,,1,Infinity\n"
+    ),
+    "non-finite value in a case with conflicting labels": f"{_H},amount\na,x,1,0,nan\na,y,2,1,1\n",
+    "conflict before a later non-finite value": f"{_H},amount\na,x,1,0,1\na,y,2,1,1\nb,x,3,1,inf\n",
+    "blank numeric cells": f"{_H},amount\na,x,1,,\na,y,2,, \nb,x,3,0,2.5\na,z,4,1,\n",
+    "column empty on every row": f"{_H},note,amount\na,x,1,,,2\na,y,2,1, ,3\nb,x,3,0,,\n",
+    "case spread across the file": (
+        f"{_H},amount,channel\na,x,1,,1,web\nb,x,2,,2,web\nc,x,3,1,3,\na,y,4,,,phone\n"
+        "b,y,5,0,5,web\nc,y,6,,6,web\na,z,3,1,7,web\n"
+    ),
 }
 
 
@@ -278,7 +304,8 @@ def _outcome(parser, text):
 
 
 def _assert_parsers_agree(text):
-    got, want = _outcome(parse_log, text), _outcome(dict_reader_parse_log, text)
+    log, want = _outcome(parse_log, text), _outcome(dict_reader_parse_log, text)
+    got = list(log) if isinstance(log, EventLog) else log  # the log's trace views
     assert got == want
     if isinstance(want, list):
         for new, old in zip(got, want):
@@ -286,7 +313,7 @@ def _assert_parsers_agree(text):
                 new_map, old_map = attribute_map(new_event), attribute_map(old_event)
                 assert new_map == old_map
                 assert [type(v) for v in new_map.values()] == [type(v) for v in old_map.values()]
-        assert list(replay(got)) == list(tuple_replay(want))
+        assert list(replay(log)) == list(tuple_replay(want))
 
 
 @pytest.mark.parametrize("text", HAND_LOGS.values(), ids=HAND_LOGS.keys())
@@ -383,14 +410,64 @@ def test_parse_peak_memory_per_event_stays_small(tmp_path):
     # finished events, peaked at ~950 B/event here; one pass over
     # csv.reader rows into per-case lists, with an attribute dict per
     # event, at ~430; one value tuple per event sharing one name tuple per
-    # log stays near 280.
+    # log at ~280, keeping ~265. Typed columns with no event objects peak
+    # near 95 and keep near 50.
     path = tmp_path / "log.csv"
     path.write_text(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))))
     tracemalloc.start()
     try:
-        traces = parse_log(path)
-        _, peak = tracemalloc.get_traced_memory()
+        log = parse_log(path)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    events = sum(len(trace) for trace in traces)
-    assert peak / events < 330
+    events = int(log.lengths().sum())
+    assert peak / events < 150
+    assert retained / events < 64
+
+
+def test_replay_peak_memory_does_not_grow_with_the_log(tmp_path):
+    # Events are built as they are yielded, so draining the stream holds a
+    # bounded batch of them whatever the size of the log. Building them all
+    # up front would cost ~250 B per event, ~9 MB more on the larger log.
+    peaks = []
+    for cases in (400, 4000):
+        path = tmp_path / f"log{cases}.csv"
+        path.write_text(to_csv(generate(DriftLogSpec(n_cases=cases, drift_at=cases // 2, seed=3))))
+        log = parse_log(path)
+        tracemalloc.start()
+        try:
+            for _ in replay(log):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_blank_numeric_cells_are_missing_in_the_view_and_encode_as_zero():
+    log = _parse(HAND_LOGS["blank numeric cells"])
+    assert log.kinds() == {"amount": True}
+    assert [event.attribute("amount") for event in log[0].events] == [None, None, None]
+    schema = AttributeSchema.from_traces(["amount"], log)
+    case = CasePrefix()
+    case.events.extend(log[0].events)
+    assert encode(case, 3, schema, CategoryCodec()).features[3:] == (0.0, 0.0, 0.0)
+
+
+def test_a_numeric_looking_column_turned_categorical_keeps_its_cells_as_written():
+    log = _parse(HAND_LOGS["numeric column turns categorical after many rows"])
+    assert log.kinds() == {"amount": False}
+    first = log[0].events
+    assert [event.attribute("amount") for event in first[:2]] == ["0.50", "7.50"]
+    assert first[-1].attribute("amount") is None
+    assert log[2].events[-1].attribute("amount") == "1e3"
+
+
+def test_the_log_is_a_sequence_of_trace_views():
+    log = _parse(BASIC)
+    assert isinstance(log, EventLog) and len(log) == 2
+    assert log[-1] == log[1] == Trace("b", log[1].events, 0)
+    assert log[0].events is not log[0].events  # each view is built on demand
+    assert [len(trace) for trace in log] == [3, 2]
+    with pytest.raises(IndexError):
+        log[2]

@@ -4,7 +4,7 @@ from io import StringIO
 import pytest
 
 from stability_meter.errors import ConfigError, EmptyLogError
-from stability_meter.event_model import Event, Trace, attribute_types, parse_log
+from stability_meter.event_model import Event, EventLog, Trace, parse_log
 from stability_meter.prefixing import (
     MISSING_CODE,
     AttributeSchema,
@@ -138,7 +138,7 @@ def test_encode_looks_attributes_up_by_name():
     trace = _trace("c", ["A", "B", "C", "D"], attrs=attrs)
     assert trace.events[0].names == ("amount", "channel")
     assert trace.events[1].names == ("channel", "amount", "extra")
-    assert attribute_types([trace]) == {"amount": True, "channel": False, "extra": False}
+    assert EventLog.from_traces([trace]).kinds() == {"amount": True, "channel": False, "extra": False}
     schema = AttributeSchema(names=("channel", "ghost", "amount"), numeric=(False, False, True))
     codec, scratch = CategoryCodec(), CategoryCodec()
     case = _open_case(trace)

@@ -94,7 +94,7 @@ def test_csv_round_trips_through_the_parser():
     spec = DriftLogSpec(n_cases=40, drift_at=20, seed=13)
     traces = generate(spec)
     parsed = parse_log(StringIO(to_csv(traces)))
-    assert parsed == traces
+    assert list(parsed) == traces
 
 
 def test_attribute_columns_are_sniffed_as_expected():
