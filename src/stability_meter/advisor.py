@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
-from .stability import MetaMeasures
+from .stability import MetaMeasures, drop_measures
 
 # Accepted spellings for profile criteria -> canonical field name.
 MEASURE_ALIASES = {
@@ -78,6 +78,8 @@ class ConfigSummary:
 
     @classmethod
     def from_mapping(cls, entry: Mapping) -> "ConfigSummary":
+        if not isinstance(entry, Mapping):
+            raise ConfigError(f"config entry must be an object, got {entry!r}")
         try:
             return cls(
                 name=str(entry["name"]),
@@ -90,6 +92,10 @@ class ConfigSummary:
             )
         except KeyError as missing:
             raise ConfigError(f"config entry is missing field {missing}") from None
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ConfigError(
+                f"config entry {entry.get('name')!r} has a non-numeric field ({err})"
+            ) from None
 
     def value_of(self, measure: str) -> float | int | None:
         if measure not in set(MEASURE_ALIASES.values()):
@@ -142,19 +148,15 @@ def pool_summaries(
     volatility = (
         sum(measures.volatility * measures.n_points for _, measures in rows) / total_points
     )
-    magnitudes = [
-        magnitude
-        for _, measures in rows
-        for drop in measures.drops
-        for magnitude in drop.magnitudes
-    ]
-    drop_points = sum(len(drop) for _, measures in rows for drop in measures.drops)
+    max_magnitude, avg_magnitude, recovery_rate = drop_measures(
+        [drop for _, measures in rows for drop in measures.drops]
+    )
     return ConfigSummary(
         name=name,
         avg_metric=avg_metric,
         drops=drops,
         volatility=volatility,
-        max_magnitude=max(magnitudes) if magnitudes else None,
-        avg_magnitude=sum(magnitudes) / len(magnitudes) if magnitudes else None,
-        recovery_rate=drop_points / drops if drops else None,
+        max_magnitude=max_magnitude,
+        avg_magnitude=avg_magnitude,
+        recovery_rate=recovery_rate,
     )

@@ -383,7 +383,7 @@ def _load_rank_entries(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"{path}: not valid JSON ({err})") from None
     if isinstance(payload, list):
         return payload

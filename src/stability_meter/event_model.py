@@ -3,8 +3,10 @@
 A log is a CSV file with one row per event (columns ``case_id``, ``activity``,
 ``timestamp``, ``label``, plus arbitrary attribute columns). :func:`parse_log`
 reads it into an :class:`EventLog`, which holds typed per-event columns,
-string tables and one label per case, and no :class:`Event` objects. An
-event is built only when it is asked for: indexing the log builds a
+string tables and one label per case, and no :class:`Event` objects.
+:func:`parse_log` is the only way to build an :class:`EventLog`; a log
+written in code is parsed from its text, ``parse_log(io.StringIO(text))``.
+An event is built only when it is asked for: indexing the log builds a
 :class:`Trace` view of one case, and :func:`replay` builds each event of the
 timestamp-ordered stream as it yields it, so a streaming consumer holds only
 the events of the cases it still has open. The outcome label of a case
@@ -107,13 +109,14 @@ class _StringTable(dict):
 class EventLog(Sequence):
     """A log held as columns: a ``Sequence[Trace]`` that builds each trace on demand.
 
-    Events are stored grouped by case, cases in first-appearance order, each
-    case's events in its own order. Per event there is an activity string id,
-    an int64 ``timestamp``, the ``row`` and, per attribute of ``names``, one
-    column: float64 values with a bool ``missing`` mask for a numeric
-    attribute, string ids (0 for an empty cell) with ``missing`` None for a
-    categorical one. ``strings`` maps ids back to text. Case ``i`` owns the
-    events ``bounds[i]:bounds[i + 1]`` and has id ``case_ids[i]`` and label
+    Built by :func:`parse_log`. Events are stored grouped by case, cases in
+    first-appearance order, each case's events in (timestamp, row) order.
+    Per event there is an activity string id, an int64 ``timestamp``, the
+    ``row`` and, per attribute of ``names``, one column: float64 values with
+    a bool ``missing`` mask for a numeric attribute, string ids (0 for an
+    empty cell) with ``missing`` None for a categorical one. ``strings``
+    maps ids back to text. Case ``i`` owns the events
+    ``bounds[i]:bounds[i + 1]`` and has id ``case_ids[i]`` and label
     ``labels[i]``. ``order`` is the stream order: a stable sort of the
     events by (timestamp, row).
     """
@@ -142,49 +145,6 @@ class EventLog(Sequence):
         self.columns = columns
         self.missing = missing
         self.order = np.lexsort((row, timestamp))
-
-    @classmethod
-    def from_traces(cls, traces: Sequence[Trace]) -> EventLog:
-        """The log of traces built in code: one case per trace, in trace order.
-
-        Each trace keeps its event order, so its last event closes it and
-        events tied on (timestamp, row) replay in trace order. Traces may
-        share a case id. The attribute columns are the union of the events'
-        names; a column is numeric when every value in it is a float, and a
-        categorical value is held as its ``str``.
-        """
-        events = [event for trace in traces for event in trace.events]
-        names = tuple(dict.fromkeys(name for event in events for name in event.names))
-        table = _StringTable()
-        columns, missing = [], []
-        for name in names:
-            cells = [event.attribute(name) for event in events]
-            if all(value is None or isinstance(value, float) for value in cells):
-                columns.append(np.array([0.0 if value is None else value for value in cells], np.float64))
-                missing.append(np.array([value is None for value in cells], bool))
-            else:
-                columns.append(
-                    np.array([0 if value is None else table[str(value)] for value in cells], np.int32)
-                )
-                missing.append(None)
-        lengths = [len(trace.events) for trace in traces]
-        return cls(
-            names=names,
-            strings=table.strings,
-            case_ids=[trace.case_id for trace in traces],
-            labels=[trace.label for trace in traces],
-            bounds=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-            activity=np.array([table[event.activity] for event in events], np.int32),
-            timestamp=np.array([event.timestamp for event in events], np.int64),
-            row=np.array([event.row for event in events], np.int64),
-            columns=columns,
-            missing=missing,
-        )
-
-    @classmethod
-    def of(cls, traces: Sequence[Trace]) -> EventLog:
-        """``traces`` itself when it is an ``EventLog``, else its :meth:`from_traces`."""
-        return traces if isinstance(traces, EventLog) else cls.from_traces(traces)
 
     def __len__(self) -> int:
         return len(self.case_ids)
@@ -496,17 +456,16 @@ def _read_log(reader) -> EventLog:
     )
 
 
-def replay(traces: Sequence[Trace]) -> Iterator[StreamItem]:
-    """Replay a log as one stream ordered by (timestamp, original row).
+def replay(log: EventLog) -> Iterator[StreamItem]:
+    """Replay a parsed log as one stream ordered by (timestamp, original row).
 
-    ``traces`` is an :class:`EventLog`, or traces built in code, which go
-    through :meth:`EventLog.from_traces`. The last event of each case is
+    ``log`` comes from :func:`parse_log` (for a log written in code,
+    ``parse_log(io.StringIO(text))``). The last event of each case is
     flagged ``is_case_end`` and carries the case label; every other item
-    carries no label. The output order is a deterministic function of the
-    input: full ties keep the trace order. Each event is built as it is
+    carries no label. No two events share a row, so the order is a
+    deterministic function of the log. Each event is built as it is
     yielded, so the stream holds no event that its consumer has let go.
     """
-    log = EventLog.of(traces)
     bounds, labels = log.bounds, log.labels
     for start in range(0, len(log.order), _REPLAY_CHUNK):
         at = log.order[start : start + _REPLAY_CHUNK]

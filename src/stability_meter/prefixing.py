@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyLogError
-from .event_model import Event, EventLog, Trace
+from .errors import ConfigError
+from .event_model import Event, EventLog
 
 # Categorical code reserved for values absent from an event.
 MISSING_CODE = 0
@@ -63,17 +63,17 @@ class AttributeSchema:
             raise ConfigError("attribute schema names/numeric flags must align")
 
     @classmethod
-    def from_traces(cls, names: Sequence[str], traces: Sequence[Trace]) -> "AttributeSchema":
-        """Build a schema for ``names`` with the column kinds of the log.
+    def from_traces(cls, names: Sequence[str], log: EventLog) -> "AttributeSchema":
+        """Build a schema for ``names`` with the column kinds of a parsed log.
 
-        ``traces`` is an :class:`EventLog` or traces built in code (see
-        :meth:`EventLog.from_traces`). A name never observed in the log, or
-        whose cells are all empty, is treated as categorical (it will always
-        encode to the missing code).
+        ``log`` comes from :func:`parse_log`, whose sniffing decides each
+        column's kind. A name never observed in the log, or whose cells are
+        all empty, is treated as categorical (it will always encode to the
+        missing code).
         """
         if not names:
             return cls()
-        kinds = EventLog.of(traces).kinds()
+        kinds = log.kinds()
         return cls(
             names=tuple(names),
             numeric=tuple(bool(kinds.get(name, False)) for name in names),
@@ -113,11 +113,12 @@ class CategoryCodec:
         return len(self._codes)
 
 
-def default_k_max(traces: Sequence[Trace]) -> int:
-    """Lower median of the case lengths (deterministic for even counts)."""
-    lengths = np.sort(EventLog.of(traces).lengths())
-    if not len(lengths):
-        raise EmptyLogError("cannot derive a maximum prefix length from an empty log")
+def default_k_max(log: EventLog) -> int:
+    """Lower median of the case lengths of a parsed log (deterministic for even counts).
+
+    ``log`` comes from :func:`parse_log`, which rejects a log without cases.
+    """
+    lengths = np.sort(log.lengths())
     return int(lengths[(len(lengths) - 1) // 2])
 
 

@@ -33,7 +33,6 @@ class MovingStats:
     ``ma -/+ phi``.
     """
 
-    window: int
     ma: np.ndarray
     phi: np.ndarray
     lb: np.ndarray
@@ -50,7 +49,6 @@ class SignificantDrop:
 
     start: int
     end: int
-    points: tuple[float, ...]
     magnitudes: tuple[float, ...]
 
     def __len__(self) -> int:
@@ -118,7 +116,7 @@ def moving_stats(points: Sequence[float], window: int) -> MovingStats:
             at = slice(window - 1 + start, window - 1 + start + len(block))
             ma[at] = np.where(flat, block[:, 0], mean)
             phi[at] = np.where(flat, 0.0, spread)
-    return MovingStats(window=window, ma=ma, phi=phi, lb=ma - phi, ub=ma + phi)
+    return MovingStats(ma=ma, phi=phi, lb=ma - phi, ub=ma + phi)
 
 
 # The drop inequality is strict, so a point sitting exactly on its lower
@@ -150,25 +148,35 @@ def detect_drops(points: Sequence[float], stats: MovingStats) -> list[Significan
         SignificantDrop(
             start=start,
             end=stop - 1,
-            points=tuple(series[start:stop].tolist()),
             magnitudes=tuple(magnitudes[start:stop].tolist()),
         )
         for start, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())
     ]
 
 
-def _measures(stats: MovingStats, drops: list[SignificantDrop]) -> MetaMeasures:
-    volatility = float(np.mean(stats.phi))
+def drop_measures(
+    drops: Sequence[SignificantDrop],
+) -> tuple[float | None, float | None, float | None]:
+    """Max magnitude, average magnitude and recovery rate of ``drops``.
+
+    The magnitudes pool over all drop points; the recovery rate is the mean
+    drop length. All three are None when there is no drop.
+    """
+    if not drops:
+        return None, None, None
     magnitudes = [m for drop in drops for m in drop.magnitudes]
-    if drops:
-        max_magnitude = max(magnitudes)
-        avg_magnitude = sum(magnitudes) / len(magnitudes)
-        recovery_rate = sum(len(drop) for drop in drops) / len(drops)
-    else:
-        max_magnitude = avg_magnitude = recovery_rate = None
+    return (
+        max(magnitudes),
+        sum(magnitudes) / len(magnitudes),
+        sum(len(drop) for drop in drops) / len(drops),
+    )
+
+
+def _measures(stats: MovingStats, drops: list[SignificantDrop]) -> MetaMeasures:
+    max_magnitude, avg_magnitude, recovery_rate = drop_measures(drops)
     return MetaMeasures(
         drop_count=len(drops),
-        volatility=volatility,
+        volatility=float(np.mean(stats.phi)),
         max_magnitude=max_magnitude,
         avg_magnitude=avg_magnitude,
         recovery_rate=recovery_rate,

@@ -94,10 +94,10 @@ def brute_moving_stats(points, window):
     return ma, phi, lb, ub
 
 
-def stats_from_ma_phi(ma, phi, window=1):
+def stats_from_ma_phi(ma, phi):
     """``MovingStats`` assembled from supplied ma/phi values, not computed ones."""
     ma, phi = np.asarray(ma, dtype=float), np.asarray(phi, dtype=float)
-    return MovingStats(window=window, ma=ma, phi=phi, lb=ma - phi, ub=ma + phi)
+    return MovingStats(ma=ma, phi=phi, lb=ma - phi, ub=ma + phi)
 
 
 def brute_drop_runs(points, window):

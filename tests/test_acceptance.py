@@ -24,6 +24,7 @@ from stability_meter.stability import (
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from oracles import brute_meta, brute_moving_stats, stats_from_ma_phi
+from parsed_logs import parsed_log
 
 
 def _report(number: int, description: str) -> None:
@@ -67,9 +68,10 @@ def test_criterion_1_oracle_equivalence_on_1000_seeded_series():
 
 def test_criterion_2_worked_fragment_yields_one_two_point_drop():
     stats = stats_from_ma_phi(ma=[0.7, 0.69, 0.66], phi=[0.03, 0.03, 0.04])
-    drops = detect_drops([0.75, 0.65, 0.5], stats)
+    points = [0.75, 0.65, 0.5]
+    drops = detect_drops(points, stats)
     assert len(drops) == 1
-    assert drops[0].points == (0.65, 0.5)
+    assert points[drops[0].start : drops[0].end + 1] == [0.65, 0.5]
     assert len(drops[0]) == 2
     _report(2, "fragment flags exactly {0.65, 0.5} as one two-point drop")
 
@@ -148,8 +150,8 @@ def test_criterion_6_confusion_metric_fixtures():
 def test_criterion_7_drift_experiment_directional():
     started = time.perf_counter()
     spec = DriftLogSpec(n_cases=2000, drift_at=1000, seed=0, noise=0.05)
-    traces = generate(spec)
-    completion = [item.event.case_id for item in replay(traces) if item.is_case_end]
+    log = parsed_log(spec)
+    completion = [item.event.case_id for item in replay(log) if item.is_case_end]
     drift_label = next(
         i + 1
         for i, case_id in enumerate(completion)
@@ -159,7 +161,7 @@ def test_criterion_7_drift_experiment_directional():
     buckets = BucketConfig(k_min=4, k_max=4)
     series = {}
     for policy in ("static", "incremental"):
-        result = run_stream(replay(traces), policy, buckets, grace=200, eval_window=100)
+        result = run_stream(replay(log), policy, buckets, grace=200, eval_window=100)
         series[policy] = result.series[(4, "accuracy")]
 
     # static: at least one significant drop within 200 labels after the drift

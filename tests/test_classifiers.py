@@ -23,9 +23,10 @@ from stability_meter.prefixing import (
     EncodedSample,
     encode,
 )
-from stability_meter.synthgen import DriftLogSpec, generate
+from stability_meter.synthgen import DriftLogSpec
 
 from oracles import ReferenceTree, nb_posterior_scores
+from parsed_logs import parsed_log
 
 
 def _sample(features, label=None, bucket=2):
@@ -394,11 +395,11 @@ def test_window_retrain_cadence_throttles_retraining():
 
 def _synth_samples(attrs, seed, k=3, cases=320):
     """Labeled k-prefix samples of a seeded synth log, one per case of length >= k."""
-    traces = generate(DriftLogSpec(n_cases=cases, drift_at=cases // 2, seed=seed))
-    schema = AttributeSchema.from_traces(attrs, traces)
+    log = parsed_log(DriftLogSpec(n_cases=cases, drift_at=cases // 2, seed=seed))
+    schema = AttributeSchema.from_traces(attrs, log)
     codec = CategoryCodec()
     samples = []
-    for trace in traces:
+    for trace in log:
         if len(trace) >= k:
             case = CasePrefix()
             case.events.extend(trace.events)

@@ -381,6 +381,29 @@ def test_rank_profile_override(tmp_path, capsys):
     assert stdout.splitlines()[1].lstrip().startswith("1. A")
 
 
+_GOOD_ENTRY = {"name": "A", "avg_metric": 0.5, "drops": 1, "volatility": 0.1}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe[]",
+        json.dumps([1, 2]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "avg_metric": "x"}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "drops": None}]).encode(),
+    ],
+    ids=["not-utf8", "entries-not-objects", "non-numeric-field", "null-count"],
+)
+def test_rank_with_a_malformed_meta_file_is_a_single_line_config_error(tmp_path, capsys, content):
+    meta = tmp_path / "meta.json"
+    meta.write_bytes(content)
+    code, _, stderr = _run_cli(["rank", "--meta", str(meta), "--scenario", "hf-hr"], capsys)
+    assert code == 2
+    assert stderr.startswith("stability-meter: config error:")
+    assert stderr.count("\n") == 1
+    assert not (tmp_path / "ranking.json").exists()
+
+
 def test_missing_log_is_a_single_line_io_error(tmp_path, capsys):
     code, _, stderr = _run_cli(
         ["run", "--log", str(tmp_path / "nope.csv")], capsys

@@ -9,10 +9,11 @@ from stability_meter.evaluation import (
     metrics_from_confusion,
     run_stream,
 )
-from stability_meter.event_model import Event, Trace, replay
+from stability_meter.event_model import replay
 from stability_meter.prefixing import BucketConfig
 
 from oracles import confusion_metrics
+from parsed_logs import parsed_log
 
 
 def window_metric(window, metric):
@@ -24,37 +25,23 @@ def window_metric(window, metric):
     return metrics_from_confusion(*window.counts())[metric]
 
 
-def _mk_trace(case_id, activities, label, start, step=10, row_base=0):
-    events = [
-        Event(
-            case_id=case_id,
-            activity=activity,
-            timestamp=start + i * step,
-            position=i + 1,
-            row=row_base + i + 1,
-        )
-        for i, activity in enumerate(activities)
-    ]
-    return Trace(case_id=case_id, events=events, label=label)
-
-
-def _sequential_traces(specs):
+def _sequential_log(specs):
     """specs: list of (activities, label); cases do not overlap in time."""
-    traces = []
+    rows = []
     clock = 0
-    row = 1
     for index, (activities, label) in enumerate(specs):
-        traces.append(_mk_trace(f"case{index:03d}", activities, label, clock, row_base=row))
+        last = len(activities) - 1
+        for i, activity in enumerate(activities):
+            rows.append((f"case{index:03d}", activity, clock + i * 10, label if i == last else None))
         clock += 10 * len(activities) + 5
-        row += len(activities)
-    return traces
+    return parsed_log(rows)
 
 
 def _run(specs, policy="incremental", grace=2, eval_window=10, k_min=2, k_max=2, **kwargs):
-    traces = _sequential_traces(specs)
+    log = _sequential_log(specs)
     buckets = BucketConfig(k_min=k_min, k_max=k_max)
     return run_stream(
-        replay(traces),
+        replay(log),
         policy,
         buckets,
         grace=grace,

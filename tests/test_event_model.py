@@ -371,38 +371,24 @@ def test_parsed_events_hold_tuples_not_dicts():
     assert traces[0].events[1].attribute("ghost") is None
 
 
-def _programmatic(case_id, activities, label, stamps):
-    events = [
-        Event(case_id=case_id, activity=activity, timestamp=stamp, position=i)
-        for i, (activity, stamp) in enumerate(zip(activities, stamps), start=1)
-    ]
-    return Trace(case_id=case_id, events=events, label=label)
-
-
-def test_replay_matches_the_reference_on_programmatic_traces():
-    # every event has row=0, so only the trace order breaks timestamp ties,
-    # and two traces share a case id
-    traces = [
-        _programmatic("same", ["a", "b"], 1, [5, 5]),
-        _programmatic("same", ["c", "d"], 0, [5, 7]),
-        _programmatic("other", ["e"], 1, [5]),
-    ]
-    items = list(replay(traces))
-    assert items == list(tuple_replay(traces))
-    assert [(item.event.activity, item.label) for item in items] == [
-        ("a", None), ("b", 1), ("c", None), ("e", 1), ("d", 0)
-    ]
+def test_replay_matches_the_reference_on_logs_with_timestamp_ties():
+    # events share timestamps within and across cases and the rows arrive
+    # shuffled, so the row number alone breaks most ties
     rng = random.Random(4)
-    traces = [
-        _programmatic(
-            f"c{rng.randint(0, 3)}",
-            "xyz"[: rng.randint(1, 3)],
-            rng.randint(0, 1),
-            sorted(rng.randint(0, 4) for _ in range(3)),
+    rows = []
+    for case in range(40):
+        activities = "xyz"[: rng.randint(1, 3)]
+        stamps = sorted(rng.randint(0, 4) for _ in range(3))
+        label = rng.randint(0, 1)
+        rows.extend(
+            f"c{case},{activity},{stamp},{label if position == len(activities) else ''}\n"
+            for position, (activity, stamp) in enumerate(zip(activities, stamps), start=1)
         )
-        for _ in range(40)
-    ]
-    assert list(replay(traces)) == list(tuple_replay(traces))
+    rng.shuffle(rows)
+    text = f"{_H}\n" + "".join(rows)
+    stamps = [item.event.timestamp for item in replay(_parse(text))]
+    assert len(set(stamps)) < len(stamps)
+    _assert_parsers_agree(text)
 
 
 def test_parse_peak_memory_per_event_stays_small(tmp_path):

@@ -3,8 +3,8 @@ from io import StringIO
 
 import pytest
 
-from stability_meter.errors import ConfigError, EmptyLogError
-from stability_meter.event_model import Event, EventLog, Trace, parse_log
+from stability_meter.errors import ConfigError
+from stability_meter.event_model import Event, Trace, parse_log
 from stability_meter.prefixing import (
     MISSING_CODE,
     AttributeSchema,
@@ -17,6 +17,7 @@ from stability_meter.prefixing import (
 from stability_meter.synthgen import DriftLogSpec, generate
 
 from oracles import Prefix, scratch_encode
+from parsed_logs import parsed_log
 
 
 def prefixes_of(trace, cfg):
@@ -52,26 +53,25 @@ def _open_case(trace):
     return case
 
 
-def _traces_of_lengths(*lengths):
-    return [_trace(f"c{i}", ["a"] * n) for i, n in enumerate(lengths)]
+def _log_of_lengths(*lengths):
+    return parsed_log(
+        (f"c{i}", "a", position, 1 if position == n else None)
+        for i, n in enumerate(lengths)
+        for position in range(1, n + 1)
+    )
 
 
 def test_default_k_max_odd_median():
-    assert default_k_max(_traces_of_lengths(3, 5, 7)) == 5
+    assert default_k_max(_log_of_lengths(3, 5, 7)) == 5
 
 
 def test_default_k_max_even_uses_lower_median():
-    assert default_k_max(_traces_of_lengths(4, 8)) == 4
+    assert default_k_max(_log_of_lengths(4, 8)) == 4
 
 
 def test_default_k_max_irregular_lengths_with_median_12():
     lengths = [11, 12, 12, 13, 10, 12, 14, 12, 11, 13, 12]
-    assert default_k_max(_traces_of_lengths(*lengths)) == 12
-
-
-def test_default_k_max_empty_input():
-    with pytest.raises(EmptyLogError):
-        default_k_max([])
+    assert default_k_max(_log_of_lengths(*lengths)) == 12
 
 
 def test_bucket_config_validation():
@@ -138,7 +138,6 @@ def test_encode_looks_attributes_up_by_name():
     trace = _trace("c", ["A", "B", "C", "D"], attrs=attrs)
     assert trace.events[0].names == ("amount", "channel")
     assert trace.events[1].names == ("channel", "amount", "extra")
-    assert EventLog.from_traces([trace]).kinds() == {"amount": True, "channel": False, "extra": False}
     schema = AttributeSchema(names=("channel", "ghost", "amount"), numeric=(False, False, True))
     codec, scratch = CategoryCodec(), CategoryCodec()
     case = _open_case(trace)
@@ -211,7 +210,7 @@ def test_schema_without_attributes_does_not_read_the_traces():
 
 def test_bucket_population_matches_case_lengths():
     # bucket k receives exactly one sample per case of length >= k
-    traces = _traces_of_lengths(2, 3, 5, 5, 7)
+    traces = _log_of_lengths(2, 3, 5, 5, 7)
     cfg = BucketConfig(k_min=2, k_max=6)
     population = {k: 0 for k in cfg.buckets()}
     for trace in traces:

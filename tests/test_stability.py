@@ -60,9 +60,10 @@ def test_first_point_never_drops():
 def test_detect_drops_on_supplied_fragment_stats():
     # drop classification applied to externally supplied ma/phi values
     stats = stats_from_ma_phi(ma=[0.7, 0.69, 0.66], phi=[0.03, 0.03, 0.04])
-    drops = detect_drops([0.75, 0.65, 0.5], stats)
+    points = [0.75, 0.65, 0.5]
+    drops = detect_drops(points, stats)
     assert len(drops) == 1
-    assert drops[0].points == (0.65, 0.5)
+    assert points[drops[0].start : drops[0].end + 1] == [0.65, 0.5]
     assert drops[0].start == 1 and drops[0].end == 2
 
 
@@ -151,7 +152,7 @@ def _assert_bit_identical_to_loop(points, window):
     assert [(d.start, d.end) for d in drops] == runs
     for drop in drops:
         segment = slice(drop.start, drop.end + 1)
-        assert drop.points == tuple(points[segment].tolist())
+        assert (points[segment] < lb[segment]).all()
         assert drop.magnitudes == tuple(np.abs(points[segment] - ma[segment]).tolist())
     annotation = annotate_series(points, window)
     assert np.array_equal(annotation.ma, ma) and np.array_equal(annotation.std, phi)

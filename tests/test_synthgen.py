@@ -17,6 +17,8 @@ from stability_meter.synthgen import (
     to_csv,
 )
 
+from parsed_logs import parsed_log
+
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
@@ -50,8 +52,7 @@ def test_case_shape():
 
 
 def test_cases_overlap_in_the_stream():
-    traces = generate(DriftLogSpec(n_cases=50, drift_at=25, seed=3))
-    items = list(replay(traces))
+    items = list(replay(parsed_log(DriftLogSpec(n_cases=50, drift_at=25, seed=3))))
     open_cases, max_open = set(), 0
     for item in items:
         open_cases.add(item.event.case_id)
