@@ -25,19 +25,17 @@ from .errors import (
 )
 from .evaluation import (
     METRICS,
-    EvalWindow,
     PerformanceSeries,
     ResolvedPair,
     RunResult,
     metrics_from_confusion,
     run_stream,
 )
-from .event_model import Event, EventLog, StreamItem, Trace, parse_log, replay
+from .event_model import Case, Event, EventLog, StreamItem, Trace, parse_log, replay
 from .prefixing import (
     MISSING_CODE,
     AttributeSchema,
     BucketConfig,
-    CasePrefix,
     CategoryCodec,
     EncodedSample,
     default_k_max,

@@ -10,6 +10,7 @@ volatility. Ties break toward the higher average metric value, then by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
@@ -83,9 +84,9 @@ class ConfigSummary:
         try:
             return cls(
                 name=str(entry["name"]),
-                avg_metric=float(entry["avg_metric"]),
-                drops=int(entry["drops"]),
-                volatility=float(entry["volatility"]),
+                avg_metric=_finite(entry["avg_metric"]),
+                drops=_count(entry["drops"]),
+                volatility=_finite(entry["volatility"]),
                 max_magnitude=_optional(entry.get("max_magnitude")),
                 avg_magnitude=_optional(entry.get("avg_magnitude")),
                 recovery_rate=_optional(entry.get("recovery_rate")),
@@ -94,7 +95,7 @@ class ConfigSummary:
             raise ConfigError(f"config entry is missing field {missing}") from None
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(
-                f"config entry {entry.get('name')!r} has a non-numeric field ({err})"
+                f"config entry {entry.get('name')!r} has an invalid numeric field ({err})"
             ) from None
 
     def value_of(self, measure: str) -> float | int | None:
@@ -103,8 +104,21 @@ class ConfigSummary:
         return getattr(self, measure)
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
+def _count(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole count")
+    return int(value)
+
+
 def _optional(value) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _finite(value)
 
 
 def rank(configs: Sequence[ConfigSummary], profile: ScenarioProfile) -> list[str]:

@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .advisor import (
     SCENARIO_PROFILES,
     ConfigSummary,
@@ -127,18 +129,19 @@ class SeriesReport:
     def rows(self) -> list[str]:
         """Each point's ``value,ma,std,lb,ub,is_drop,drop_id`` CSV fields."""
         columns = self.annotation
-        return [
-            f"{value!r},{ma!r},{std!r},{lb!r},{ub!r},"
-            + (f"true,{drop_id}" if drop_id else "false,")
-            for value, ma, std, lb, ub, drop_id in zip(
-                columns.value.tolist(),
-                columns.ma.tolist(),
-                columns.std.tolist(),
-                columns.lb.tolist(),
-                columns.ub.tolist(),
-                columns.drop_id.tolist(),
-            )
-        ]
+        floats = (columns.value, columns.ma, columns.std, columns.lb, columns.ub)
+        drops = [f"true,{drop_id}" if drop_id else "false," for drop_id in columns.drop_id.tolist()]
+        return list(map(",".join, zip(*map(_reprs, floats), drops)))
+
+
+def _reprs(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each float of ``column``, made once per distinct value.
+
+    Values are told apart by their bits, so ``-0.0`` keeps its own text.
+    """
+    bits, inverse = np.unique(np.ascontiguousarray(column, np.float64).view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def execute_run(

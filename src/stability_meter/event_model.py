@@ -6,11 +6,13 @@ reads it into an :class:`EventLog`, which holds typed per-event columns,
 string tables and one label per case, and no :class:`Event` objects.
 :func:`parse_log` is the only way to build an :class:`EventLog`; a log
 written in code is parsed from its text, ``parse_log(io.StringIO(text))``.
-An event is built only when it is asked for: indexing the log builds a
-:class:`Trace` view of one case, and :func:`replay` builds each event of the
-timestamp-ordered stream as it yields it, so a streaming consumer holds only
-the events of the cases it still has open. The outcome label of a case
-travels with its last event.
+Indexing the log builds a :class:`Trace` view of one case, with its events,
+on demand. :func:`replay` builds no event: each item of the
+timestamp-ordered stream is a :class:`StreamItem` of the event's
+:class:`Case` handle (one per case, made at its first event), its position
+in the case and whether it closes the case. A consumer reads the event from
+the log's columns through the handle, and the outcome label of a case comes
+with its last event.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from math import isfinite
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -37,7 +39,7 @@ LogSource = Union[str, Path, IO[str]]
 _TIMESTAMP_RANGE = range(-(2**63), 2**63)
 # Cells of a numeric-looking column whose text is joined into one string.
 _TEXT_CHUNK = 1024
-# Events built per step of replay.
+# Events replayed per step.
 _REPLAY_CHUNK = 1024
 
 
@@ -81,15 +83,6 @@ class Trace:
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class StreamItem:
-    """A replayed event; carries the case label iff it closes the case."""
-
-    event: Event
-    is_case_end: bool
-    label: int | None = None
-
-
 class _StringTable(dict):
     """Text -> id, ids given in first-use order; ``strings[id]`` is the text.
 
@@ -118,7 +111,8 @@ class EventLog(Sequence):
     maps ids back to text. Case ``i`` owns the events
     ``bounds[i]:bounds[i + 1]`` and has id ``case_ids[i]`` and label
     ``labels[i]``. ``order`` is the stream order: a stable sort of the
-    events by (timestamp, row).
+    events by (timestamp, row). A numeric column holds 0.0 in its empty
+    cells, and activities and categorical values share one string table.
     """
 
     def __init__(
@@ -456,24 +450,67 @@ def _read_log(reader) -> EventLog:
     )
 
 
+class Case:
+    """The handle of one case in a replayed log; every item of the case carries it.
+
+    ``index`` is the case's number in ``log`` (``log[index]`` is its trace),
+    ``case_id`` and ``label`` its id and outcome, and its events are the
+    log's columns ``start:stop``, in (timestamp, row) order. ``acts``,
+    ``slots`` and ``cells`` are the prefix encoder's memo of the case
+    (see :func:`prefixing.encode`); they start empty.
+    """
+
+    __slots__ = ("log", "index", "case_id", "label", "start", "stop", "acts", "slots", "cells")
+
+    def __init__(self, log: EventLog, index: int) -> None:
+        self.log = log
+        self.index = index
+        self.case_id = log.case_ids[index]
+        self.label = log.labels[index]
+        self.start = int(log.bounds[index])
+        self.stop = int(log.bounds[index + 1])
+        self.acts: list[int] = []
+        self.slots: list = []
+        self.cells: tuple[list, list] | None = None
+
+
+class StreamItem(NamedTuple):
+    """A replayed event: its case, its 1-based position there, and whether it closes the case."""
+
+    case: Case
+    position: int
+    is_case_end: bool
+
+    @property
+    def label(self) -> int | None:
+        """The case label on the case's last event, None on the others."""
+        return self.case.label if self.is_case_end else None
+
+
 def replay(log: EventLog) -> Iterator[StreamItem]:
     """Replay a parsed log as one stream ordered by (timestamp, original row).
 
     ``log`` comes from :func:`parse_log` (for a log written in code,
-    ``parse_log(io.StringIO(text))``). The last event of each case is
-    flagged ``is_case_end`` and carries the case label; every other item
-    carries no label. No two events share a row, so the order is a
-    deterministic function of the log. Each event is built as it is
-    yielded, so the stream holds no event that its consumer has let go.
+    ``parse_log(io.StringIO(text))``). Each case gets one :class:`Case` at
+    its first event, and every item of the case carries it; the last one
+    is flagged ``is_case_end``. No two events share a row, so the order is
+    a deterministic function of the log. The stream is made
+    ``_REPLAY_CHUNK`` events at a time and holds only the handles of the
+    cases still open, so it keeps no per-event object that its consumer has
+    let go.
     """
-    bounds, labels = log.bounds, log.labels
-    for start in range(0, len(log.order), _REPLAY_CHUNK):
-        at = log.order[start : start + _REPLAY_CHUNK]
+    bounds, order = log.bounds, log.order
+    open_cases: dict[int, Case] = {}
+    for begin in range(0, len(order), _REPLAY_CHUNK):
+        at = order[begin : begin + _REPLAY_CHUNK]
         case = np.searchsorted(bounds, at, side="right") - 1
-        ends = (at + 1 == bounds[case + 1]).tolist()
-        for event, case_at, is_end in zip(log._events(at, case), case.tolist(), ends):
-            if is_end:
-                yield StreamItem(event=event, is_case_end=True, label=labels[case_at])
-            else:
-                yield StreamItem(event=event, is_case_end=False)
-
+        position = at - bounds[case] + 1
+        ends = at + 1 == bounds[case + 1]
+        for index in case[position == 1].tolist():
+            open_cases[index] = Case(log, index)
+        handles = list(map(open_cases.__getitem__, case.tolist()))
+        for index in case[ends].tolist():
+            del open_cases[index]
+        yield from map(
+            tuple.__new__, repeat(StreamItem), zip(handles, position.tolist(), ends.tolist())
+        )

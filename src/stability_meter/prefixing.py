@@ -3,18 +3,22 @@
 Each completed case yields one prefix per length k in [k_min, min(k_max, N)].
 A prefix is encoded as the sequence of its activity codes followed, position
 by position, by the declared attribute values, so every sample of bucket k
-has the same feature-vector width.
+has the same feature-vector width. :func:`encode` reads a replayed case's
+events from the log's columns through its :class:`~.event_model.Case`
+handle, and :class:`CategoryCodec` codes the log's string ids, not their
+text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .event_model import Event, EventLog
+from .event_model import Case, EventLog
 
 # Categorical code reserved for values absent from an event.
 MISSING_CODE = 0
@@ -90,27 +94,25 @@ class AttributeSchema:
         return tuple(mask)
 
 
-class CategoryCodec:
-    """Append-only table mapping categorical strings to stable integer codes.
+class CategoryCodec(dict):
+    """Append-only table from the string ids of a parsed log to stable integer codes.
 
-    Codes are assigned first-come-first-served starting at 1; code 0 is
-    reserved for missing values. The same string always maps to the same
-    code within a run, across cases and buckets.
+    Keys are ids of the log's string table (``log.strings[id]`` is the
+    text), which activities and categorical values share, so one text has
+    one code wherever it appears. Codes are assigned first-come-first-served
+    starting at 1, on the first lookup of an id; id 0, an empty cell, is
+    the reserved missing code 0. ``len`` counts the assigned codes.
     """
 
     def __init__(self) -> None:
-        self._codes: dict[str, int] = {}
+        super().__init__({0: MISSING_CODE})
 
-    def code(self, text: str) -> int:
-        existing = self._codes.get(text)
-        if existing is not None:
-            return existing
-        fresh = len(self._codes) + 1
-        self._codes[text] = fresh
-        return fresh
+    def __missing__(self, string_id: int) -> int:
+        code = self[string_id] = dict.__len__(self)
+        return code
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return dict.__len__(self) - 1
 
 
 def default_k_max(log: EventLog) -> int:
@@ -122,24 +124,35 @@ def default_k_max(log: EventLog) -> int:
     return int(lengths[(len(lengths) - 1) // 2])
 
 
-class CasePrefix:
-    """An open case: its events so far and the codes of its first events.
+def _case_cells(case: Case, schema: AttributeSchema) -> tuple[list, list]:
+    """The case's activity string ids and, event by event, its attribute cells.
 
-    ``acts`` holds the activity codes and ``slots`` the attribute slots
-    (``len(schema.names)`` per event) of the events coded so far; :func:`encode`
-    extends both lazily, so each event is coded once per case.
+    A numeric attribute's cell is its float (0.0 when empty), a categorical
+    one's its string id (0 when empty); a name the log lacks reads empty.
     """
-
-    __slots__ = ("events", "acts", "slots")
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-        self.acts: list[int] = []
-        self.slots: list = []
+    log, start, stop = case.log, case.start, case.stop
+    columns = []
+    for name, numeric in zip(schema.names, schema.numeric):
+        empty = 0.0 if numeric else MISSING_CODE
+        if name not in log.names:
+            columns.append([empty] * (stop - start))
+            continue
+        at = log.names.index(name)
+        column, mask = log.columns[at], log.missing[at]
+        if (mask is not None) == numeric:
+            columns.append(column[start:stop].tolist())
+            continue
+        filled = ~mask[start:stop] if mask is not None else column[start:stop] != 0
+        if filled.any():
+            held, declared = ("text", "numeric") if numeric else ("numbers", "categorical")
+            raise ConfigError(f"attribute {name!r} holds {held} in the log; the schema declares it {declared}")
+        columns.append([empty] * (stop - start))
+    cells = [cell for row in zip(*columns) for cell in row]
+    return log.activity[start:stop].tolist(), cells
 
 
 def encode(
-    case: CasePrefix,
+    case: Case,
     k: int,
     schema: AttributeSchema,
     codec: CategoryCodec,
@@ -151,24 +164,27 @@ def encode(
     position, the schema's attribute values (numeric passed through,
     categorical coded, missing encoded as the reserved missing code).
 
-    Events not coded yet are coded up to position ``k`` only: their
-    activities first, then their attributes. Coding a case's prefixes in
-    increasing ``k`` therefore assigns the codec's codes in the same order
-    as coding each prefix from scratch.
+    The first call on a case takes its activity ids and the schema's
+    attribute cells from the log's columns, once; ``case.acts`` and
+    ``case.slots`` then hold the events coded so far. Events not coded yet
+    are coded up to position ``k`` only: their activities first, then their
+    attributes. Coding a case's prefixes in increasing ``k`` therefore
+    assigns the codec's codes in the same order as coding each prefix from
+    scratch. A schema that calls an attribute numeric where the log holds
+    text, or categorical where it holds numbers, is a ``ConfigError`` at
+    the first case coded with a value in that column.
     """
     acts = case.acts
-    if len(acts) < k:
-        fresh = case.events[len(acts) : k]
-        acts.extend(codec.code(event.activity) for event in fresh)
-        slots = case.slots
-        for event in fresh:
-            for name, is_numeric in zip(schema.names, schema.numeric):
-                value = event.attribute(name)
-                if value is None:
-                    slots.append(0.0 if is_numeric else MISSING_CODE)
-                elif is_numeric:
-                    slots.append(float(value))
-                else:
-                    slots.append(codec.code(str(value)))
-    features = tuple(acts[:k]) + tuple(case.slots[: k * len(schema.names)])
+    done = len(acts)
+    width = len(schema.names)
+    if done < k:
+        if case.cells is None:
+            case.cells = _case_cells(case, schema)
+        ids, cells = case.cells
+        acts.extend(map(codec.__getitem__, ids[done:k]))
+        if width:
+            slots = case.slots
+            for cell, numeric in zip(cells[done * width : k * width], cycle(schema.numeric)):
+                slots.append(cell if numeric else codec[cell])
+    features = tuple(acts[:k]) + tuple(case.slots[: k * width])
     return EncodedSample(bucket=k, features=features, label=label)

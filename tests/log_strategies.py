@@ -82,3 +82,34 @@ def csv_logs(draw) -> str:
         else:
             out.write(draw(st.text(alphabet='ab1,"\n ', max_size=8)) + "\n")
     return out.getvalue()
+
+
+@st.composite
+def many_case_logs(draw) -> str:
+    """The text of one clean CSV event log of 10 to 60 overlapping cases.
+
+    Cases have 1 to 5 events drawn from a small alphabet, at timestamps that
+    often tie within and across cases; each case's label sits on one of its
+    rows; ``amount`` and ``channel`` cells are sometimes blank, and the rows
+    come in a drawn order.
+    """
+    rows = []
+    for case in range(draw(st.integers(10, 60))):
+        length = draw(st.integers(1, 5))
+        start = draw(st.integers(0, 40))
+        stamps = sorted(draw(st.lists(st.integers(start, start + 6), min_size=length, max_size=length)))
+        label_at = draw(st.integers(0, length - 1))
+        label = draw(st.sampled_from("01"))
+        for position, stamp in enumerate(stamps):
+            rows.append(
+                [
+                    f"c{case}",
+                    draw(st.sampled_from("xyzw")),
+                    str(stamp),
+                    label if position == label_at else "",
+                    draw(st.sampled_from(["", "5", "7.5", "-0", "1e3", "2"])),
+                    draw(st.sampled_from(["", "web", "phone", "x", "10"])),
+                ]
+            )
+    rows = draw(st.permutations(rows))
+    return "\n".join(",".join(row) for row in [list(COLUMNS), *rows]) + "\n"

@@ -10,29 +10,38 @@ per-node split search. ``dict_reader_parse_log``, ``tuple_replay`` and
 ``scratch_encode`` are the log parser, replay and prefix encoder the package
 used before it stored events compactly and coded each event once per case,
 kept as the references for those changes; they read attributes through
-``attribute_map``, not ``Event.attribute``.
+``attribute_map``, not ``Event.attribute``, and code text with ``TextCodec``.
+``event_replay``, ``EvalWindow``, ``loop_metrics`` and ``reference_run_stream``
+are the replay that built an ``Event`` per item and the run loop that kept a
+window per bucket and computed every point's metrics as its label arrived,
+kept as the references for the run loop that keeps only integers.
+``fstring_rows`` is the per-row formatter of ``performance.csv`` rows that
+``SeriesReport.rows`` replaced with one ``repr`` per distinct float.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
 from math import fsum, isfinite
 from pathlib import Path
 
 import numpy as np
 
+from stability_meter.classifiers import LearnerParams, model_class
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError
+from stability_meter.evaluation import METRICS, PerformanceSeries, ResolvedPair
 from stability_meter.event_model import (
+    _REPLAY_CHUNK,
     REQUIRED_COLUMNS,
     Event,
-    StreamItem,
     Trace,
     _parse_label,
     _parse_timestamp,
 )
-from stability_meter.prefixing import MISSING_CODE, EncodedSample
+from stability_meter.prefixing import MISSING_CODE, AttributeSchema, EncodedSample
 from stability_meter.stability import MovingStats
 
 
@@ -394,6 +403,42 @@ def dict_reader_parse_log(source):
     return traces
 
 
+@dataclass(frozen=True)
+class EventItem:
+    """A replayed event; carries the case label iff it closes the case."""
+
+    event: Event
+    is_case_end: bool
+    label: int | None = None
+
+
+def replayed_events(log, stream):
+    """The :class:`EventItem` of each item of ``replay(log)``, its event read from ``log[i]``."""
+    traces = {}
+    items = []
+    for item in stream:
+        case = item.case
+        if case.index not in traces:
+            traces[case.index] = log[case.index]
+        event = traces[case.index].events[item.position - 1]
+        items.append(EventItem(event, item.is_case_end, item.label))
+    return items
+
+
+def event_replay(log):
+    """Replay a parsed log, building each ``Event`` as it is yielded."""
+    bounds, labels = log.bounds, log.labels
+    for start in range(0, len(log.order), _REPLAY_CHUNK):
+        at = log.order[start : start + _REPLAY_CHUNK]
+        case = np.searchsorted(bounds, at, side="right") - 1
+        ends = (at + 1 == bounds[case + 1]).tolist()
+        for event, case_at, is_end in zip(log._events(at, case), case.tolist(), ends):
+            if is_end:
+                yield EventItem(event=event, is_case_end=True, label=labels[case_at])
+            else:
+                yield EventItem(event=event, is_case_end=False)
+
+
 def tuple_replay(traces):
     """Replay through one (timestamp, row, event, is_end, label) tuple per event."""
     entries = []
@@ -404,7 +449,7 @@ def tuple_replay(traces):
             entries.append((event.timestamp, event.row, event, is_end, trace.label))
     entries.sort(key=lambda entry: (entry[0], entry[1]))
     for _, _, event, is_end, label in entries:
-        yield StreamItem(event=event, is_case_end=is_end, label=label if is_end else None)
+        yield EventItem(event=event, is_case_end=is_end, label=label if is_end else None)
 
 
 @dataclass(frozen=True)
@@ -423,6 +468,24 @@ def attribute_map(event):
     }
 
 
+class TextCodec:
+    """Append-only table from categorical text to codes 1, 2, ... in first-use order."""
+
+    def __init__(self):
+        self._codes = {}
+
+    def code(self, text):
+        existing = self._codes.get(text)
+        if existing is not None:
+            return existing
+        fresh = len(self._codes) + 1
+        self._codes[text] = fresh
+        return fresh
+
+    def __len__(self):
+        return len(self._codes)
+
+
 def scratch_encode(prefix, schema, codec, label=None):
     """Index-based encoding of a prefix, coding every event from scratch."""
     features = [codec.code(event.activity) for event in prefix.events]
@@ -437,3 +500,142 @@ def scratch_encode(prefix, schema, codec, label=None):
             else:
                 features.append(codec.code(str(value)))
     return EncodedSample(bucket=prefix.k, features=tuple(features), label=label)
+
+
+def loop_metrics(tp, fp, fn, tn):
+    """Accuracy/precision/recall/f1 of one confusion matrix, in Python floats."""
+    total = tp + fp + fn + tn
+    if total == 0:
+        raise ValueError("empty confusion matrix")
+    accuracy = (tp + tn) / total
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
+
+
+class EvalWindow:
+    """Ring of the most recent resolved (predicted, actual) pairs of a bucket."""
+
+    def __init__(self, bucket, capacity):
+        self.bucket = bucket
+        self.capacity = capacity
+        self.entries = deque()
+        self._tp = self._fp = self._fn = self._tn = 0
+
+    def __len__(self):
+        return len(self.entries)
+
+    def add(self, predicted, actual):
+        self.entries.append((predicted, actual))
+        self._bump(predicted, actual, +1)
+        if len(self.entries) > self.capacity:
+            old_predicted, old_actual = self.entries.popleft()
+            self._bump(old_predicted, old_actual, -1)
+
+    def _bump(self, predicted, actual, delta):
+        if actual == 1:
+            if predicted == 1:
+                self._tp += delta
+            else:
+                self._fn += delta
+        elif predicted == 1:
+            self._fp += delta
+        else:
+            self._tn += delta
+
+    def counts(self):
+        return (self._tp, self._fp, self._fn, self._tn)
+
+
+def reference_run_stream(
+    stream, policy, buckets, grace=200, eval_window=100, metrics=METRICS, eval_every=1,
+    schema=None, params=LearnerParams(), ledger=None,
+):
+    """The run loop over :class:`EventItem`s: a window per bucket, metrics per label.
+
+    Encodes each prefix from scratch with a ``TextCodec``. Returns the
+    series keyed by (bucket, metric), the number of labels, and the codec.
+    """
+    schema = schema if schema is not None else AttributeSchema()
+    codec = TextCodec()
+    model_type = model_class(policy)
+    models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
+    windows = {k: EvalWindow(k, eval_window) for k in buckets.buckets()}
+    series = {
+        (k, metric): PerformanceSeries(bucket=k, metric=metric)
+        for k in buckets.buckets()
+        for metric in metrics
+    }
+    open_cases = {}
+    pending = {}
+    labels_seen = 0
+    grace_done = False
+
+    for stream_index, item in enumerate(stream, start=1):
+        case_id = item.event.case_id
+        events = open_cases.setdefault(case_id, [])
+        events.append(item.event)
+        k = len(events)
+
+        if grace_done and buckets.k_min <= k <= buckets.k_max:
+            model = models[k]
+            if model.is_ready:
+                sample = scratch_encode(Prefix(case_id, k, tuple(events)), schema, codec)
+                pending.setdefault(case_id, []).append(
+                    (k, model.predict(sample), model.version, stream_index)
+                )
+
+        if not item.is_case_end:
+            continue
+
+        label = item.label
+        labels_seen += 1
+        for bucket, predicted, version, issued_at in pending.pop(case_id, ()):
+            windows[bucket].add(predicted, label)
+            if ledger is not None:
+                ledger.append(
+                    ResolvedPair(
+                        labels_seen, stream_index, case_id, bucket, predicted, label, version, issued_at
+                    )
+                )
+        for train_k in range(buckets.k_min, min(buckets.k_max, k) + 1):
+            prefix = Prefix(case_id, train_k, tuple(events[:train_k]))
+            models[train_k].observe_label(scratch_encode(prefix, schema, codec, label=label))
+        del open_cases[case_id]
+
+        if not grace_done:
+            if labels_seen >= grace:
+                for model in models.values():
+                    model.finish_grace()
+                grace_done = True
+            continue
+
+        if (labels_seen - grace) % eval_every != 0:
+            continue
+        for eval_k in buckets.buckets():
+            window = windows[eval_k]
+            if len(window) == 0:
+                continue
+            values = loop_metrics(*window.counts())
+            for metric in metrics:
+                series[(eval_k, metric)].values.append(values[metric])
+                series[(eval_k, metric)].label_indices.append(labels_seen)
+
+    return series, labels_seen, codec
+
+
+def fstring_rows(annotation):
+    """Each point's ``value,ma,std,lb,ub,is_drop,drop_id`` CSV fields, one f-string per row."""
+    return [
+        f"{value!r},{ma!r},{std!r},{lb!r},{ub!r},"
+        + (f"true,{drop_id}" if drop_id else "false,")
+        for value, ma, std, lb, ub, drop_id in zip(
+            annotation.value.tolist(),
+            annotation.ma.tolist(),
+            annotation.std.tolist(),
+            annotation.lb.tolist(),
+            annotation.ub.tolist(),
+            annotation.drop_id.tolist(),
+        )
+    ]

@@ -20,3 +20,8 @@ def parsed_log(source, columns=REQUIRED_COLUMNS):
         lines.extend(",".join("" if cell is None else str(cell) for cell in row) for row in source)
         text = "\n".join(lines) + "\n"
     return parse_log(StringIO(text))
+
+
+def coded_texts(codec, log):
+    """Text -> code of each string of ``log`` that the run's ``codec`` has coded."""
+    return {log.strings[string_id]: code for string_id, code in codec.items() if string_id}

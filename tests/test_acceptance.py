@@ -151,7 +151,7 @@ def test_criterion_7_drift_experiment_directional():
     started = time.perf_counter()
     spec = DriftLogSpec(n_cases=2000, drift_at=1000, seed=0, noise=0.05)
     log = parsed_log(spec)
-    completion = [item.event.case_id for item in replay(log) if item.is_case_end]
+    completion = [item.case.case_id for item in replay(log) if item.is_case_end]
     drift_label = next(
         i + 1
         for i, case_id in enumerate(completion)

@@ -15,10 +15,10 @@ from stability_meter.classifiers import (
 )
 from stability_meter.errors import NotReadyError
 from stability_meter.evaluation import run_stream
+from stability_meter.event_model import Case
 from stability_meter.prefixing import (
     AttributeSchema,
     BucketConfig,
-    CasePrefix,
     CategoryCodec,
     EncodedSample,
     encode,
@@ -399,11 +399,9 @@ def _synth_samples(attrs, seed, k=3, cases=320):
     schema = AttributeSchema.from_traces(attrs, log)
     codec = CategoryCodec()
     samples = []
-    for trace in log:
+    for index, trace in enumerate(log):
         if len(trace) >= k:
-            case = CasePrefix()
-            case.events.extend(trace.events)
-            samples.append(encode(case, k, schema, codec, label=trace.label))
+            samples.append(encode(Case(log, index), k, schema, codec, label=trace.label))
     return schema.feature_mask(k), samples
 
 

@@ -6,19 +6,23 @@ import stat
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from stability_meter import cli
 from stability_meter.classifiers import LearnerParams
-from stability_meter.cli import RunConfig, _config_from_args, build_parser, main
+from stability_meter.cli import RunConfig, SeriesReport, _config_from_args, build_parser, main
+from stability_meter.evaluation import PerformanceSeries
+from stability_meter.stability import annotate_series
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
+from oracles import fstring_rows
 
 
 @pytest.fixture()
@@ -391,8 +395,10 @@ _GOOD_ENTRY = {"name": "A", "avg_metric": 0.5, "drops": 1, "volatility": 0.1}
         json.dumps([1, 2]).encode(),
         json.dumps([{**_GOOD_ENTRY, "avg_metric": "x"}]).encode(),
         json.dumps([{**_GOOD_ENTRY, "drops": None}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "drops": 2.9}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "avg_metric": float("nan")}]).encode(),
     ],
-    ids=["not-utf8", "entries-not-objects", "non-numeric-field", "null-count"],
+    ids=["not-utf8", "entries-not-objects", "non-numeric-field", "null-count", "fractional-count", "nan-metric"],
 )
 def test_rank_with_a_malformed_meta_file_is_a_single_line_config_error(tmp_path, capsys, content):
     meta = tmp_path / "meta.json"
@@ -604,3 +610,24 @@ def test_run_on_random_logs_exits_with_a_documented_code(text, damage, model, at
     if code:
         assert stderr.getvalue().startswith("stability-meter: ")
         assert stderr.getvalue().count("\n") == 1
+
+
+_FLOAT_COLUMNS = {
+    "signed zeros": [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0],
+    "tiny and huge": [1e-05, 1e16, 1e-05, -1e16, 1e-05, 1e16],
+    "repeated": [0.5] * 6,
+    "all distinct": [0.1 * i + 1 / 3 for i in range(6)],
+    "mixed": [0.0, 0.1 + 0.2, 0.3, -0.0, 0.1 + 0.2, 2.5e-308],
+}
+
+
+@pytest.mark.parametrize("column", _FLOAT_COLUMNS.values(), ids=_FLOAT_COLUMNS.keys())
+def test_rows_format_each_float_as_the_per_row_f_string_does(column):
+    values = np.array(column)
+    annotation = replace(
+        annotate_series([0.5, 0.7, 0.2, 0.9, 0.1, 0.6], 3),
+        value=values, ma=values[::-1], std=np.roll(values, 2), lb=-values, ub=values * 3,
+        drop_id=np.array([0, 1, 1, 0, 2, 0]),
+    )
+    report = SeriesReport(PerformanceSeries(2, "f1", column, list(range(6))), annotation, annotation.measures)
+    assert report.rows() == fstring_rows(annotation)

@@ -3,26 +3,21 @@ from collections import deque
 import pytest
 
 from stability_meter.errors import ConfigError
-from stability_meter.evaluation import (
-    METRICS,
-    EvalWindow,
-    metrics_from_confusion,
-    run_stream,
-)
+from stability_meter.evaluation import METRICS, metrics_from_confusion, run_stream
 from stability_meter.event_model import replay
 from stability_meter.prefixing import BucketConfig
 
-from oracles import confusion_metrics
+from oracles import EvalWindow, confusion_metrics
 from parsed_logs import parsed_log
 
 
 def window_metric(window, metric):
-    """Metric over the window's pairs; None when the window is empty."""
+    """Metric over the reference window's pairs; None when the window is empty."""
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     if len(window) == 0:
         return None
-    return metrics_from_confusion(*window.counts())[metric]
+    return float(metrics_from_confusion(*window.counts())[metric])
 
 
 def _sequential_log(specs):
@@ -93,7 +88,7 @@ def test_eval_window_evicts_oldest_and_keeps_counts_consistent():
         window.add(predicted, actual)
     assert len(window) == 3
     expected = confusion_metrics(pairs[-3:])
-    got = metrics_from_confusion(*window.counts())
+    got = {metric: float(value) for metric, value in metrics_from_confusion(*window.counts()).items()}
     assert got == expected
 
 
@@ -116,6 +111,8 @@ def test_config_validation():
         _run(specs, grace=0)
     with pytest.raises(ConfigError):
         _run(specs, eval_window=0)
+    with pytest.raises(ConfigError):
+        _run(specs, eval_every=0)
     with pytest.raises(ConfigError):
         _run(specs, metrics=("auc",))
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError, StabilityMeterError
-from stability_meter.event_model import Event, EventLog, Trace, parse_log, replay
-from stability_meter.prefixing import AttributeSchema, CasePrefix, CategoryCodec, encode
+from stability_meter.event_model import Case, Event, EventLog, Trace, parse_log, replay
+from stability_meter.prefixing import AttributeSchema, CategoryCodec, encode
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
-from oracles import attribute_map, dict_reader_parse_log, tuple_replay
+from oracles import attribute_map, dict_reader_parse_log, replayed_events, tuple_replay
 
 
 def _parse(text):
@@ -171,7 +171,7 @@ def test_replay_interleaves_cases_by_timestamp():
         "y,y2,3,0\n"
     )
     items = list(replay(traces))
-    order = [(item.event.case_id, item.event.position) for item in items]
+    order = [(item.case.case_id, item.position) for item in items]
     assert order == [("x", 1), ("y", 1), ("y", 2), ("x", 2)]
     assert [item.is_case_end for item in items] == [False, False, True, True]
     assert [item.label for item in items] == [None, None, 0, 1]
@@ -199,7 +199,7 @@ def test_replay_breaks_timestamp_ties_by_row_order():
         "q,q2,7,0\n"
     )
     items = list(replay(_parse(text)))
-    tail = [(item.event.case_id, item.label) for item in items[-2:]]
+    tail = [(item.case.case_id, item.label) for item in items[-2:]]
     assert tail == [("p", 1), ("q", 0)]
     # flipping the two rows flips the emission order
     flipped = (
@@ -210,7 +210,7 @@ def test_replay_breaks_timestamp_ties_by_row_order():
         "p,p2,7,1\n"
     )
     items = list(replay(_parse(flipped)))
-    tail = [(item.event.case_id, item.label) for item in items[-2:]]
+    tail = [(item.case.case_id, item.label) for item in items[-2:]]
     assert tail == [("q", 0), ("p", 1)]
 
 
@@ -220,14 +220,16 @@ def test_replay_conservation_and_order_invariants():
     assert len(items) == sum(len(trace) for trace in traces)
     assert sum(1 for item in items if item.is_case_end) == len(traces)
     assert all(item.label is None or item.is_case_end for item in items)
-    stamps = [item.event.timestamp for item in items]
+    stamps = [traces.timestamp[item.case.start + item.position - 1] for item in items]
     assert stamps == sorted(stamps)
+    assert all(item.case is items[0].case for item in items if item.case.case_id == "a")
 
 
 def test_replay_is_deterministic():
-    first = list(replay(_parse(BASIC)))
-    second = list(replay(_parse(BASIC)))
-    assert first == second
+    def stream(text):
+        return [(item.case.case_id, item.position, item.is_case_end, item.label) for item in replay(_parse(text))]
+
+    assert stream(BASIC) == stream(BASIC)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +315,7 @@ def _assert_parsers_agree(text):
                 new_map, old_map = attribute_map(new_event), attribute_map(old_event)
                 assert new_map == old_map
                 assert [type(v) for v in new_map.values()] == [type(v) for v in old_map.values()]
-        assert list(replay(log)) == list(tuple_replay(want))
+        assert replayed_events(log, replay(log)) == list(tuple_replay(want))
 
 
 @pytest.mark.parametrize("text", HAND_LOGS.values(), ids=HAND_LOGS.keys())
@@ -386,7 +388,8 @@ def test_replay_matches_the_reference_on_logs_with_timestamp_ties():
         )
     rng.shuffle(rows)
     text = f"{_H}\n" + "".join(rows)
-    stamps = [item.event.timestamp for item in replay(_parse(text))]
+    log = _parse(text)
+    stamps = [log.timestamp[item.case.start + item.position - 1] for item in replay(log)]
     assert len(set(stamps)) < len(stamps)
     _assert_parsers_agree(text)
 
@@ -412,9 +415,10 @@ def test_parse_peak_memory_per_event_stays_small(tmp_path):
 
 
 def test_replay_peak_memory_does_not_grow_with_the_log(tmp_path):
-    # Events are built as they are yielded, so draining the stream holds a
-    # bounded batch of them whatever the size of the log. Building them all
-    # up front would cost ~250 B per event, ~9 MB more on the larger log.
+    # Items are made a chunk at a time, so draining the stream holds a
+    # bounded batch of them whatever the size of the log. Building events
+    # for the whole log up front would cost ~250 B per event, ~9 MB more
+    # on the larger log.
     peaks = []
     for cases in (400, 4000):
         path = tmp_path / f"log{cases}.csv"
@@ -435,9 +439,7 @@ def test_blank_numeric_cells_are_missing_in_the_view_and_encode_as_zero():
     assert log.kinds() == {"amount": True}
     assert [event.attribute("amount") for event in log[0].events] == [None, None, None]
     schema = AttributeSchema.from_traces(["amount"], log)
-    case = CasePrefix()
-    case.events.extend(log[0].events)
-    assert encode(case, 3, schema, CategoryCodec()).features[3:] == (0.0, 0.0, 0.0)
+    assert encode(Case(log, 0), 3, schema, CategoryCodec()).features[3:] == (0.0, 0.0, 0.0)
 
 
 def test_a_numeric_looking_column_turned_categorical_keeps_its_cells_as_written():

@@ -4,20 +4,19 @@ from io import StringIO
 import pytest
 
 from stability_meter.errors import ConfigError
-from stability_meter.event_model import Event, Trace, parse_log
+from stability_meter.event_model import Case, Event, Trace, parse_log
 from stability_meter.prefixing import (
     MISSING_CODE,
     AttributeSchema,
     BucketConfig,
-    CasePrefix,
     CategoryCodec,
     default_k_max,
     encode,
 )
-from stability_meter.synthgen import DriftLogSpec, generate
+from stability_meter.synthgen import DriftLogSpec
 
-from oracles import Prefix, scratch_encode
-from parsed_logs import parsed_log
+from oracles import Prefix, TextCodec, scratch_encode
+from parsed_logs import coded_texts, parsed_log
 
 
 def prefixes_of(trace, cfg):
@@ -47,10 +46,26 @@ def _trace(case_id, activities, attrs=None):
     return Trace(case_id=case_id, events=events, label=1)
 
 
-def _open_case(trace):
-    case = CasePrefix()
-    case.events.extend(trace.events)
-    return case
+_COLUMNS = ("case_id", "activity", "timestamp", "label", "amount", "channel", "extra")
+
+
+def _case(activities, attrs=None, case_id="c"):
+    """Case 0 of a parsed one-case log whose i-th event has the cells of ``attrs[i - 1]``."""
+    attrs = attrs or [{}] * len(activities)
+    last = len(activities)
+    log = parsed_log(
+        [
+            (case_id, activity, i, 1 if i == last else None, *(cells.get(name) for name in _COLUMNS[4:]))
+            for i, (activity, cells) in enumerate(zip(activities, attrs), start=1)
+        ],
+        columns=_COLUMNS,
+    )
+    return Case(log, 0)
+
+
+def _code(codec, case, text):
+    """The code ``codec`` gave ``text`` in the case's log."""
+    return codec[case.log.strings.index(text)]
 
 
 def _log_of_lengths(*lengths):
@@ -103,84 +118,118 @@ def test_short_trace_yields_no_prefixes():
 def test_encode_activities_only():
     codec = CategoryCodec()
     schema = AttributeSchema()
-    sample = encode(_open_case(_trace("c", ["A", "B"])), 2, schema, codec)
+    case = _case(["A", "B"])
+    sample = encode(case, 2, schema, codec)
     assert sample.bucket == 2
-    assert sample.features == (codec.code("A"), codec.code("B"))
+    assert sample.features == (_code(codec, case, "A"), _code(codec, case, "B")) == (1, 2)
     assert sample.label is None
 
 
 def test_encode_appends_attributes_per_position():
     codec = CategoryCodec()
     schema = AttributeSchema(names=("amount",), numeric=(True,))
-    trace = _trace("c", ["A", "B"], attrs=[{"amount": 10.0}, {"amount": 20.0}])
-    sample = encode(_open_case(trace), 2, schema, codec, label=1)
-    assert sample.features == (codec.code("A"), codec.code("B"), 10.0, 20.0)
+    case = _case(["A", "B"], attrs=[{"amount": 10.0}, {"amount": 20.0}])
+    sample = encode(case, 2, schema, codec, label=1)
+    assert sample.features == (_code(codec, case, "A"), _code(codec, case, "B"), 10.0, 20.0)
     assert sample.label == 1
 
 
 def test_encode_missing_attribute_uses_reserved_code():
     codec = CategoryCodec()
     schema = AttributeSchema(names=("channel",), numeric=(False,))
-    trace = _trace("c", ["A", "B"], attrs=[{"channel": "web"}, {}])
-    sample = encode(_open_case(trace), 2, schema, codec)
+    case = _case(["A", "B"], attrs=[{"channel": "web"}, {}])
+    sample = encode(case, 2, schema, codec)
     assert sample.features[-1] == MISSING_CODE
-    assert sample.features[-2] == codec.code("web")
+    assert sample.features[-2] == _code(codec, case, "web")
 
 
 def test_encode_looks_attributes_up_by_name():
-    # events built in code need not share a name tuple or its order
+    # the schema names its attributes in its own order, and one the log lacks
     attrs = [
         {"amount": 1.5, "channel": "web"},
         {"channel": "phone", "amount": 4.0, "extra": "x"},
         {},
         {"channel": None, "amount": None},
     ]
-    trace = _trace("c", ["A", "B", "C", "D"], attrs=attrs)
-    assert trace.events[0].names == ("amount", "channel")
-    assert trace.events[1].names == ("channel", "amount", "extra")
+    case = _case(["A", "B", "C", "D"], attrs=attrs)
     schema = AttributeSchema(names=("channel", "ghost", "amount"), numeric=(False, False, True))
-    codec, scratch = CategoryCodec(), CategoryCodec()
-    case = _open_case(trace)
+    codec, scratch = CategoryCodec(), TextCodec()
+    events = case.log[0].events
     for k in range(1, 5):
-        want = scratch_encode(Prefix("c", k, tuple(trace.events[:k])), schema, scratch)
+        want = scratch_encode(Prefix("c", k, tuple(events[:k])), schema, scratch)
         assert encode(case, k, schema, codec) == want
     assert want.features[4:] == (
-        codec.code("web"), MISSING_CODE, 1.5,
-        codec.code("phone"), MISSING_CODE, 4.0,
+        _code(codec, case, "web"), MISSING_CODE, 1.5,
+        _code(codec, case, "phone"), MISSING_CODE, 4.0,
         MISSING_CODE, MISSING_CODE, 0.0,
         MISSING_CODE, MISSING_CODE, 0.0,
     )
+    assert coded_texts(codec, case.log) == scratch._codes
 
 
 def test_a_column_empty_on_every_row_is_categorical_and_missing():
-    traces = parse_log(
+    log = parse_log(
         StringIO("case_id,activity,timestamp,label,note,amount\na,x,1,,,2\na,y,2,1, ,3\n")
     )
-    schema = AttributeSchema.from_traces(["note", "amount"], traces)
+    schema = AttributeSchema.from_traces(["note", "amount"], log)
     assert schema.numeric == (False, True)
     codec = CategoryCodec()
-    sample = encode(_open_case(traces[0]), 2, schema, codec)
+    sample = encode(Case(log, 0), 2, schema, codec)
     assert sample.features[2:] == (MISSING_CODE, 2.0, MISSING_CODE, 3.0)
     assert len(codec) == 2
 
 
 def test_codes_are_stable_across_cases():
+    log = parsed_log([("c1", "A", 1, None), ("c1", "B", 2, 1), ("c2", "B", 3, None), ("c2", "A", 4, 0)])
     codec = CategoryCodec()
     schema = AttributeSchema()
-    one = encode(_open_case(_trace("c1", ["A", "B"])), 2, schema, codec)
-    two = encode(_open_case(_trace("c2", ["B", "A"])), 2, schema, codec)
+    one = encode(Case(log, 0), 2, schema, codec)
+    two = encode(Case(log, 1), 2, schema, codec)
     assert one.features == (two.features[1], two.features[0])
     assert len(codec) == 2
 
 
+def test_activities_and_categories_with_one_text_share_a_code():
+    codec = CategoryCodec()
+    schema = AttributeSchema(names=("channel",), numeric=(False,))
+    case = _case(["web", "B"], attrs=[{"channel": "B"}, {"channel": "web"}])
+    assert encode(case, 2, schema, codec).features == (1, 2, 2, 1)
+
+
 def test_identical_prefix_content_encodes_identically():
+    log = parsed_log(
+        [("c1", "A", 1, None, 1.0), ("c2", "A", 2, None, 1.0), ("c1", "B", 3, 1, 2.0), ("c2", "B", 4, 1, 2.0)],
+        columns=("case_id", "activity", "timestamp", "label", "amount"),
+    )
     codec = CategoryCodec()
     schema = AttributeSchema(names=("amount",), numeric=(True,))
-    t1 = _trace("c1", ["A", "B"], attrs=[{"amount": 1.0}, {"amount": 2.0}])
-    t2 = _trace("c2", ["A", "B"], attrs=[{"amount": 1.0}, {"amount": 2.0}])
-    s1 = encode(_open_case(t1), 2, schema, codec)
-    s2 = encode(_open_case(t2), 2, schema, codec)
+    s1 = encode(Case(log, 0), 2, schema, codec)
+    s2 = encode(Case(log, 1), 2, schema, codec)
     assert s1.features == s2.features
+
+
+@pytest.mark.parametrize(
+    "schema, attrs",
+    [
+        (AttributeSchema(names=("amount",), numeric=(False,)), [{"amount": 1.5}, {}]),
+        (AttributeSchema(names=("channel",), numeric=(True,)), [{}, {"channel": "web"}]),
+    ],
+    ids=["numbers declared categorical", "text declared numeric"],
+)
+def test_a_schema_that_contradicts_the_log_is_a_config_error(schema, attrs):
+    with pytest.raises(ConfigError, match="in the log; the schema declares it"):
+        encode(_case(["A", "B"], attrs=attrs), 2, schema, CategoryCodec())
+
+
+def test_a_contradicting_schema_codes_a_case_without_values_as_missing():
+    log = parsed_log(
+        [("a", "x", 1, 1, None, None), ("b", "x", 2, None, 2.5, "web"), ("b", "y", 3, 0, None, None)],
+        columns=_COLUMNS[:6],
+    )
+    schema = AttributeSchema(names=("amount", "channel"), numeric=(False, True))
+    assert encode(Case(log, 0), 1, schema, CategoryCodec()).features == (1, MISSING_CODE, 0.0)
+    with pytest.raises(ConfigError, match="'amount' holds numbers in the log; the schema declares it categorical"):
+        encode(Case(log, 1), 2, schema, CategoryCodec())
 
 
 def test_feature_width_is_a_function_of_k_and_schema():
@@ -225,14 +274,12 @@ def test_bucket_population_matches_case_lengths():
 _SYNTH_SCHEMA = AttributeSchema(names=("amount", "channel"), numeric=(True, False))
 
 
-def _assert_same_coding(traces, lengths_of):
+def _assert_same_coding(log, lengths_of):
     """Encode once per case and from scratch, in the same call order."""
-    fresh, scratch = CategoryCodec(), CategoryCodec()
-    for trace in traces:
-        case = CasePrefix()
+    fresh, scratch = CategoryCodec(), TextCodec()
+    for index, trace in enumerate(log):
+        case = Case(log, index)
         for k in lengths_of(trace):
-            while len(case.events) < k:
-                case.events.append(trace.events[len(case.events)])
             got = encode(case, k, _SYNTH_SCHEMA, fresh, label=trace.label)
             want = scratch_encode(
                 Prefix(trace.case_id, k, tuple(trace.events[:k])),
@@ -241,31 +288,30 @@ def _assert_same_coding(traces, lengths_of):
                 label=trace.label,
             )
             assert got == want
-    assert fresh._codes == scratch._codes
+    assert coded_texts(fresh, log) == scratch._codes
 
 
 def test_encode_matches_the_scratch_encoder_on_every_prefix():
-    traces = generate(DriftLogSpec(n_cases=120, drift_at=60, seed=5))
-    _assert_same_coding(traces, lambda trace: range(1, len(trace) + 1))
+    log = parsed_log(DriftLogSpec(n_cases=120, drift_at=60, seed=5))
+    _assert_same_coding(log, lambda trace: range(1, len(trace) + 1))
 
 
 def test_encode_matches_the_scratch_encoder_when_lengths_are_skipped():
     # run_stream encodes a case only at some lengths (after grace, when the
     # bucket's model is ready), starting anywhere and then at its case end
     rng = random.Random(7)
-    traces = generate(DriftLogSpec(n_cases=120, drift_at=60, seed=6))
+    log = parsed_log(DriftLogSpec(n_cases=120, drift_at=60, seed=6))
 
     def some_lengths(trace):
         return sorted(rng.sample(range(1, len(trace) + 1), rng.randint(1, len(trace))))
 
-    _assert_same_coding(traces, some_lengths)
+    _assert_same_coding(log, some_lengths)
 
 
 def test_encode_codes_no_event_beyond_the_largest_k():
     codec = CategoryCodec()
     schema = AttributeSchema(names=("channel",), numeric=(False,))
-    trace = _trace("c", ["A", "B", "C"], attrs=[{"channel": "web"}, {"channel": "x"}, {"channel": "y"}])
-    case = _open_case(trace)
+    case = _case(["A", "B", "C"], attrs=[{"channel": "web"}, {"channel": "x"}, {"channel": "y"}])
     encode(case, 2, schema, codec)
-    assert codec._codes == {"A": 1, "B": 2, "web": 3, "x": 4}
+    assert coded_texts(codec, case.log) == {"A": 1, "B": 2, "web": 3, "x": 4}
     assert (case.acts, case.slots) == ([1, 2], [3, 4])

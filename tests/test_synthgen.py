@@ -55,10 +55,10 @@ def test_cases_overlap_in_the_stream():
     items = list(replay(parsed_log(DriftLogSpec(n_cases=50, drift_at=25, seed=3))))
     open_cases, max_open = set(), 0
     for item in items:
-        open_cases.add(item.event.case_id)
+        open_cases.add(item.case.case_id)
         max_open = max(max_open, len(open_cases))
         if item.is_case_end:
-            open_cases.discard(item.event.case_id)
+            open_cases.discard(item.case.case_id)
     assert max_open >= 5
 
 
