@@ -84,9 +84,9 @@ class ConfigSummary:
         try:
             return cls(
                 name=str(entry["name"]),
-                avg_metric=_finite(entry["avg_metric"]),
+                avg_metric=_measure(entry["avg_metric"]),
                 drops=_count(entry["drops"]),
-                volatility=_finite(entry["volatility"]),
+                volatility=_measure(entry["volatility"]),
                 max_magnitude=_optional(entry.get("max_magnitude")),
                 avg_magnitude=_optional(entry.get("avg_magnitude")),
                 recovery_rate=_optional(entry.get("recovery_rate")),
@@ -104,21 +104,29 @@ class ConfigSummary:
         return getattr(self, measure)
 
 
-def _finite(value) -> float:
-    number = float(value)
-    if not isfinite(number):
-        raise ValueError(f"{value!r} is not finite")
+def _number(value) -> int | float:
+    """``value`` if it is a JSON number (a bool or a string is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return value
+
+
+def _measure(value) -> float:
+    number = float(_number(value))
+    if not isfinite(number) or number < 0:
+        raise ValueError(f"{value!r} is not a finite measure >= 0")
     return number
 
 
 def _count(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not a whole count")
-    return int(value)
+    number = _number(value)
+    if number < 0 or (isinstance(number, float) and not number.is_integer()):
+        raise ValueError(f"{value!r} is not a whole count >= 0")
+    return int(number)
 
 
 def _optional(value) -> float | None:
-    return None if value is None else _finite(value)
+    return None if value is None else _measure(value)
 
 
 def rank(configs: Sequence[ConfigSummary], profile: ScenarioProfile) -> list[str]:

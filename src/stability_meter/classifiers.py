@@ -10,6 +10,12 @@ The three policies differ only in how they react to newly labeled cases:
 * ``static``: the same tree learner fit once on the grace-period samples
   and frozen afterwards.
 
+Every model takes labeled rows in blocks (``learn``), of which
+``observe_label`` is the one-row case, and says when it can next change
+(``labels_until_change``) and, from label counts alone, when it becomes
+ready to predict (``labels_to_ready``), so a run can know both before any
+model is trained.
+
 All learners are deterministic: identical sample streams produce identical
 model states and predictions. Prediction ties break toward label 0. The
 tree depends only on the multiset of its training rows, not on their order,
@@ -104,12 +110,20 @@ def _gains(ones_left: np.ndarray, n_left: np.ndarray, ones_total: int, n: int, p
 _NO_CANDIDATES = np.empty(0, dtype=np.int64)
 
 
-def _check_width(sample: EncodedSample, mask: tuple, bucket: int) -> None:
-    if len(sample.features) != len(mask):
+def _check_width(width: int, mask: tuple, bucket: int) -> None:
+    if width != len(mask):
         raise ValueError(
             f"bucket-{bucket} model expects {len(mask)} features, "
-            f"sample has {len(sample.features)} (encoding schema mismatch)"
+            f"sample has {width} (encoding schema mismatch)"
         )
+
+
+def _one_row(sample: EncodedSample, mask: tuple, bucket: int, unlabeled: str) -> tuple[np.ndarray, np.ndarray]:
+    """A labeled sample as a one-row block for ``learn``; ``unlabeled`` is the error if it has no label."""
+    if sample.label is None:
+        raise ValueError(unlabeled)
+    _check_width(len(sample.features), mask, bucket)
+    return np.array([sample.features], dtype=float), np.array([sample.label])
 
 
 class DecisionTree:
@@ -290,19 +304,32 @@ class IncrementalNaiveBayes:
     def is_ready(self) -> bool:
         return sum(self._class_counts) > 0
 
+    @staticmethod
+    def labels_to_ready(grace_labels: int, params: LearnerParams) -> int | None:
+        """Post-grace labels before predicting: its first label, or none after grace labels."""
+        return 0 if grace_labels else 1
+
+    def labels_until_change(self) -> int | None:
+        """Every label is an update."""
+        return 1
+
     def observe_label(self, sample: EncodedSample) -> None:
         """Incorporate one labeled sample (the incremental update)."""
-        if sample.label is None:
-            raise ValueError("incremental update requires a labeled sample")
-        _check_width(sample, self._mask, self.bucket)
-        self._window.append((sample.features, sample.label))
-        if self._frozen:
-            self._count(sample.features, sample.label, +1)
-        if len(self._window) > self._capacity:
-            old_features, old_label = self._window.popleft()
+        self.learn(*_one_row(sample, self._mask, self.bucket, "incremental update requires a labeled sample"))
+
+    def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Incorporate labeled feature rows one after another, in order."""
+        _check_width(rows.shape[1], self._mask, self.bucket)
+        window = self._window
+        for features, label in zip(rows.tolist(), labels.tolist()):
+            window.append((features, label))
             if self._frozen:
-                self._count(old_features, old_label, -1)
-        self.version += 1
+                self._count(features, label, +1)
+            if len(window) > self._capacity:
+                old_features, old_label = window.popleft()
+                if self._frozen:
+                    self._count(old_features, old_label, -1)
+            self.version += 1
 
     def finish_grace(self) -> None:
         """Freeze numeric decile bins on the grace samples and start counting."""
@@ -338,7 +365,7 @@ class IncrementalNaiveBayes:
     def predict(self, sample: EncodedSample) -> int:
         if not self.is_ready:
             raise NotReadyError(f"bucket-{self.bucket} incremental model has no training yet")
-        _check_width(sample, self._mask, self.bucket)
+        _check_width(len(sample.features), self._mask, self.bucket)
         total = self._class_counts[0] + self._class_counts[1]
         scores = []
         for label in (0, 1):
@@ -393,9 +420,9 @@ class WindowRetrainModel(_TreeModel):
     Retraining fires on every ``retrain_every``-th labeled sample once the
     grace period is over; the first fit happens when the grace period ends.
     The window is a ring buffer of at most ``train_window`` feature rows and
-    labels: each labeled sample overwrites the oldest slot once the window
-    is full, and a fit reads the filled slots as they lie, since row order
-    does not change the tree. The buffer grows by doubling up to
+    labels: each block of labeled rows overwrites the oldest slots once the
+    window is full, and a fit reads the filled slots as they lie, since row
+    order does not change the tree. The buffer grows by doubling up to
     ``train_window`` rows, so a large window costs only what it holds.
     """
 
@@ -414,23 +441,54 @@ class WindowRetrainModel(_TreeModel):
         self._pending = 0
         self._grace_done = False
 
+    @staticmethod
+    def labels_to_ready(grace_labels: int, params: LearnerParams) -> int | None:
+        """Post-grace labels before predicting: none after grace labels, else a cadence's worth."""
+        return 0 if grace_labels else params.retrain_every
+
+    def labels_until_change(self) -> int | None:
+        """Labels until the next retrain (after grace; before it, only ``finish_grace`` fits)."""
+        return self._retrain_every - self._pending
+
     def observe_label(self, sample: EncodedSample) -> None:
-        if sample.label is None:
-            raise ValueError("window update requires a labeled sample")
-        _check_width(sample, self._mask, self.bucket)
-        slot = self._seen % self._train_window
-        if slot == len(self._labels):
-            grown = min(2 * slot, self._train_window)
-            self._rows = np.concatenate((self._rows, np.empty((grown - slot, len(self._mask)))))
-            self._labels = np.concatenate((self._labels, np.empty(grown - slot, dtype=np.int64)))
-        self._rows[slot] = sample.features
-        self._labels[slot] = sample.label
-        self._seen += 1
-        if not self._grace_done:
-            return
-        self._pending += 1
-        if self._pending >= self._retrain_every:
-            self.retrain()
+        self.learn(*_one_row(sample, self._mask, self.bucket, "window update requires a labeled sample"))
+
+    def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Add labeled rows to the window in order, retraining at each cadence point they pass."""
+        _check_width(rows.shape[1], self._mask, self.bucket)
+        start = 0
+        while start < len(rows):
+            stop = len(rows)
+            if self._grace_done:
+                stop = min(stop, start + self._retrain_every - self._pending)
+            self._write(rows[start:stop], labels[start:stop])
+            if self._grace_done:
+                self._pending += stop - start
+                if self._pending >= self._retrain_every:
+                    self.retrain()
+            start = stop
+
+    def _write(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Write the rows into the oldest slots; only the last ``train_window`` of them stay."""
+        capacity = self._train_window
+        skipped = max(len(rows) - capacity, 0)
+        rows, labels = rows[skipped:], labels[skipped:]
+        self._seen += skipped
+        size = len(self._labels)
+        needed = min(self._seen + len(rows), capacity)
+        if needed > size:
+            while size < needed:
+                size = min(2 * size, capacity)
+            grown = size - len(self._labels)
+            self._rows = np.concatenate((self._rows, np.empty((grown, len(self._mask)))))
+            self._labels = np.concatenate((self._labels, np.empty(grown, dtype=np.int64)))
+        slot = self._seen % capacity
+        first = min(len(rows), capacity - slot)
+        self._rows[slot : slot + first] = rows[:first]
+        self._labels[slot : slot + first] = labels[:first]
+        self._rows[: len(rows) - first] = rows[first:]
+        self._labels[: len(rows) - first] = labels[first:]
+        self._seen += len(rows)
 
     def retrain(self) -> None:
         """Fit a fresh tree on the current window."""
@@ -460,20 +518,34 @@ class StaticModel(_TreeModel):
         self, bucket: int, numeric_mask: Sequence[bool], params: LearnerParams = LearnerParams()
     ) -> None:
         super().__init__(bucket, numeric_mask, params)
-        self._grace: list[tuple] | None = []  # None once past grace
+        self._grace: list[tuple] | None = []  # blocks of (rows, labels); None once past grace
+
+    @staticmethod
+    def labels_to_ready(grace_labels: int, params: LearnerParams) -> int | None:
+        """Ready at the end of grace if it had grace labels; otherwise never."""
+        return 0 if grace_labels else None
+
+    def labels_until_change(self) -> int | None:
+        """No label changes the model: after grace it ignores them."""
+        return None
 
     def observe_label(self, sample: EncodedSample) -> None:
         if self._grace is None:
             return
-        if sample.label is None:
-            raise ValueError("training samples must be labeled")
-        _check_width(sample, self._mask, self.bucket)
-        self._grace.append((sample.features, sample.label))
+        self.learn(*_one_row(sample, self._mask, self.bucket, "training samples must be labeled"))
+
+    def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Collect labeled rows into the grace set; after grace, ignore them."""
+        if self._grace is None:
+            return
+        _check_width(rows.shape[1], self._mask, self.bucket)
+        if len(rows):
+            self._grace.append((rows, labels))
 
     def finish_grace(self) -> None:
         if self._grace:
-            features, labels = zip(*self._grace)
-            self._fit(features, labels)
+            rows, labels = zip(*self._grace)
+            self._fit(np.concatenate(rows), np.concatenate(labels))
         self._grace = None
 
 

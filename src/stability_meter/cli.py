@@ -162,8 +162,9 @@ def execute_run(
         )
     buckets = BucketConfig(k_min=config.k_min, k_max=k_max)
     schema = AttributeSchema.from_traces(config.attrs, log)
-    # From here on only the replay generator holds the parsed log (unless the
-    # caller keeps it), and it lets it go when the stream ends.
+    # From here on only the replay generator and then run_stream hold the
+    # parsed log (unless the caller keeps it); run_stream takes it from the
+    # stream's first item and lets it go when it returns.
     stream = replay(log)
     del log
     result = run_stream(

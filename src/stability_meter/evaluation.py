@@ -10,28 +10,47 @@ completed cases, triggers the policy's model update, and adds one point per
 (bucket, metric) to the performance series, computed over the bucket's
 current window.
 
-The replay loop keeps only integers: each resolution is recorded per
-bucket as its outcome (``2 * predicted + actual``) and the index of the
-label that resolved it. When the stream ends, one array pass per bucket
-turns them into every series: confusion counts of each window from a
-cumulative sum lagged by ``eval_window`` resolutions, then
-:func:`metrics_from_confusion` over all points at once.
+:func:`run_stream` computes this in two passes. The recording pass walks
+the replay and keeps only integers: per label, its case and stream index;
+per issued prediction, its case, bucket and stream index. Whether a
+bucket's model is ready to predict follows from label counts alone (each
+model's ``labels_to_ready``), so no model is trained in this pass. It then
+codes the events the protocol codes, at the moments and in the order the
+protocol codes them (a case's prefix when it is predicted, its training
+prefixes when its label arrives; activities before attributes), so the
+final :class:`~.prefixing.CategoryCodec` is the one an online run builds.
+
+The evaluation pass serves one bucket at a time. A model changes only when
+it learns, so the bucket's labels, in label order, split where its model
+can change (``labels_until_change``: at each retrain for window-retrain,
+never after grace for static, at every label for naive Bayes). Between two
+changes, its predictions are served by one model version, and its training
+rows are learned as a block. Rows are gathered from the log's columns
+through an id-to-code array, at most ``_GATHER`` cases at a time. Each
+resolution is its outcome (``2 * predicted + actual``) and the index of the
+label that resolved it; one array pass per bucket turns them into every
+series: confusion counts of each window from a cumulative sum lagged by
+``eval_window`` resolutions, then :func:`metrics_from_confusion` over all
+points at once.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .classifiers import LearnerParams, OutcomeModel, UpdatePolicy, model_class
 from .errors import ConfigError
-from .event_model import StreamItem
-from .prefixing import AttributeSchema, BucketConfig, CategoryCodec, encode
+from .event_model import EventLog, StreamItem
+from .prefixing import MISSING_CODE, AttributeSchema, BucketConfig, CategoryCodec, EncodedSample
+from .prefixing import encode  # noqa: F401  -- traced by name until the run reports itself (ROADMAP item 6)
 
 METRICS = ("accuracy", "precision", "recall", "f1")
+_GATHER = 128  # labels coded, or cases whose feature rows are gathered, at once
 
 
 def metrics_from_confusion(tp, fp, fn, tn) -> dict[str, np.ndarray]:
@@ -107,7 +126,8 @@ def run_stream(
 ) -> RunResult:
     """Replay the stream through one ``policy`` model per bucket.
 
-    ``stream`` is :func:`~.event_model.replay` of a parsed log. Returns the
+    ``stream`` is :func:`~.event_model.replay` of a parsed log; the run
+    holds that log from the stream's first item to its end. Returns the
     per-(bucket, metric) series and the trained models. When ``ledger`` is
     a list, each resolved prediction/label pair is appended to it as a
     :class:`ResolvedPair` (the raw material an offline recomputation can be
@@ -127,74 +147,369 @@ def run_stream(
     if eval_window < 1:
         raise ConfigError(f"evaluation window must be >= 1, got {eval_window}")
     models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
-    k_min, k_max = buckets.k_min, buckets.k_max
 
-    # Per bucket, each resolution's 2 * predicted + actual and its label index.
-    outcomes = {k: array("b") for k in buckets.buckets()}
-    resolved_at = {k: array("q") for k in buckets.buckets()}
-    pending: dict = {}  # case handle -> [(bucket, predicted, version, issued_at)]
-    labels_seen = 0
-    grace_done = False
-
-    for stream_index, (case, k, is_end) in enumerate(stream, start=1):
-        if grace_done and k_min <= k <= k_max:
-            model = models[k]
-            if model.is_ready:
-                sample = encode(case, k, schema, codec)
-                pending.setdefault(case, []).append(
-                    (k, model.predict(sample), model.version, stream_index)
-                )
-
-        if not is_end:
-            continue
-
-        label = case.label
-        labels_seen += 1
-
-        for bucket, predicted, version, issued_at in pending.pop(case, ()):
-            outcomes[bucket].append(2 * predicted + label)
-            resolved_at[bucket].append(labels_seen)
-            if ledger is not None:
-                ledger.append(
-                    ResolvedPair(
-                        labels_seen, stream_index, case.case_id, bucket, predicted, label, version, issued_at
-                    )
-                )
-
-        for train_k in range(k_min, min(k_max, k) + 1):
-            models[train_k].observe_label(encode(case, train_k, schema, codec, label=label))
-
-        if not grace_done and labels_seen >= grace:
-            for model in models.values():
-                model.finish_grace()
-            grace_done = True
-
+    record = _Record.of(stream, model_type, buckets, grace, params)
+    labels_seen = len(record.labelled)
+    if labels_seen:
+        _code_events(record, schema, codec, buckets)
+        rows = _Rows(record.log, schema, codec)
+    kept = [] if ledger is not None else None  # per bucket: what the ledger needs
     # The labels after grace at which the series take a point.
     points = np.arange(grace + eval_every, labels_seen + 1, eval_every)
     series = {}
-    for k in buckets.buckets():
-        values, label_indices = _window_series(
-            outcomes[k], resolved_at[k], points, eval_window, metrics
-        )
+    for k, model in models.items():
+        resolutions = _serve_bucket(model, k, record, rows, grace, kept) if labels_seen else _NO_RESOLUTIONS
+        values, label_indices = _window_series(*resolutions, points, eval_window, metrics)
         for metric in metrics:
             series[(k, metric)] = PerformanceSeries(k, metric, values[metric], list(label_indices))
+    if kept:
+        _write_ledger(ledger, record, kept)
     return RunResult(series=series, labels_seen=labels_seen, models=models)
 
 
+_NO_RESOLUTIONS = (np.empty(0, np.int64), np.empty(0, np.int64))
+
+
+@dataclass
+class _Record:
+    """What the recording pass keeps of a replay: the log and integers, in stream order.
+
+    ``labelled`` and ``labelled_at`` hold each label's case and stream index,
+    ``label_lengths`` its case's length, and ``label_index`` each case's
+    1-based label index (0 for a case that never ended); ``issued``,
+    ``issued_k`` and ``issued_at`` hold each issued prediction's case, bucket
+    and stream index.
+    """
+
+    log: EventLog | None
+    labelled: np.ndarray
+    labelled_at: np.ndarray
+    label_lengths: np.ndarray
+    label_index: np.ndarray
+    issued: np.ndarray
+    issued_k: np.ndarray
+    issued_at: np.ndarray
+
+    @classmethod
+    def of(cls, stream, model_type, buckets: BucketConfig, grace: int, params: LearnerParams) -> "_Record":
+        """Walk the stream and record its labels and the predictions the protocol issues.
+
+        A bucket is ready once grace is over and its model's
+        ``labels_to_ready`` rule, applied to the bucket's label counts, says
+        so. A prediction at an event is issued before the event's label.
+        """
+        items = iter(stream)
+        first = next(items, None)
+        if first is None:
+            nothing = np.empty(0, np.int32)
+            return cls(None, nothing, nothing, nothing, nothing, nothing, nothing, nothing)
+        log = first.case.log
+        k_max = buckets.k_max
+        # The narrowest integer columns that hold a case, a bucket and a stream index.
+        at = "i" if len(log.order) < 2**31 else "q"
+        labelled, labelled_at = array("i"), array(at)
+        issued, issued_k, issued_at = array("i"), array("b" if k_max < 128 else "i"), array(at)
+        ready = bytearray(k_max + 1)  # ready[k]: bucket k's model predicts
+        waiting: dict[int, int] = {}  # bucket -> post-grace labels it needs to be ready
+        for stream_index, (case, k, is_end) in enumerate(chain((first,), items), start=1):
+            if k <= k_max and ready[k]:
+                issued.append(case.index)
+                issued_k.append(k)
+                issued_at.append(stream_index)
+            if not is_end:
+                continue
+            labelled.append(case.index)
+            labelled_at.append(stream_index)
+            if waiting:
+                for bucket in [bucket for bucket in waiting if bucket <= k]:
+                    waiting[bucket] -= 1
+                    if not waiting[bucket]:
+                        del waiting[bucket]
+                        ready[bucket] = 1
+            if len(labelled) == grace:
+                lengths = log.lengths()[np.array(labelled)]
+                for bucket in buckets.buckets():
+                    need = model_type.labels_to_ready(int(np.count_nonzero(lengths >= bucket)), params)
+                    if need == 0:
+                        ready[bucket] = 1
+                    elif need is not None:
+                        waiting[bucket] = need
+
+        # Copied to exact size, so the columns' spare capacity goes.
+        labelled, labelled_at, issued, issued_k, issued_at = (
+            np.array(values) for values in (labelled, labelled_at, issued, issued_k, issued_at)
+        )
+        label_index = np.zeros(len(log), np.int32)
+        label_index[labelled] = np.arange(1, len(labelled) + 1)
+        return cls(log, labelled, labelled_at, log.lengths()[labelled], label_index, issued, issued_k, issued_at)
+
+
+def _code_events(record: _Record, schema: AttributeSchema, codec: CategoryCodec, buckets: BucketConfig) -> None:
+    """Code every event the protocol codes into ``codec``, in the protocol's order.
+
+    A prediction at position ``k`` codes the case's events up to ``k`` not
+    coded yet: their activities, then their attributes. A label codes the
+    case's training prefixes ``k_min..min(k_max, N)`` one after another:
+    up to ``k_min`` as one such chunk, then event by event. Codes go to the
+    string ids in the order of their first use. The coding steps are taken
+    ``_GATHER`` labels (and the predictions before them) at a time.
+    """
+    log = record.log
+    k_min = buckets.k_min
+    lengths = record.label_lengths
+    label_top = np.where(lengths >= k_min, np.minimum(lengths, buckets.k_max), 0)
+    coded = np.zeros(len(log), np.int64)  # per case, the events coded so far
+    contradictions = _contradictions(log, schema)
+    categorical = [
+        column
+        for column, numeric in zip(_attribute_columns(log, schema), schema.numeric)
+        if column is not None and not numeric
+    ]
+    issued_from = 0
+    for begin in range(0, len(record.labelled), _GATHER):
+        labels = slice(begin, begin + _GATHER)
+        at = record.labelled_at[labels]
+        issued_to = np.searchsorted(record.issued_at, at[-1], side="right")
+        if labels.stop >= len(record.labelled):
+            issued_to = len(record.issued)
+        issued = slice(issued_from, issued_to)
+        issued_from = issued_to
+        # The batch's coding steps in stream order (a prediction before the
+        # label of the same event): each step's case and the event count it
+        # codes up to; a step starts where the case's previous one stopped.
+        order = np.argsort(np.concatenate((record.issued_at[issued], at)), kind="stable")
+        case = np.concatenate((record.issued[issued], record.labelled[labels]))[order]
+        top = np.concatenate((record.issued_k[issued], label_top[labels]))[order]
+        by_case = np.argsort(case, kind="stable")
+        same = case[by_case[1:]] == case[by_case[:-1]]
+        after = coded[case]
+        after[by_case[1:][same]] = top[by_case[:-1][same]]
+        last = by_case[np.append(~same, True)]
+        coded[case[last]] = top[last]
+        if contradictions:
+            first_coded = case[(after == 0) & (top > 0)]
+            hits = [
+                (flags[first_coded].argmax(), message)
+                for flags, message in contradictions
+                if flags[first_coded].any()
+            ]
+            if hits:
+                raise ConfigError(min(hits, key=lambda hit: hit[0])[1])
+        # A label's steps up to k_min form one chunk; later events are each their own.
+        chunk_end = np.where(order >= issued_to - issued.start, np.maximum(after, k_min), top)
+        count = np.maximum(top - after, 0)
+        of = np.repeat(np.arange(len(count)), count)
+        position = np.arange(len(of)) - (np.cumsum(count) - count)[of] + after[of]
+        event = log.bounds[case][of] + position
+        fresh = np.ones(len(of), bool)
+        fresh[1:] = (of[1:] != of[:-1]) | (position[1:] >= chunk_end[of[1:]])
+        group = 2 * np.cumsum(fresh)
+        # Within a group, activities first, then attributes event by event.
+        ids = np.stack([log.activity[event]] + [values[event] for values in categorical], axis=1)
+        keys = np.stack([group] + [group + 1] * len(categorical), axis=1)
+        sequence = ids.ravel()[np.argsort(keys.ravel(), kind="stable")]
+        sequence = sequence[sequence != MISSING_CODE]
+        distinct, first = np.unique(sequence, return_index=True)
+        for string_id in distinct[np.argsort(first)].tolist():
+            codec[string_id]
+
+
+def _attribute_columns(log: EventLog, schema: AttributeSchema) -> list[np.ndarray | None]:
+    """Per schema attribute, its log column, or None when the log lacks it or holds the other kind."""
+    columns = []
+    for name, numeric in zip(schema.names, schema.numeric):
+        at = log.names.index(name) if name in log.names else None
+        held = at is not None and (log.missing[at] is not None) == numeric
+        columns.append(log.columns[at] if held else None)
+    return columns
+
+
+def _contradictions(log: EventLog, schema: AttributeSchema) -> list[tuple[np.ndarray, str]]:
+    """Per attribute the schema contradicts: which cases hold a value in it, and the error.
+
+    A schema contradicts a column when it calls an attribute numeric where
+    the log holds text, or categorical where it holds numbers. Such a
+    column reads empty; it is an error at the first case coded that holds
+    a value in it, and of several, the first attribute's.
+    """
+    found = []
+    for name, numeric in zip(schema.names, schema.numeric):
+        if name not in log.names:
+            continue
+        at = log.names.index(name)
+        column, mask = log.columns[at], log.missing[at]
+        if (mask is not None) == numeric:
+            continue
+        filled = ~mask if mask is not None else column != MISSING_CODE
+        held, declared = ("text", "numeric") if numeric else ("numbers", "categorical")
+        found.append(
+            (
+                np.logical_or.reduceat(filled, log.bounds[:-1]),
+                f"attribute {name!r} holds {held} in the log; the schema declares it {declared}",
+            )
+        )
+    return found
+
+
+class _Rows:
+    """Gathers the feature rows of a bucket's cases from the log's columns.
+
+    A row of bucket ``k`` is the prefix's activity codes at positions
+    1..k followed, event by event, by the schema's attribute values:
+    numeric ones as stored (0.0 when empty), categorical ones coded through
+    an id-to-code array of the final codec. A name the log lacks, or a
+    column the schema contradicts (empty in every coded case), reads 0.
+    """
+
+    def __init__(self, log: EventLog, schema: AttributeSchema, codec: CategoryCodec) -> None:
+        self.starts = log.bounds[:-1]
+        self.activity = log.activity
+        self.labels = np.array(log.labels, dtype=np.int64)
+        self.code_of = np.zeros(len(log.strings))
+        ids, codes = zip(*dict.items(codec))
+        self.code_of[list(ids)] = codes
+        self.attributes = list(zip(_attribute_columns(log, schema), schema.numeric))
+
+    def gather(self, cases: np.ndarray, k: int) -> np.ndarray:
+        """The rows of the ``k``-prefixes of ``cases``, one per case."""
+        events = self.starts[cases][:, None] + np.arange(k)
+        width = len(self.attributes)
+        rows = np.zeros((len(cases), k * (1 + width)))
+        rows[:, :k] = self.code_of[self.activity[events]]
+        for at, (column, numeric) in enumerate(self.attributes):
+            if column is not None:
+                rows[:, k + at :: width] = column[events] if numeric else self.code_of[column[events]]
+        return rows
+
+    def blocks(self, cases: np.ndarray, k: int):
+        """A taker of the next rows (and labels) of ``cases``, gathered ``_GATHER`` at a time."""
+        block = labels = None
+        gathered = used = 0
+
+        def take(n: int) -> tuple[np.ndarray, np.ndarray]:
+            """Up to ``n`` next rows and their labels: the rest of the current block at most."""
+            nonlocal block, labels, gathered, used
+            if used == gathered:
+                chunk = cases[gathered : gathered + _GATHER]
+                block, labels = self.gather(chunk, k), self.labels[chunk]
+                gathered += len(chunk)
+            start = used - (gathered - len(block))
+            stop = start + min(n, gathered - used)
+            used += stop - start
+            return block[start:stop], labels[start:stop]
+
+        return take
+
+
+def _serve_bucket(
+    model: OutcomeModel, k: int, record: _Record, rows: _Rows, grace: int, kept: list | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train bucket ``k``'s model on its labels and serve its issued predictions, in stream order.
+
+    The bucket's labels are those of cases with at least ``k`` events. A
+    prediction is served by the model as it was before the label at its own
+    stream index, so it sees the labels before it. The labels between two
+    predictions are learned as one block, and the predictions between two
+    changes of the model (``labels_until_change``) are served by one
+    version. Returns the resolutions in resolution order: each one's
+    outcome (``2 * predicted + actual``) and label index. When ``kept`` is
+    a list, the predictions' labels and model versions go to it for the
+    ledger.
+    """
+    trained = record.label_lengths >= k
+    label_cases = record.labelled[trained]
+    label_at = record.labelled_at[trained]
+    issued = np.flatnonzero(record.issued_k == k)
+    cases, issued_at = record.issued[issued], record.issued_at[issued]
+    predicted = np.empty(len(cases), np.int8)
+    versions = np.empty(len(cases), np.int64)
+
+    take_labels = rows.blocks(label_cases, k)
+    learned = 0
+
+    def learn(stop: int) -> None:
+        nonlocal learned
+        while learned < stop:
+            block, labels = take_labels(stop - learned)
+            model.learn(block, labels)
+            learned += len(block)
+
+    learn(int(np.count_nonzero(trained[:grace])))
+    if len(record.labelled) < grace:
+        return _NO_RESOLUTIONS  # grace never ended: no prediction was issued
+    model.finish_grace()
+    take_predictions = rows.blocks(cases, k)
+    served = 0
+
+    def serve(stop: int) -> None:
+        nonlocal served
+        while served < stop:
+            block, _ = take_predictions(stop - served)
+            outcome = [model.predict(EncodedSample(k, row)) for row in block.tolist()]
+            predicted[served : served + len(outcome)] = outcome
+            versions[served : served + len(outcome)] = model.version
+            served += len(outcome)
+
+    if model.labels_until_change() is None:
+        serve(len(cases))  # no label changes this model any more
+    else:
+        # Per prediction, the labels before it; per label, the predictions up to it.
+        labels_before = np.searchsorted(label_at, issued_at, side="left")
+        served_by = np.searchsorted(issued_at, label_at, side="right")
+        while served < len(cases):
+            learn(int(labels_before[served]))
+            change = learned + model.labels_until_change()
+            serve(len(cases) if change > len(label_cases) else int(served_by[change - 1]))
+        learn(len(label_cases))
+
+    if kept is not None:
+        kept.append((k, issued, predicted, versions))
+    resolved = record.label_index[cases]
+    order = np.argsort(resolved, kind="stable")
+    order = order[resolved[order] > 0]  # a prediction whose case never ends stays pending
+    return 2 * predicted[order] + rows.labels[cases[order]], resolved[order]
+
+
+def _write_ledger(ledger: list, record: _Record, kept: list) -> None:
+    """Append every resolved pair to ``ledger`` by label index, then issuing stream index."""
+    ks, issued, predicted, versions = zip(*kept)
+    buckets = np.concatenate([np.full(len(part), k) for k, part in zip(ks, issued)])
+    issued, predicted, versions = (np.concatenate(parts) for parts in (issued, predicted, versions))
+    cases, issued_at = record.issued[issued], record.issued_at[issued]
+    resolved = record.label_index[cases]
+    order = np.lexsort((issued_at, resolved))
+    order = order[resolved[order] > 0]
+    log = record.log
+    for label, stream_index, case, bucket, guess, version, issued_index in zip(
+        resolved[order].tolist(),
+        record.labelled_at[resolved[order] - 1].tolist(),
+        cases[order].tolist(),
+        buckets[order].tolist(),
+        predicted[order].tolist(),
+        versions[order].tolist(),
+        issued_at[order].tolist(),
+    ):
+        ledger.append(
+            ResolvedPair(
+                label, stream_index, log.case_ids[case], bucket, guess, log.labels[case], version, issued_index
+            )
+        )
+
+
 def _window_series(
-    outcomes: array, resolved_at: array, points: np.ndarray, eval_window: int, metrics: Sequence[str]
+    outcomes: np.ndarray, resolved_at: np.ndarray, points: np.ndarray, eval_window: int, metrics: Sequence[str]
 ) -> tuple[dict[str, list[float]], list[int]]:
     """A bucket's metric values and label indices at the ``points`` its window is not empty.
 
     The window at label ``L`` holds the last ``eval_window`` of the bucket's
     resolutions made at labels up to ``L``.
     """
-    seen = np.searchsorted(np.frombuffer(resolved_at, np.int64), points, side="right")
+    seen = np.searchsorted(resolved_at, points, side="right")
     kept = seen > 0
     seen = seen[kept]
     # Row r counts the outcomes 0..3 of the first r resolutions.
     counts = np.zeros((len(outcomes) + 1, 4), np.int64)
-    counts[np.arange(1, len(outcomes) + 1), np.frombuffer(outcomes, np.int8)] = 1
+    counts[np.arange(1, len(outcomes) + 1), outcomes] = 1
     np.cumsum(counts, axis=0, out=counts)
     window = counts[seen] - counts[np.maximum(seen - eval_window, 0)]
     tn, fn, fp, tp = window.T

@@ -555,7 +555,8 @@ def reference_run_stream(
     """The run loop over :class:`EventItem`s: a window per bucket, metrics per label.
 
     Encodes each prefix from scratch with a ``TextCodec``. Returns the
-    series keyed by (bucket, metric), the number of labels, and the codec.
+    series keyed by (bucket, metric), the number of labels, the codec and
+    the models, trained one labeled sample at a time.
     """
     schema = schema if schema is not None else AttributeSchema()
     codec = TextCodec()
@@ -622,7 +623,7 @@ def reference_run_stream(
                 series[(eval_k, metric)].values.append(values[metric])
                 series[(eval_k, metric)].label_indices.append(labels_seen)
 
-    return series, labels_seen, codec
+    return series, labels_seen, codec, models
 
 
 def fstring_rows(annotation):

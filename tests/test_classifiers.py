@@ -430,6 +430,50 @@ def test_window_retrain_trees_match_a_reference_fit_of_the_last_window(attrs, re
     assert retrains == 1 + (len(samples) - grace) // retrain_every
 
 
+def _model_state(model):
+    """What a run can observe of a model: its version, readiness and tree or counts."""
+    if isinstance(model, IncrementalNaiveBayes):
+        return model.version, model.is_ready, model._class_counts, model._counts
+    return model.version, model.is_ready, model._tree.to_dict() if model.is_ready else None
+
+
+@pytest.mark.parametrize("grace_labels", [0, 3])
+@pytest.mark.parametrize("kind", [IncrementalNaiveBayes, WindowRetrainModel, StaticModel])
+def test_labels_to_ready_says_after_how_many_labels_a_model_predicts(kind, grace_labels):
+    params = LearnerParams(retrain_every=4)
+    model = kind(2, (False, False), params)
+    samples = list(_labeled_stream(grace_labels + 12, np.random.default_rng(1)))
+    for sample in samples[:grace_labels]:
+        model.observe_label(sample)
+    model.finish_grace()
+    need = kind.labels_to_ready(grace_labels, params)
+    for seen, sample in enumerate(samples[grace_labels:]):
+        assert model.is_ready == (need is not None and seen >= need), seen
+        model.observe_label(sample)
+
+
+@pytest.mark.parametrize("block", [1, 4, 25, 64])
+@pytest.mark.parametrize("kind", [IncrementalNaiveBayes, WindowRetrainModel, StaticModel])
+def test_learning_blocks_matches_observing_one_sample_at_a_time(kind, block):
+    # Blocks longer than the window and than the cadence, cut anywhere.
+    mask, samples = _synth_samples(("amount", "channel"), seed=11)
+    params = LearnerParams(train_window=20, retrain_every=3, memory=30)
+    grace = 45
+    one, blocks = kind(3, mask, params), kind(3, mask, params)
+    rows = np.array([sample.features for sample in samples], dtype=float)
+    labels = np.array([sample.label for sample in samples])
+    for part in (slice(0, grace), slice(grace, len(samples))):
+        for sample in samples[part]:
+            one.observe_label(sample)
+        for start in range(part.start, part.stop, block):
+            stop = min(start + block, part.stop)
+            blocks.learn(rows[start:stop], labels[start:stop])
+        assert _model_state(blocks) == _model_state(one)
+        one.finish_grace()
+        blocks.finish_grace()
+        assert _model_state(blocks) == _model_state(one)
+
+
 # ---------------------------------------------------------------------------
 # static model
 # ---------------------------------------------------------------------------

@@ -397,8 +397,18 @@ _GOOD_ENTRY = {"name": "A", "avg_metric": 0.5, "drops": 1, "volatility": 0.1}
         json.dumps([{**_GOOD_ENTRY, "drops": None}]).encode(),
         json.dumps([{**_GOOD_ENTRY, "drops": 2.9}]).encode(),
         json.dumps([{**_GOOD_ENTRY, "avg_metric": float("nan")}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "drops": -3}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "volatility": -0.2}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "max_magnitude": -1.0}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "drops": True}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "avg_metric": True}]).encode(),
+        json.dumps([{**_GOOD_ENTRY, "drops": "3"}]).encode(),
     ],
-    ids=["not-utf8", "entries-not-objects", "non-numeric-field", "null-count", "fractional-count", "nan-metric"],
+    ids=[
+        "not-utf8", "entries-not-objects", "non-numeric-field", "null-count", "fractional-count", "nan-metric",
+        "negative-count", "negative-volatility", "negative-magnitude", "boolean-count", "boolean-metric",
+        "string-count",
+    ],
 )
 def test_rank_with_a_malformed_meta_file_is_a_single_line_config_error(tmp_path, capsys, content):
     meta = tmp_path / "meta.json"

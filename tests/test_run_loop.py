@@ -1,11 +1,13 @@
-"""The integer run loop against the reference loop it replaced.
+"""The two-pass run loop against the online reference loop.
 
-``run_stream`` over ``replay`` keeps per bucket only each resolution's
-outcome and label index and makes every series in one array pass;
-``oracles.reference_run_stream`` over ``oracles.event_replay`` builds an
-``Event`` per item, encodes each prefix from scratch with a text-keyed codec
-and computes each point's metrics from a window as its label arrives. Both
-must give the same series, ledger and codes, on drawn and on seeded logs.
+``run_stream`` over ``replay`` records the labels and issued predictions as
+integers, then serves each bucket's model from gathered rows and makes
+every series in one array pass; ``oracles.reference_run_stream`` over
+``oracles.event_replay`` builds an ``Event`` per item, encodes each prefix
+from scratch with a text-keyed codec, trains the models one labeled sample
+at a time and computes each point's metrics from a window as its label
+arrives. Both must give the same series, ledger and codes, on drawn,
+seeded and hand-made logs.
 """
 
 import io
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from stability_meter import evaluation
 from stability_meter.classifiers import LearnerParams
-from stability_meter.errors import StabilityMeterError
+from stability_meter.errors import ConfigError, StabilityMeterError
 from stability_meter.evaluation import METRICS, metrics_from_confusion, run_stream
 from stability_meter.event_model import parse_log, replay
 from stability_meter.prefixing import AttributeSchema, BucketConfig, CategoryCodec, default_k_max
@@ -49,7 +51,7 @@ def _assert_same_run(log, policy, attrs, grace, eval_window, eval_every, retrain
     ledger, want_ledger = [], []
     with mock.patch.object(evaluation, "CategoryCodec", recorded_codec):
         result = run_stream(replay(log), policy, buckets, ledger=ledger, **options)
-    want, labels_seen, text_codec = reference_run_stream(
+    want, labels_seen, text_codec, want_models = reference_run_stream(
         event_replay(log), policy, buckets, ledger=want_ledger, **options
     )
     assert result.labels_seen == labels_seen
@@ -61,6 +63,14 @@ def _assert_same_run(log, policy, attrs, grace, eval_window, eval_every, retrain
         ), key
     assert ledger == want_ledger
     assert coded_texts(codecs[0], log) == text_codec._codes
+    for k, model in result.models.items():
+        reference = want_models[k]
+        assert (model.version, model.is_ready) == (reference.version, reference.is_ready), k
+        if policy == "incremental":
+            assert (model._class_counts, model._counts) == (reference._class_counts, reference._counts), k
+        elif model.is_ready:
+            assert model._tree.to_dict() == reference._tree.to_dict(), k
+    return ledger
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -134,6 +144,74 @@ def test_run_loop_matches_the_reference_on_shuffled_synth_logs(policy, attrs, se
     )
 
 
+def _edge_log():
+    """A log whose first four cases (the grace period) have two events, then longer ones.
+
+    Cases, in stream order: four grace cases of length 2, so buckets 3..7
+    get no label during grace; one of length 2, which ends on an event
+    that bucket 2 predicts; two of length 3; case ``A1`` of length 7; cases
+    ``B1`` and ``B2`` of length 9, interleaved so that their last events
+    are adjacent; then the other cases of length 7 and 9 one after another.
+    Lengths make ``k_max`` 7, so bucket 7 trains only on the cases of
+    length 7 and 9, and ``B1`` and ``B2`` train it twice in a row with no
+    bucket-7 prediction in between.
+    """
+    cases = [(f"g{i}", 2) for i in range(4)] + [("s1", 2), ("m1", 3), ("m2", 3), ("A1", 7)]
+    events = [(name, position) for name, length in cases for position in range(1, length + 1)]
+    events += [(name, position) for position in range(1, 10) for name in ("B1", "B2")]
+    for name, length in [("A2", 7), ("B3", 9), ("A3", 7), ("B4", 9), ("A4", 7)]:
+        events += [(name, position) for position in range(1, length + 1)]
+    number = {name: index for index, name in enumerate(dict.fromkeys(name for name, _ in events))}
+    rows = ["case_id,activity,timestamp,label,amount,channel"]
+    for time, (name, position) in enumerate(events):
+        case = number[name]
+        activity = "abcd"[(case + position) % 4]
+        channel = ("web", "shop", "app")[(case * position) % 3]
+        rows.append(f"{name},{activity},{time},{(case * 5 + 3) % 7 % 2},{10 + 3.5 * case - position},{channel}")
+    return parse_log(io.StringIO("\n".join(rows) + "\n"))
+
+
+@pytest.mark.parametrize("attrs", ATTRS, ids=["activities", "attributes"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_run_loop_matches_the_reference_at_readiness_and_interval_edges(policy, attrs):
+    log = _edge_log()
+    assert default_k_max(log) == 7
+    ledger = _assert_same_run(log, policy, attrs, grace=4, eval_window=3, eval_every=1, retrain_every=1)
+    # A prediction on the case's own last event, resolved by that event's label.
+    assert any(pair.issued_at == pair.stream_index for pair in ledger)
+    top = sorted((pair.issued_at, pair.model_version) for pair in ledger if pair.bucket == 7)
+    if policy == "static":
+        assert not top  # bucket 7 had no grace label, so its static model never predicts
+    else:
+        # B1's and B2's labels change bucket 7's model twice between two of its predictions.
+        assert any(later - earlier == 2 for (_, earlier), (_, later) in zip(top, top[1:]))
+
+
+_CONTRADICTED = AttributeSchema(names=("amount", "channel"), numeric=(False, True))
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        # Case a is coded first and holds text in channel: channel is named.
+        (["a,x,1,,,web", "b,x,2,,2.5,", "a,y,3,1,,", "b,y,4,0,,"], "'channel' holds text"),
+        # Case a holds values in both columns: the schema's first is named.
+        (["a,x,1,,1.5,web", "a,y,2,1,,"], "'amount' holds numbers"),
+        # Only case c, shorter than every bucket and never coded, holds values.
+        (["a,x,1,,,", "c,x,2,0,1.5,web", "a,y,3,1,,"], None),
+    ],
+    ids=["first-coded-case", "first-attribute", "uncoded-case"],
+)
+def test_run_stream_rejects_a_contradicting_schema_at_the_first_case_coded_with_a_value(rows, error):
+    log = parse_log(io.StringIO("\n".join(["case_id,activity,timestamp,label,amount,channel", *rows]) + "\n"))
+    options = dict(grace=1, schema=_CONTRADICTED)
+    if error is None:
+        assert run_stream(replay(log), "static", BucketConfig(2, 2), **options).labels_seen == 2
+    else:
+        with pytest.raises(ConfigError, match=f"{error} in the log; the schema declares it"):
+            run_stream(replay(log), "static", BucketConfig(2, 2), **options)
+
+
 def test_array_metrics_match_the_scalar_formulas_bit_for_bit():
     grid = np.array(
         [counts for counts in product(range(13), repeat=4) if 0 < sum(counts) <= 12], dtype=np.int64
@@ -149,13 +227,14 @@ def test_array_metrics_reject_an_empty_window():
         metrics_from_confusion(np.array([1, 0]), np.array([0, 0]), np.array([0, 0]), np.array([0, 0]))
 
 
-def _run_peak_per_event(log, stream):
-    """Peak traced bytes per event of a static run over ``stream``, with few series points."""
+def _run_peak_per_event(log, stream, policy="static", attrs=(), params=LearnerParams()):
+    """Peak traced bytes per event of a run over ``stream``, with few series points."""
+    schema = AttributeSchema.from_traces(attrs, log)
     tracemalloc.start()
     try:
         run_stream(
-            stream(), "static", BucketConfig(2, default_k_max(log)),
-            grace=50, eval_window=20, eval_every=100, metrics=("f1",),
+            stream(), policy, BucketConfig(2, default_k_max(log)),
+            grace=50, eval_window=20, eval_every=100, metrics=("f1",), schema=schema, params=params,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -164,11 +243,22 @@ def _run_peak_per_event(log, stream):
 
 
 def test_run_stream_peak_memory_per_event_stays_small():
-    # The replayed run holds the open cases' handles and codes, the models
-    # and the integer resolutions: ~60 B/event here. A stream that first
-    # lists every item of the log peaks near 150, and one that lists the
-    # whole stream order as Python ints near 95.
+    # The replayed run holds the open cases' handles, the integers it
+    # records, the models and a bounded batch of gathered rows: ~50 B/event
+    # here. A stream that first lists every item of the log peaks near 150,
+    # and one that lists the whole stream order as Python ints near 95.
     log = parse_log(io.StringIO(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))))
     _run_peak_per_event(log, lambda: replay(log))  # warm up, untimed and unchecked
     assert _run_peak_per_event(log, lambda: replay(log)) < 80
     assert _run_peak_per_event(log, lambda: iter(list(replay(log)))) > 80
+
+
+def test_window_retrain_with_attributes_gathers_rows_in_bounded_batches():
+    # Rows are gathered a bounded batch of cases at a time: ~40 B/event
+    # here, with a small window so that the fits stay small. Gathering each
+    # bucket's rows at once peaks near 63.
+    log = parse_log(io.StringIO(to_csv(generate(DriftLogSpec(n_cases=1000, drift_at=500, seed=3)))))
+    params = LearnerParams(train_window=30, retrain_every=64)
+    run = dict(policy="window-retrain", attrs=("amount", "channel"), params=params)
+    _run_peak_per_event(log, lambda: replay(log), **run)  # warm up, untimed and unchecked
+    assert _run_peak_per_event(log, lambda: replay(log), **run) < 52
