@@ -37,7 +37,6 @@ from .prefixing import (
     AttributeSchema,
     BucketConfig,
     CategoryCodec,
-    EncodedSample,
     default_k_max,
     encode,
 )

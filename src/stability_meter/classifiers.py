@@ -10,8 +10,10 @@ The three policies differ only in how they react to newly labeled cases:
 * ``static``: the same tree learner fit once on the grace-period samples
   and frozen afterwards.
 
-Every model takes labeled rows in blocks (``learn``), of which
-``observe_label`` is the one-row case, and says when it can next change
+Every model works on feature rows, as :func:`~.prefixing.encode` gathers
+them: ``predict(features)`` labels one row, and the model takes labeled
+rows in blocks (``learn``), of which ``observe_label(features, label)`` is
+the one-row case. It says when it can next change
 (``labels_until_change``) and, from label counts alone, when it becomes
 ready to predict (``labels_to_ready``), so a run can know both before any
 model is trained.
@@ -35,7 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, NotReadyError
-from .prefixing import EncodedSample
 
 
 class UpdatePolicy(str, Enum):
@@ -114,16 +115,8 @@ def _check_width(width: int, mask: tuple, bucket: int) -> None:
     if width != len(mask):
         raise ValueError(
             f"bucket-{bucket} model expects {len(mask)} features, "
-            f"sample has {width} (encoding schema mismatch)"
+            f"row has {width} (encoding schema mismatch)"
         )
-
-
-def _one_row(sample: EncodedSample, mask: tuple, bucket: int, unlabeled: str) -> tuple[np.ndarray, np.ndarray]:
-    """A labeled sample as a one-row block for ``learn``; ``unlabeled`` is the error if it has no label."""
-    if sample.label is None:
-        raise ValueError(unlabeled)
-    _check_width(len(sample.features), mask, bucket)
-    return np.array([sample.features], dtype=float), np.array([sample.label])
 
 
 class DecisionTree:
@@ -313,9 +306,9 @@ class IncrementalNaiveBayes:
         """Every label is an update."""
         return 1
 
-    def observe_label(self, sample: EncodedSample) -> None:
-        """Incorporate one labeled sample (the incremental update)."""
-        self.learn(*_one_row(sample, self._mask, self.bucket, "incremental update requires a labeled sample"))
+    def observe_label(self, features: Sequence[float], label: int) -> None:
+        """Incorporate one labeled feature row (the incremental update)."""
+        self.learn(np.array([features], dtype=float), np.array([label]))
 
     def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Incorporate labeled feature rows one after another, in order."""
@@ -362,10 +355,11 @@ class IncrementalNaiveBayes:
                 del self._counts[index][key]
         self._class_counts[label] += delta
 
-    def predict(self, sample: EncodedSample) -> int:
+    def predict(self, features: Sequence[float]) -> int:
+        """The predicted label of one feature row."""
         if not self.is_ready:
             raise NotReadyError(f"bucket-{self.bucket} incremental model has no training yet")
-        _check_width(len(sample.features), self._mask, self.bucket)
+        _check_width(len(features), self._mask, self.bucket)
         total = self._class_counts[0] + self._class_counts[1]
         scores = []
         for label in (0, 1):
@@ -374,7 +368,7 @@ class IncrementalNaiveBayes:
                 scores.append(float("-inf"))
                 continue
             score = log(n_label / total)
-            for index, value in enumerate(sample.features):
+            for index, value in enumerate(features):
                 seen = self._counts[index]
                 count = seen.get(self._key(index, value), (0, 0))[label]
                 score += log((count + LAPLACE) / (n_label + LAPLACE * len(seen)))
@@ -403,10 +397,15 @@ class _TreeModel:
     def is_ready(self) -> bool:
         return self._tree is not None
 
-    def predict(self, sample: EncodedSample) -> int:
+    def predict(self, features: Sequence[float]) -> int:
+        """The predicted label of one feature row."""
         if self._tree is None:
             raise NotReadyError(f"bucket-{self.bucket} {self.policy.value} model has no training yet")
-        return self._tree.predict(sample.features)
+        return self._tree.predict(features)
+
+    def observe_label(self, features: Sequence[float], label: int) -> None:
+        """Learn one labeled feature row: ``learn`` of a one-row block."""
+        self.learn(np.array([features], dtype=float), np.array([label]))
 
     def _fit(self, features, labels) -> None:
         """Fit a fresh tree on aligned features and labels and bump the version."""
@@ -449,9 +448,6 @@ class WindowRetrainModel(_TreeModel):
     def labels_until_change(self) -> int | None:
         """Labels until the next retrain (after grace; before it, only ``finish_grace`` fits)."""
         return self._retrain_every - self._pending
-
-    def observe_label(self, sample: EncodedSample) -> None:
-        self.learn(*_one_row(sample, self._mask, self.bucket, "window update requires a labeled sample"))
 
     def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Add labeled rows to the window in order, retraining at each cadence point they pass."""
@@ -528,11 +524,6 @@ class StaticModel(_TreeModel):
     def labels_until_change(self) -> int | None:
         """No label changes the model: after grace it ignores them."""
         return None
-
-    def observe_label(self, sample: EncodedSample) -> None:
-        if self._grace is None:
-            return
-        self.learn(*_one_row(sample, self._mask, self.bucket, "training samples must be labeled"))
 
     def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Collect labeled rows into the grace set; after grace, ignore them."""

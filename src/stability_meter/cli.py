@@ -339,6 +339,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     models = [name.strip() for name in args.models.split(",") if name.strip()]
     if len(models) < 2:
         raise ConfigError("compare needs at least two models (--models a,b)")
+    repeated = next((model for at, model in enumerate(models) if model in models[:at]), None)
+    if repeated is not None:
+        raise ConfigError(f"compare runs each model once; {repeated!r} is named twice in --models")
     base = _config_from_args(args)
     if len(base.metrics) != 1:
         raise ConfigError("compare works on a single metric (pass --metric f1, not 'all')")
@@ -351,6 +354,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     pooled = []
     for config in configs:
         reports = execute_run(config, print_summary=False, log=log)
+        if not reports:
+            raise ConfigError(f"model {config.model!r} evaluated no series, so there is nothing to compare")
         for report in reports:
             rows.append((config.model, report))
         pooled.append(

@@ -24,14 +24,15 @@ The evaluation pass serves one bucket at a time. A model changes only when
 it learns, so the bucket's labels, in label order, split where its model
 can change (``labels_until_change``: at each retrain for window-retrain,
 never after grace for static, at every label for naive Bayes). Between two
-changes, its predictions are served by one model version, and its training
-rows are learned as a block. Rows are gathered from the log's columns
-through an id-to-code array, at most ``_GATHER`` cases at a time. Each
-resolution is its outcome (``2 * predicted + actual``) and the index of the
-label that resolved it; one array pass per bucket turns them into every
-series: confusion counts of each window from a cumulative sum lagged by
-``eval_window`` resolutions, then :func:`metrics_from_confusion` over all
-points at once.
+changes, its predictions are served by one model version, one
+``predict(row)`` each, and its training rows are learned as a block. The
+rows come from :class:`~.prefixing.FeatureRows`, which reads the final
+codec and gathers them with :func:`~.prefixing.encode`, at most ``GATHER``
+cases at a time. Each resolution is its outcome (``2 * predicted +
+actual``) and the index of the label that resolved it; one array pass per
+bucket turns them into every series: confusion counts of each window from
+a cumulative sum lagged by ``eval_window`` resolutions, then
+:func:`metrics_from_confusion` over all points at once.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ import numpy as np
 from .classifiers import LearnerParams, OutcomeModel, UpdatePolicy, model_class
 from .errors import ConfigError
 from .event_model import EventLog, StreamItem
-from .prefixing import MISSING_CODE, AttributeSchema, BucketConfig, CategoryCodec, EncodedSample
-from .prefixing import encode  # noqa: F401  -- traced by name until the run reports itself (ROADMAP item 6)
+from .prefixing import GATHER, MISSING_CODE, AttributeSchema, BucketConfig, CategoryCodec, FeatureRows
+from .prefixing import attribute_columns, contradictions
+from .prefixing import encode  # noqa: F401  -- the batch encoder; only the tracer reads this name (ROADMAP item 6)
 
 METRICS = ("accuracy", "precision", "recall", "f1")
-_GATHER = 128  # labels coded, or cases whose feature rows are gathered, at once
 
 
 def metrics_from_confusion(tp, fp, fn, tn) -> dict[str, np.ndarray]:
@@ -152,7 +153,7 @@ def run_stream(
     labels_seen = len(record.labelled)
     if labels_seen:
         _code_events(record, schema, codec, buckets)
-        rows = _Rows(record.log, schema, codec)
+        rows = FeatureRows(record.log, schema, codec)
     kept = [] if ledger is not None else None  # per bucket: what the ledger needs
     # The labels after grace at which the series take a point.
     points = np.arange(grace + eval_every, labels_seen + 1, eval_every)
@@ -252,22 +253,22 @@ def _code_events(record: _Record, schema: AttributeSchema, codec: CategoryCodec,
     case's training prefixes ``k_min..min(k_max, N)`` one after another:
     up to ``k_min`` as one such chunk, then event by event. Codes go to the
     string ids in the order of their first use. The coding steps are taken
-    ``_GATHER`` labels (and the predictions before them) at a time.
+    ``GATHER`` labels (and the predictions before them) at a time.
     """
     log = record.log
     k_min = buckets.k_min
     lengths = record.label_lengths
     label_top = np.where(lengths >= k_min, np.minimum(lengths, buckets.k_max), 0)
     coded = np.zeros(len(log), np.int64)  # per case, the events coded so far
-    contradictions = _contradictions(log, schema)
+    contradicted = contradictions(log, schema)
     categorical = [
         column
-        for column, numeric in zip(_attribute_columns(log, schema), schema.numeric)
+        for column, numeric in zip(attribute_columns(log, schema), schema.numeric)
         if column is not None and not numeric
     ]
     issued_from = 0
-    for begin in range(0, len(record.labelled), _GATHER):
-        labels = slice(begin, begin + _GATHER)
+    for begin in range(0, len(record.labelled), GATHER):
+        labels = slice(begin, begin + GATHER)
         at = record.labelled_at[labels]
         issued_to = np.searchsorted(record.issued_at, at[-1], side="right")
         if labels.stop >= len(record.labelled):
@@ -286,11 +287,11 @@ def _code_events(record: _Record, schema: AttributeSchema, codec: CategoryCodec,
         after[by_case[1:][same]] = top[by_case[:-1][same]]
         last = by_case[np.append(~same, True)]
         coded[case[last]] = top[last]
-        if contradictions:
+        if contradicted:
             first_coded = case[(after == 0) & (top > 0)]
             hits = [
                 (flags[first_coded].argmax(), message)
-                for flags, message in contradictions
+                for flags, message in contradicted
                 if flags[first_coded].any()
             ]
             if hits:
@@ -314,95 +315,8 @@ def _code_events(record: _Record, schema: AttributeSchema, codec: CategoryCodec,
             codec[string_id]
 
 
-def _attribute_columns(log: EventLog, schema: AttributeSchema) -> list[np.ndarray | None]:
-    """Per schema attribute, its log column, or None when the log lacks it or holds the other kind."""
-    columns = []
-    for name, numeric in zip(schema.names, schema.numeric):
-        at = log.names.index(name) if name in log.names else None
-        held = at is not None and (log.missing[at] is not None) == numeric
-        columns.append(log.columns[at] if held else None)
-    return columns
-
-
-def _contradictions(log: EventLog, schema: AttributeSchema) -> list[tuple[np.ndarray, str]]:
-    """Per attribute the schema contradicts: which cases hold a value in it, and the error.
-
-    A schema contradicts a column when it calls an attribute numeric where
-    the log holds text, or categorical where it holds numbers. Such a
-    column reads empty; it is an error at the first case coded that holds
-    a value in it, and of several, the first attribute's.
-    """
-    found = []
-    for name, numeric in zip(schema.names, schema.numeric):
-        if name not in log.names:
-            continue
-        at = log.names.index(name)
-        column, mask = log.columns[at], log.missing[at]
-        if (mask is not None) == numeric:
-            continue
-        filled = ~mask if mask is not None else column != MISSING_CODE
-        held, declared = ("text", "numeric") if numeric else ("numbers", "categorical")
-        found.append(
-            (
-                np.logical_or.reduceat(filled, log.bounds[:-1]),
-                f"attribute {name!r} holds {held} in the log; the schema declares it {declared}",
-            )
-        )
-    return found
-
-
-class _Rows:
-    """Gathers the feature rows of a bucket's cases from the log's columns.
-
-    A row of bucket ``k`` is the prefix's activity codes at positions
-    1..k followed, event by event, by the schema's attribute values:
-    numeric ones as stored (0.0 when empty), categorical ones coded through
-    an id-to-code array of the final codec. A name the log lacks, or a
-    column the schema contradicts (empty in every coded case), reads 0.
-    """
-
-    def __init__(self, log: EventLog, schema: AttributeSchema, codec: CategoryCodec) -> None:
-        self.starts = log.bounds[:-1]
-        self.activity = log.activity
-        self.labels = np.array(log.labels, dtype=np.int64)
-        self.code_of = np.zeros(len(log.strings))
-        ids, codes = zip(*dict.items(codec))
-        self.code_of[list(ids)] = codes
-        self.attributes = list(zip(_attribute_columns(log, schema), schema.numeric))
-
-    def gather(self, cases: np.ndarray, k: int) -> np.ndarray:
-        """The rows of the ``k``-prefixes of ``cases``, one per case."""
-        events = self.starts[cases][:, None] + np.arange(k)
-        width = len(self.attributes)
-        rows = np.zeros((len(cases), k * (1 + width)))
-        rows[:, :k] = self.code_of[self.activity[events]]
-        for at, (column, numeric) in enumerate(self.attributes):
-            if column is not None:
-                rows[:, k + at :: width] = column[events] if numeric else self.code_of[column[events]]
-        return rows
-
-    def blocks(self, cases: np.ndarray, k: int):
-        """A taker of the next rows (and labels) of ``cases``, gathered ``_GATHER`` at a time."""
-        block = labels = None
-        gathered = used = 0
-
-        def take(n: int) -> tuple[np.ndarray, np.ndarray]:
-            """Up to ``n`` next rows and their labels: the rest of the current block at most."""
-            nonlocal block, labels, gathered, used
-            if used == gathered:
-                chunk = cases[gathered : gathered + _GATHER]
-                block, labels = self.gather(chunk, k), self.labels[chunk]
-                gathered += len(chunk)
-            start = used - (gathered - len(block))
-            stop = start + min(n, gathered - used)
-            used += stop - start
-            return block[start:stop], labels[start:stop]
-
-        return take
-
-
 def _serve_bucket(
-    model: OutcomeModel, k: int, record: _Record, rows: _Rows, grace: int, kept: list | None
+    model: OutcomeModel, k: int, record: _Record, rows: FeatureRows, grace: int, kept: list | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train bucket ``k``'s model on its labels and serve its issued predictions, in stream order.
 
@@ -445,7 +359,7 @@ def _serve_bucket(
         nonlocal served
         while served < stop:
             block, _ = take_predictions(stop - served)
-            outcome = [model.predict(EncodedSample(k, row)) for row in block.tolist()]
+            outcome = [model.predict(row) for row in block.tolist()]
             predicted[served : served + len(outcome)] = outcome
             versions[served : served + len(outcome)] = model.version
             served += len(outcome)

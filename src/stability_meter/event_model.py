@@ -451,16 +451,14 @@ def _read_log(reader) -> EventLog:
 
 
 class Case:
-    """The handle of one case in a replayed log; every item of the case carries it.
+    """The read-only handle of one case in a replayed log; every item of the case carries it.
 
     ``index`` is the case's number in ``log`` (``log[index]`` is its trace),
     ``case_id`` and ``label`` its id and outcome, and its events are the
-    log's columns ``start:stop``, in (timestamp, row) order. ``acts``,
-    ``slots`` and ``cells`` are the prefix encoder's memo of the case
-    (see :func:`prefixing.encode`); they start empty.
+    log's columns ``start:stop``, in (timestamp, row) order.
     """
 
-    __slots__ = ("log", "index", "case_id", "label", "start", "stop", "acts", "slots", "cells")
+    __slots__ = ("log", "index", "case_id", "label", "start", "stop")
 
     def __init__(self, log: EventLog, index: int) -> None:
         self.log = log
@@ -469,9 +467,6 @@ class Case:
         self.label = log.labels[index]
         self.start = int(log.bounds[index])
         self.stop = int(log.bounds[index + 1])
-        self.acts: list[int] = []
-        self.slots: list = []
-        self.cells: tuple[list, list] | None = None
 
 
 class StreamItem(NamedTuple):

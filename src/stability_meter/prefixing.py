@@ -2,23 +2,23 @@
 
 Each completed case yields one prefix per length k in [k_min, min(k_max, N)].
 A prefix is encoded as the sequence of its activity codes followed, position
-by position, by the declared attribute values, so every sample of bucket k
-has the same feature-vector width. :func:`encode` reads a replayed case's
-events from the log's columns through its :class:`~.event_model.Case`
-handle, and :class:`CategoryCodec` codes the log's string ids, not their
-text.
+by position, by the declared attribute values, so every row of bucket k has
+the same width. :class:`CategoryCodec` codes the log's string ids, not their
+text; the order in which it assigns codes belongs to the caller (the run
+codes events in its protocol's order). :func:`encode`, the one encoder,
+reads a finished codec and gathers the rows of the ``k``-prefixes of many
+cases at once from the log's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .event_model import Case, EventLog
+from .event_model import EventLog
 
 # Categorical code reserved for values absent from an event.
 MISSING_CODE = 0
@@ -40,15 +40,6 @@ class BucketConfig:
 
     def buckets(self) -> range:
         return range(self.k_min, self.k_max + 1)
-
-
-@dataclass(frozen=True)
-class EncodedSample:
-    """Feature vector for one prefix; label present for training samples."""
-
-    bucket: int
-    features: tuple
-    label: int | None = None
 
 
 @dataclass(frozen=True)
@@ -114,6 +105,13 @@ class CategoryCodec(dict):
     def __len__(self) -> int:
         return dict.__len__(self) - 1
 
+    def array(self, log: EventLog) -> np.ndarray:
+        """The codes indexed by ``log``'s string ids, as floats; an id not coded reads 0."""
+        codes = np.zeros(len(log.strings))
+        ids, values = zip(*dict.items(self))
+        codes[list(ids)] = values
+        return codes
+
 
 def default_k_max(log: EventLog) -> int:
     """Lower median of the case lengths of a parsed log (deterministic for even counts).
@@ -124,67 +122,92 @@ def default_k_max(log: EventLog) -> int:
     return int(lengths[(len(lengths) - 1) // 2])
 
 
-def _case_cells(case: Case, schema: AttributeSchema) -> tuple[list, list]:
-    """The case's activity string ids and, event by event, its attribute cells.
+GATHER = 128  # cases whose feature rows are gathered, or labels coded, at once
 
-    A numeric attribute's cell is its float (0.0 when empty), a categorical
-    one's its string id (0 when empty); a name the log lacks reads empty.
-    """
-    log, start, stop = case.log, case.start, case.stop
+
+def attribute_columns(log: EventLog, schema: AttributeSchema) -> list[np.ndarray | None]:
+    """Per schema attribute, its log column, or None when the log lacks it or holds the other kind."""
     columns = []
     for name, numeric in zip(schema.names, schema.numeric):
-        empty = 0.0 if numeric else MISSING_CODE
-        if name not in log.names:
-            columns.append([empty] * (stop - start))
+        at = log.names.index(name) if name in log.names else None
+        held = at is not None and (log.missing[at] is not None) == numeric
+        columns.append(log.columns[at] if held else None)
+    return columns
+
+
+def contradictions(log: EventLog, schema: AttributeSchema) -> list[tuple[np.ndarray, str]]:
+    """Per attribute the schema contradicts: which cases hold a value in it, and the error.
+
+    A schema contradicts a column when it calls an attribute numeric where
+    the log holds text, or categorical where it holds numbers. Such a
+    column reads empty; it is an error at the first case coded that holds
+    a value in it, and of several, the first attribute's.
+    """
+    found = []
+    for name, numeric, column in zip(schema.names, schema.numeric, attribute_columns(log, schema)):
+        if column is not None or name not in log.names:
             continue
         at = log.names.index(name)
-        column, mask = log.columns[at], log.missing[at]
-        if (mask is not None) == numeric:
-            columns.append(column[start:stop].tolist())
-            continue
-        filled = ~mask[start:stop] if mask is not None else column[start:stop] != 0
-        if filled.any():
-            held, declared = ("text", "numeric") if numeric else ("numbers", "categorical")
-            raise ConfigError(f"attribute {name!r} holds {held} in the log; the schema declares it {declared}")
-        columns.append([empty] * (stop - start))
-    cells = [cell for row in zip(*columns) for cell in row]
-    return log.activity[start:stop].tolist(), cells
+        mask = log.missing[at]
+        filled = ~mask if mask is not None else log.columns[at] != MISSING_CODE
+        held, declared = ("text", "numeric") if numeric else ("numbers", "categorical")
+        found.append(
+            (
+                np.logical_or.reduceat(filled, log.bounds[:-1]),
+                f"attribute {name!r} holds {held} in the log; the schema declares it {declared}",
+            )
+        )
+    return found
 
 
-def encode(
-    case: Case,
-    k: int,
-    schema: AttributeSchema,
-    codec: CategoryCodec,
-    label: int | None = None,
-) -> EncodedSample:
-    """Index-based encoding of the case's first ``k`` events.
+def encode(log: EventLog, cases: np.ndarray, k: int, schema: AttributeSchema, codes: np.ndarray) -> np.ndarray:
+    """The feature rows of the ``k``-prefixes of ``cases``, one per case.
 
-    Features are the activity codes at positions 1..k followed by, per
-    position, the schema's attribute values (numeric passed through,
-    categorical coded, missing encoded as the reserved missing code).
-
-    The first call on a case takes its activity ids and the schema's
-    attribute cells from the log's columns, once; ``case.acts`` and
-    ``case.slots`` then hold the events coded so far. Events not coded yet
-    are coded up to position ``k`` only: their activities first, then their
-    attributes. Coding a case's prefixes in increasing ``k`` therefore
-    assigns the codec's codes in the same order as coding each prefix from
-    scratch. A schema that calls an attribute numeric where the log holds
-    text, or categorical where it holds numbers, is a ``ConfigError`` at
-    the first case coded with a value in that column.
+    ``cases`` are indices of cases of ``log`` with at least ``k`` events,
+    and ``codes`` is a finished codec as an array (:meth:`CategoryCodec.array`).
+    A row is the prefix's activity codes at positions 1..k followed, event
+    by event, by the schema's attribute values: numeric ones as stored (0.0
+    when empty), categorical ones coded. A name the log lacks, or a column
+    the schema contradicts, reads 0.
     """
-    acts = case.acts
-    done = len(acts)
+    events = log.bounds[cases][:, None] + np.arange(k)
     width = len(schema.names)
-    if done < k:
-        if case.cells is None:
-            case.cells = _case_cells(case, schema)
-        ids, cells = case.cells
-        acts.extend(map(codec.__getitem__, ids[done:k]))
-        if width:
-            slots = case.slots
-            for cell, numeric in zip(cells[done * width : k * width], cycle(schema.numeric)):
-                slots.append(cell if numeric else codec[cell])
-    features = tuple(acts[:k]) + tuple(case.slots[: k * width])
-    return EncodedSample(bucket=k, features=features, label=label)
+    rows = np.zeros((len(events), k * (1 + width)))
+    rows[:, :k] = codes[log.activity[events]]
+    for at, (column, numeric) in enumerate(zip(attribute_columns(log, schema), schema.numeric)):
+        if column is not None:
+            rows[:, k + at :: width] = column[events] if numeric else codes[column[events]]
+    return rows
+
+
+class FeatureRows:
+    """The feature rows and labels of a log's cases, coded by a finished codec.
+
+    The codec's id-to-code array is built once, here; :meth:`blocks` gathers
+    rows with :func:`encode`, ``GATHER`` cases at a time.
+    """
+
+    def __init__(self, log: EventLog, schema: AttributeSchema, codec: CategoryCodec) -> None:
+        self.log = log
+        self.schema = schema
+        self.codes = codec.array(log)
+        self.labels = np.array(log.labels, dtype=np.int64)
+
+    def blocks(self, cases: np.ndarray, k: int):
+        """A taker of the next rows (and labels) of ``cases``, gathered ``GATHER`` at a time."""
+        block = labels = None
+        gathered = used = 0
+
+        def take(n: int) -> tuple[np.ndarray, np.ndarray]:
+            """Up to ``n`` next rows and their labels: the rest of the current block at most."""
+            nonlocal block, labels, gathered, used
+            if used == gathered:
+                chunk = cases[gathered : gathered + GATHER]
+                block, labels = encode(self.log, chunk, k, self.schema, self.codes), self.labels[chunk]
+                gathered += len(chunk)
+            start = used - (gathered - len(block))
+            stop = start + min(n, gathered - used)
+            used += stop - start
+            return block[start:stop], labels[start:stop]
+
+        return take

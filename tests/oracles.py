@@ -8,9 +8,10 @@ bit-exact reference for that change. ``ReferenceTree`` is the Gini tree
 that searched splits one feature at a time, kept as the reference for the
 per-node split search. ``dict_reader_parse_log``, ``tuple_replay`` and
 ``scratch_encode`` are the log parser, replay and prefix encoder the package
-used before it stored events compactly and coded each event once per case,
-kept as the references for those changes; they read attributes through
-``attribute_map``, not ``Event.attribute``, and code text with ``TextCodec``.
+used before it stored events compactly and gathered prefix rows from the
+log's columns, kept as the references for those changes; they read
+attributes through ``attribute_map``, not ``Event.attribute``, and code
+text with ``TextCodec``.
 ``event_replay``, ``EvalWindow``, ``loop_metrics`` and ``reference_run_stream``
 are the replay that built an ``Event`` per item and the run loop that kept a
 window per bucket and computed every point's metrics as its label arrived,
@@ -41,7 +42,7 @@ from stability_meter.event_model import (
     _parse_label,
     _parse_timestamp,
 )
-from stability_meter.prefixing import MISSING_CODE, AttributeSchema, EncodedSample
+from stability_meter.prefixing import MISSING_CODE, AttributeSchema
 from stability_meter.stability import MovingStats
 
 
@@ -486,8 +487,8 @@ class TextCodec:
         return len(self._codes)
 
 
-def scratch_encode(prefix, schema, codec, label=None):
-    """Index-based encoding of a prefix, coding every event from scratch."""
+def scratch_encode(prefix, schema, codec):
+    """The feature tuple of a prefix's index-based encoding, coding every event from scratch."""
     features = [codec.code(event.activity) for event in prefix.events]
     for event in prefix.events:
         attributes = attribute_map(event)
@@ -499,7 +500,7 @@ def scratch_encode(prefix, schema, codec, label=None):
                 features.append(float(value))
             else:
                 features.append(codec.code(str(value)))
-    return EncodedSample(bucket=prefix.k, features=tuple(features), label=label)
+    return tuple(features)
 
 
 def loop_metrics(tp, fp, fn, tn):
@@ -582,9 +583,9 @@ def reference_run_stream(
         if grace_done and buckets.k_min <= k <= buckets.k_max:
             model = models[k]
             if model.is_ready:
-                sample = scratch_encode(Prefix(case_id, k, tuple(events)), schema, codec)
+                features = scratch_encode(Prefix(case_id, k, tuple(events)), schema, codec)
                 pending.setdefault(case_id, []).append(
-                    (k, model.predict(sample), model.version, stream_index)
+                    (k, model.predict(features), model.version, stream_index)
                 )
 
         if not item.is_case_end:
@@ -602,7 +603,7 @@ def reference_run_stream(
                 )
         for train_k in range(buckets.k_min, min(buckets.k_max, k) + 1):
             prefix = Prefix(case_id, train_k, tuple(events[:train_k]))
-            models[train_k].observe_label(scratch_encode(prefix, schema, codec, label=label))
+            models[train_k].observe_label(scratch_encode(prefix, schema, codec), label)
         del open_cases[case_id]
 
         if not grace_done:

@@ -15,22 +15,11 @@ from stability_meter.classifiers import (
 )
 from stability_meter.errors import NotReadyError
 from stability_meter.evaluation import run_stream
-from stability_meter.event_model import Case
-from stability_meter.prefixing import (
-    AttributeSchema,
-    BucketConfig,
-    CategoryCodec,
-    EncodedSample,
-    encode,
-)
+from stability_meter.prefixing import AttributeSchema, BucketConfig, encode
 from stability_meter.synthgen import DriftLogSpec
 
 from oracles import ReferenceTree, nb_posterior_scores
-from parsed_logs import parsed_log
-
-
-def _sample(features, label=None, bucket=2):
-    return EncodedSample(bucket=bucket, features=tuple(features), label=label)
+from parsed_logs import full_codec, parsed_log
 
 
 def _tree_json(model):
@@ -46,29 +35,23 @@ def _tree_json(model):
 def test_nb_trained_on_one_class_predicts_that_class_everywhere():
     model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False, False))
     for features in [(1, 2), (3, 4), (1, 4)]:
-        model.observe_label(_sample(features, label=1))
-    assert model.predict(_sample((9, 9))) == 1
-    assert model.predict(_sample((1, 2))) == 1
+        model.observe_label(features, 1)
+    assert model.predict((9, 9)) == 1
+    assert model.predict((1, 2)) == 1
 
 
 def test_nb_exact_tie_breaks_toward_zero():
     model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False, False))
-    model.observe_label(_sample((1, 2), label=0))
-    model.observe_label(_sample((1, 2), label=1))
-    assert model.predict(_sample((1, 2))) == 0
-
-
-def test_nb_unlabeled_update_is_a_contract_error():
-    model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False,))
-    with pytest.raises(ValueError):
-        model.observe_label(_sample((1,), label=None))
+    model.observe_label((1, 2), 0)
+    model.observe_label((1, 2), 1)
+    assert model.predict((1, 2)) == 0
 
 
 def test_nb_predict_before_any_training_raises():
     model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False,))
     assert not model.is_ready
     with pytest.raises(NotReadyError):
-        model.predict(_sample((1,)))
+        model.predict((1,))
 
 
 def test_nb_matches_hand_recomputed_posterior_on_holdout():
@@ -79,11 +62,11 @@ def test_nb_matches_hand_recomputed_posterior_on_holdout():
     ]
     model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False, False, False))
     for features, label in train:
-        model.observe_label(_sample(features, label=label))
+        model.observe_label(features, label)
     for held_out in [(1, 1, 1), (3, 2, 1), (2, 2, 2), (9, 1, 3)]:
         scores = nb_posterior_scores(train, held_out)
         expected = int(scores[1] > scores[0])
-        assert model.predict(_sample(held_out)) == expected
+        assert model.predict(held_out) == expected
 
 
 def test_nb_counts_equal_batch_recount_within_memory():
@@ -96,7 +79,7 @@ def test_nb_counts_equal_batch_recount_within_memory():
         features = tuple(int(v) for v in rng.integers(0, 3, size=2))
         label = int(rng.integers(0, 2))
         history.append((features, label))
-        model.observe_label(_sample(features, label=label))
+        model.observe_label(features, label)
     assert model.version == 100
     expected_class = [sum(1 for _, y in history if y == c) for c in (0, 1)]
     assert model._class_counts == expected_class
@@ -112,13 +95,13 @@ def test_nb_counts_equal_batch_recount_within_memory():
 def test_nb_counts_cover_only_the_memory_window():
     model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False,), params=LearnerParams(memory=10))
     for i in range(25):
-        model.observe_label(_sample((i % 4,), label=i % 2))
+        model.observe_label((i % 4,), i % 2)
     assert sum(model._class_counts) == 10
     assert len(model._window) == 10
     # decision follows the window: feed a burst of one class
     for _ in range(10):
-        model.observe_label(_sample((0,), label=1))
-    assert model.predict(_sample((0,))) == 1
+        model.observe_label((0,), 1)
+    assert model.predict((0,)) == 1
 
 
 def test_nb_numeric_features_use_grace_deciles():
@@ -129,7 +112,7 @@ def test_nb_numeric_features_use_grace_deciles():
         features = (int(rng.integers(0, 3)), float(rng.uniform(0, 100)))
         label = int(features[1] > 50)
         grace.append((features, label))
-        model.observe_label(_sample(features, label=label))
+        model.observe_label(features, label)
     assert not model.is_ready  # nothing counted until the bins are frozen
     model.finish_grace()
     assert model.is_ready
@@ -138,24 +121,24 @@ def test_nb_numeric_features_use_grace_deciles():
         scores = nb_posterior_scores(
             grace, probe, bins=bins, numeric_mask=[False, True]
         )
-        assert model.predict(_sample(probe)) == int(scores[1] > scores[0])
+        assert model.predict(probe) == int(scores[1] > scores[0])
 
 
 def test_models_reject_samples_of_the_wrong_width():
     nb = IncrementalNaiveBayes(bucket=2, numeric_mask=(False, False))
     with pytest.raises(ValueError, match="schema mismatch"):
-        nb.observe_label(_sample((1,), label=0))
+        nb.observe_label((1,), 0)
     static = StaticModel(bucket=3, numeric_mask=(False, False, False))
     with pytest.raises(ValueError, match="schema mismatch"):
-        static.observe_label(_sample((1, 2), label=0, bucket=3))
+        static.observe_label((1, 2), 0)
 
 
 def test_nb_version_counts_updates():
     model = IncrementalNaiveBayes(bucket=2, numeric_mask=(False,))
     before = model.version
-    model.observe_label(_sample((1,), label=1))
+    model.observe_label((1,), 1)
     assert model.version == before + 1
-    prediction = model.predict(_sample((1,)))
+    prediction = model.predict((1,))
     assert model.version == before + 1  # predict does not mutate
     assert prediction == 1
 
@@ -335,7 +318,7 @@ def test_tree_rejects_a_mask_of_the_wrong_width():
 def _labeled_stream(n, rng):
     for _ in range(n):
         features = (int(rng.integers(0, 2)), int(rng.integers(0, 3)))
-        yield _sample(features, label=int(features[0]))
+        yield features, int(features[0])
 
 
 def test_window_retrain_memory_never_exceeds_capacity():
@@ -345,20 +328,19 @@ def test_window_retrain_memory_never_exceeds_capacity():
     )
     model.finish_grace()  # empty window: nothing to train on yet
     assert not model.is_ready
-    for sample in _labeled_stream(200, rng):
-        model.observe_label(sample)
+    for features, label in _labeled_stream(200, rng):
+        model.observe_label(features, label)
         assert len(model._rows) <= 50 and len(model._labels) <= 50
     assert model.is_ready
 
 
 def test_window_retrain_same_window_gives_identical_trees():
     rng = np.random.default_rng(9)
-    samples = list(_labeled_stream(60, rng))
     model = WindowRetrainModel(
         bucket=2, numeric_mask=(False, False), params=LearnerParams(train_window=100)
     )
-    for sample in samples:
-        model.observe_label(sample)
+    for features, label in _labeled_stream(60, rng):
+        model.observe_label(features, label)
     model.retrain()
     first = _tree_json(model)
     version = model.version
@@ -372,7 +354,7 @@ def test_window_retrain_empty_window_is_not_ready():
     with pytest.raises(NotReadyError):
         model.retrain()
     with pytest.raises(NotReadyError):
-        model.predict(_sample((1,)))
+        model.predict((1,))
 
 
 def test_window_retrain_cadence_throttles_retraining():
@@ -382,52 +364,49 @@ def test_window_retrain_cadence_throttles_retraining():
         numeric_mask=(False, False),
         params=LearnerParams(train_window=100, retrain_every=5),
     )
-    for sample in _labeled_stream(10, rng):
-        model.observe_label(sample)
+    for features, label in _labeled_stream(10, rng):
+        model.observe_label(features, label)
     model.finish_grace()
     base = model.version
-    for sample in _labeled_stream(9, rng):
-        model.observe_label(sample)
+    for features, label in _labeled_stream(9, rng):
+        model.observe_label(features, label)
     assert model.version == base + 1  # one retrain after 5 labels, next at 10
-    predicted = model.predict(_sample((1, 0)))
+    predicted = model.predict((1, 0))
     assert predicted in (0, 1)
 
 
 def _synth_samples(attrs, seed, k=3, cases=320):
-    """Labeled k-prefix samples of a seeded synth log, one per case of length >= k."""
+    """The feature mask, rows and labels of the k-prefixes of a seeded synth log, one per case of length >= k."""
     log = parsed_log(DriftLogSpec(n_cases=cases, drift_at=cases // 2, seed=seed))
     schema = AttributeSchema.from_traces(attrs, log)
-    codec = CategoryCodec()
-    samples = []
-    for index, trace in enumerate(log):
-        if len(trace) >= k:
-            samples.append(encode(Case(log, index), k, schema, codec, label=trace.label))
-    return schema.feature_mask(k), samples
+    long_enough = np.flatnonzero(log.lengths() >= k)
+    rows = encode(log, long_enough, k, schema, full_codec(log).array(log))
+    return schema.feature_mask(k), rows, np.array(log.labels)[long_enough]
 
 
 @pytest.mark.parametrize("attrs", [(), ("amount", "channel")])
 @pytest.mark.parametrize("retrain_every", [1, 7])
 @pytest.mark.parametrize("train_window", [20, 200])
 def test_window_retrain_trees_match_a_reference_fit_of_the_last_window(attrs, retrain_every, train_window):
-    mask, samples = _synth_samples(attrs, seed=retrain_every + train_window)
+    mask, rows, labels = _synth_samples(attrs, seed=retrain_every + train_window)
     params = LearnerParams(train_window=train_window, retrain_every=retrain_every)
     model = WindowRetrainModel(bucket=3, numeric_mask=mask, params=params)
     window = deque(maxlen=train_window)
     grace = 40
     retrains = 0
-    for index, sample in enumerate(samples, start=1):
+    for index, (features, label) in enumerate(zip(rows.tolist(), labels.tolist()), start=1):
         version = model.version
-        model.observe_label(sample)
-        window.append(sample)
+        model.observe_label(features, label)
+        window.append((features, label))
         if index == grace:
             model.finish_grace()
         if model.version != version:
             retrains += 1
             reference = ReferenceTree(max_depth=params.tree_depth, min_leaf=MIN_LEAF).fit(
-                [entry.features for entry in window], [entry.label for entry in window], mask
+                [features for features, _ in window], [label for _, label in window], mask
             )
             assert model._tree.to_dict() == reference.to_dict(), f"retrain after sample {index}"
-    assert retrains == 1 + (len(samples) - grace) // retrain_every
+    assert retrains == 1 + (len(rows) - grace) // retrain_every
 
 
 def _model_state(model):
@@ -443,28 +422,26 @@ def test_labels_to_ready_says_after_how_many_labels_a_model_predicts(kind, grace
     params = LearnerParams(retrain_every=4)
     model = kind(2, (False, False), params)
     samples = list(_labeled_stream(grace_labels + 12, np.random.default_rng(1)))
-    for sample in samples[:grace_labels]:
-        model.observe_label(sample)
+    for features, label in samples[:grace_labels]:
+        model.observe_label(features, label)
     model.finish_grace()
     need = kind.labels_to_ready(grace_labels, params)
-    for seen, sample in enumerate(samples[grace_labels:]):
+    for seen, (features, label) in enumerate(samples[grace_labels:]):
         assert model.is_ready == (need is not None and seen >= need), seen
-        model.observe_label(sample)
+        model.observe_label(features, label)
 
 
 @pytest.mark.parametrize("block", [1, 4, 25, 64])
 @pytest.mark.parametrize("kind", [IncrementalNaiveBayes, WindowRetrainModel, StaticModel])
 def test_learning_blocks_matches_observing_one_sample_at_a_time(kind, block):
     # Blocks longer than the window and than the cadence, cut anywhere.
-    mask, samples = _synth_samples(("amount", "channel"), seed=11)
+    mask, rows, labels = _synth_samples(("amount", "channel"), seed=11)
     params = LearnerParams(train_window=20, retrain_every=3, memory=30)
     grace = 45
     one, blocks = kind(3, mask, params), kind(3, mask, params)
-    rows = np.array([sample.features for sample in samples], dtype=float)
-    labels = np.array([sample.label for sample in samples])
-    for part in (slice(0, grace), slice(grace, len(samples))):
-        for sample in samples[part]:
-            one.observe_label(sample)
+    for part in (slice(0, grace), slice(grace, len(rows))):
+        for features, label in zip(rows[part].tolist(), labels[part].tolist()):
+            one.observe_label(features, label)
         for start in range(part.start, part.stop, block):
             stop = min(start + block, part.stop)
             blocks.learn(rows[start:stop], labels[start:stop])
@@ -482,16 +459,16 @@ def test_learning_blocks_matches_observing_one_sample_at_a_time(kind, block):
 def test_static_model_trains_once_and_freezes():
     rng = np.random.default_rng(8)
     model = StaticModel(bucket=2, numeric_mask=(False, False))
-    for sample in _labeled_stream(200, rng):
-        model.observe_label(sample)
+    for features, label in _labeled_stream(200, rng):
+        model.observe_label(features, label)
     model.finish_grace()
     assert model.version == 1
     snapshot = _tree_json(model)
-    probes = [_sample((i % 2, i % 3)) for i in range(6)]
+    probes = [(i % 2, i % 3) for i in range(6)]
     before = [model.predict(p) for p in probes]
     # post-grace labels with inverted outcomes must change nothing
-    for sample in _labeled_stream(100, rng):
-        model.observe_label(_sample(sample.features, label=1 - sample.label))
+    for features, label in _labeled_stream(100, rng):
+        model.observe_label(features, 1 - label)
     assert model.version == 1
     assert _tree_json(model) == snapshot
     assert [model.predict(p) for p in probes] == before
@@ -501,8 +478,8 @@ def test_static_model_without_grace_samples_ignores_later_labels():
     rng = np.random.default_rng(3)
     model = StaticModel(bucket=2, numeric_mask=(False, False))
     model.finish_grace()  # no grace samples: this bucket is never trained
-    for sample in _labeled_stream(1000, rng):
-        model.observe_label(sample)
+    for features, label in _labeled_stream(1000, rng):
+        model.observe_label(features, label)
     assert not model.is_ready
     assert model.version == 0
     assert not model._grace
@@ -511,7 +488,7 @@ def test_static_model_without_grace_samples_ignores_later_labels():
 def test_static_predict_before_training_raises():
     model = StaticModel(bucket=2, numeric_mask=(False,))
     with pytest.raises(NotReadyError):
-        model.predict(_sample((0,)))
+        model.predict((0,))
 
 
 # ---------------------------------------------------------------------------

@@ -275,24 +275,32 @@ def test_compare_rejects_an_unknown_model_before_running_any(small_log, tmp_path
     assert not out.exists()
 
 
-def test_compare_of_identical_configs_yields_identical_rows(small_log, tmp_path, capsys):
+def test_compare_rejects_a_repeated_model_before_running_any(small_log, tmp_path, capsys):
+    # Both runs would write into one directory and rank the model against itself.
     out = tmp_path / "twin"
-    code, _, _ = _run_cli(
-        [
-            "compare",
-            "--log", str(small_log),
-            "--models", "incremental,incremental",
-            "--grace", "20",
-            "--eval-window", "10",
-            "--out", str(out),
-        ],
+    code, stdout, stderr = _run_cli(
+        ["compare", "--log", str(small_log), "--models", "static,incremental,static", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "stability-meter: config error: compare runs each model once; 'static' is named twice in --models\n"
+    )
+    assert not out.exists()
+
+
+def test_compare_names_the_model_that_evaluated_nothing(small_log, tmp_path, capsys):
+    code, stdout, stderr = _run_cli(
+        ["compare", "--log", str(small_log), "--models", "incremental,static", "--grace", "60",
+         "--out", str(tmp_path / "cmp")],
         capsys,
     )
-    assert code == 0
-    payload = json.loads((out / "compare.json").read_text())
-    rows = payload["rows"]
-    half = len(rows) // 2
-    assert rows[:half] == rows[half:]
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "stability-meter: warning: --grace 60 covers all 60 labels; nothing was evaluated\n"
+        "stability-meter: config error: model 'incremental' evaluated no series, so there is nothing to compare\n"
+    )
 
 
 def test_run_with_attribute_encoding_enabled(small_log, tmp_path, capsys):

@@ -1,10 +1,10 @@
-import random
 from io import StringIO
 
+import numpy as np
 import pytest
 
 from stability_meter.errors import ConfigError
-from stability_meter.event_model import Case, Event, Trace, parse_log
+from stability_meter.event_model import Event, Trace, parse_log
 from stability_meter.prefixing import (
     MISSING_CODE,
     AttributeSchema,
@@ -13,10 +13,9 @@ from stability_meter.prefixing import (
     default_k_max,
     encode,
 )
-from stability_meter.synthgen import DriftLogSpec
 
 from oracles import Prefix, TextCodec, scratch_encode
-from parsed_logs import coded_texts, parsed_log
+from parsed_logs import codec_like, coded_texts, full_codec, parsed_log, shuffled_blanked_log
 
 
 def prefixes_of(trace, cfg):
@@ -49,23 +48,29 @@ def _trace(case_id, activities, attrs=None):
 _COLUMNS = ("case_id", "activity", "timestamp", "label", "amount", "channel", "extra")
 
 
-def _case(activities, attrs=None, case_id="c"):
-    """Case 0 of a parsed one-case log whose i-th event has the cells of ``attrs[i - 1]``."""
+def _one_case_log(activities, attrs=None, case_id="c"):
+    """A parsed one-case log whose i-th event has the cells of ``attrs[i - 1]``."""
     attrs = attrs or [{}] * len(activities)
     last = len(activities)
-    log = parsed_log(
+    return parsed_log(
         [
             (case_id, activity, i, 1 if i == last else None, *(cells.get(name) for name in _COLUMNS[4:]))
             for i, (activity, cells) in enumerate(zip(activities, attrs), start=1)
         ],
         columns=_COLUMNS,
     )
-    return Case(log, 0)
 
 
-def _code(codec, case, text):
-    """The code ``codec`` gave ``text`` in the case's log."""
-    return codec[case.log.strings.index(text)]
+def _encode(log, cases, k, schema, codec=None):
+    """``encode``'s rows of the ``k``-prefixes of ``cases`` as tuples, through ``codec`` (default: every string)."""
+    codec = full_codec(log) if codec is None else codec
+    rows = encode(log, np.array(cases), k, schema, codec.array(log))
+    return [tuple(row) for row in rows.tolist()]
+
+
+def _code(codec, log, text):
+    """The code ``codec`` gave ``text`` in ``log``."""
+    return codec[log.strings.index(text)]
 
 
 def _log_of_lengths(*lengths):
@@ -116,31 +121,26 @@ def test_short_trace_yields_no_prefixes():
 
 
 def test_encode_activities_only():
-    codec = CategoryCodec()
-    schema = AttributeSchema()
-    case = _case(["A", "B"])
-    sample = encode(case, 2, schema, codec)
-    assert sample.bucket == 2
-    assert sample.features == (_code(codec, case, "A"), _code(codec, case, "B")) == (1, 2)
-    assert sample.label is None
+    log = _one_case_log(["A", "B"])
+    codec = full_codec(log)
+    (row,) = _encode(log, [0], 2, AttributeSchema(), codec)
+    assert row == (_code(codec, log, "A"), _code(codec, log, "B")) == (1, 2)
 
 
 def test_encode_appends_attributes_per_position():
-    codec = CategoryCodec()
+    log = _one_case_log(["A", "B"], attrs=[{"amount": 10.0}, {"amount": 20.0}])
+    codec = full_codec(log)
     schema = AttributeSchema(names=("amount",), numeric=(True,))
-    case = _case(["A", "B"], attrs=[{"amount": 10.0}, {"amount": 20.0}])
-    sample = encode(case, 2, schema, codec, label=1)
-    assert sample.features == (_code(codec, case, "A"), _code(codec, case, "B"), 10.0, 20.0)
-    assert sample.label == 1
+    assert _encode(log, [0], 2, schema, codec) == [(_code(codec, log, "A"), _code(codec, log, "B"), 10.0, 20.0)]
 
 
 def test_encode_missing_attribute_uses_reserved_code():
-    codec = CategoryCodec()
+    log = _one_case_log(["A", "B"], attrs=[{"channel": "web"}, {}])
+    codec = full_codec(log)
     schema = AttributeSchema(names=("channel",), numeric=(False,))
-    case = _case(["A", "B"], attrs=[{"channel": "web"}, {}])
-    sample = encode(case, 2, schema, codec)
-    assert sample.features[-1] == MISSING_CODE
-    assert sample.features[-2] == _code(codec, case, "web")
+    (row,) = _encode(log, [0], 2, schema, codec)
+    assert row[-1] == MISSING_CODE
+    assert row[-2] == _code(codec, log, "web")
 
 
 def test_encode_looks_attributes_up_by_name():
@@ -151,20 +151,30 @@ def test_encode_looks_attributes_up_by_name():
         {},
         {"channel": None, "amount": None},
     ]
-    case = _case(["A", "B", "C", "D"], attrs=attrs)
+    log = _one_case_log(["A", "B", "C", "D"], attrs=attrs)
     schema = AttributeSchema(names=("channel", "ghost", "amount"), numeric=(False, False, True))
-    codec, scratch = CategoryCodec(), TextCodec()
-    events = case.log[0].events
-    for k in range(1, 5):
-        want = scratch_encode(Prefix("c", k, tuple(events[:k])), schema, scratch)
-        assert encode(case, k, schema, codec) == want
-    assert want.features[4:] == (
-        _code(codec, case, "web"), MISSING_CODE, 1.5,
-        _code(codec, case, "phone"), MISSING_CODE, 4.0,
+    scratch = TextCodec()
+    events = log[0].events
+    want = [scratch_encode(Prefix("c", k, tuple(events[:k])), schema, scratch) for k in range(1, 5)]
+    codec = codec_like(scratch, log)
+    assert [_encode(log, [0], k, schema, codec)[0] for k in range(1, 5)] == want
+    assert want[-1][4:] == (
+        _code(codec, log, "web"), MISSING_CODE, 1.5,
+        _code(codec, log, "phone"), MISSING_CODE, 4.0,
         MISSING_CODE, MISSING_CODE, 0.0,
         MISSING_CODE, MISSING_CODE, 0.0,
     )
-    assert coded_texts(codec, case.log) == scratch._codes
+
+
+def test_encode_reads_a_finished_codec_and_assigns_no_code():
+    # the run assigns codes in its protocol's order; the encoder only reads them
+    log = _one_case_log(["A", "B", "C"], attrs=[{"channel": "web"}, {"channel": "x"}, {}])
+    schema = AttributeSchema(names=("channel",), numeric=(False,))
+    codec = CategoryCodec()
+    codec[log.strings.index("B")]
+    codec[log.strings.index("web")]
+    assert _encode(log, [0], 3, schema, codec) == [(0, 1, 0, 2, 0, 0)]
+    assert coded_texts(codec, log) == {"B": 1, "web": 2}
 
 
 def test_a_column_empty_on_every_row_is_categorical_and_missing():
@@ -173,27 +183,21 @@ def test_a_column_empty_on_every_row_is_categorical_and_missing():
     )
     schema = AttributeSchema.from_traces(["note", "amount"], log)
     assert schema.numeric == (False, True)
-    codec = CategoryCodec()
-    sample = encode(Case(log, 0), 2, schema, codec)
-    assert sample.features[2:] == (MISSING_CODE, 2.0, MISSING_CODE, 3.0)
-    assert len(codec) == 2
+    (row,) = _encode(log, [0], 2, schema)
+    assert row[2:] == (MISSING_CODE, 2.0, MISSING_CODE, 3.0)
 
 
 def test_codes_are_stable_across_cases():
     log = parsed_log([("c1", "A", 1, None), ("c1", "B", 2, 1), ("c2", "B", 3, None), ("c2", "A", 4, 0)])
-    codec = CategoryCodec()
-    schema = AttributeSchema()
-    one = encode(Case(log, 0), 2, schema, codec)
-    two = encode(Case(log, 1), 2, schema, codec)
-    assert one.features == (two.features[1], two.features[0])
-    assert len(codec) == 2
+    one, two = _encode(log, [0, 1], 2, AttributeSchema())
+    assert one == (two[1], two[0])
+    assert sorted(one) == [1, 2]
 
 
 def test_activities_and_categories_with_one_text_share_a_code():
-    codec = CategoryCodec()
+    log = _one_case_log(["web", "B"], attrs=[{"channel": "B"}, {"channel": "web"}])
     schema = AttributeSchema(names=("channel",), numeric=(False,))
-    case = _case(["web", "B"], attrs=[{"channel": "B"}, {"channel": "web"}])
-    assert encode(case, 2, schema, codec).features == (1, 2, 2, 1)
+    assert _encode(log, [0], 2, schema) == [(1, 2, 2, 1)]
 
 
 def test_identical_prefix_content_encodes_identically():
@@ -201,35 +205,22 @@ def test_identical_prefix_content_encodes_identically():
         [("c1", "A", 1, None, 1.0), ("c2", "A", 2, None, 1.0), ("c1", "B", 3, 1, 2.0), ("c2", "B", 4, 1, 2.0)],
         columns=("case_id", "activity", "timestamp", "label", "amount"),
     )
-    codec = CategoryCodec()
     schema = AttributeSchema(names=("amount",), numeric=(True,))
-    s1 = encode(Case(log, 0), 2, schema, codec)
-    s2 = encode(Case(log, 1), 2, schema, codec)
-    assert s1.features == s2.features
+    one, two = _encode(log, [0, 1], 2, schema)
+    assert one == two
 
 
-@pytest.mark.parametrize(
-    "schema, attrs",
-    [
-        (AttributeSchema(names=("amount",), numeric=(False,)), [{"amount": 1.5}, {}]),
-        (AttributeSchema(names=("channel",), numeric=(True,)), [{}, {"channel": "web"}]),
-    ],
-    ids=["numbers declared categorical", "text declared numeric"],
-)
-def test_a_schema_that_contradicts_the_log_is_a_config_error(schema, attrs):
-    with pytest.raises(ConfigError, match="in the log; the schema declares it"):
-        encode(_case(["A", "B"], attrs=attrs), 2, schema, CategoryCodec())
-
-
-def test_a_contradicting_schema_codes_a_case_without_values_as_missing():
+def test_a_column_the_schema_contradicts_reads_zero():
+    # run_stream rejects such a schema once a coded case holds a value there
+    # (test_run_loop); the encoder itself reads the column as empty.
     log = parsed_log(
         [("a", "x", 1, 1, None, None), ("b", "x", 2, None, 2.5, "web"), ("b", "y", 3, 0, None, None)],
         columns=_COLUMNS[:6],
     )
     schema = AttributeSchema(names=("amount", "channel"), numeric=(False, True))
-    assert encode(Case(log, 0), 1, schema, CategoryCodec()).features == (1, MISSING_CODE, 0.0)
-    with pytest.raises(ConfigError, match="'amount' holds numbers in the log; the schema declares it categorical"):
-        encode(Case(log, 1), 2, schema, CategoryCodec())
+    assert _encode(log, [0, 1], 1, schema) == [(1, MISSING_CODE, 0.0), (1, MISSING_CODE, 0.0)]
+    (row,) = _encode(log, [1], 2, schema)
+    assert row[2:] == (MISSING_CODE, 0.0, MISSING_CODE, 0.0)
 
 
 def test_feature_width_is_a_function_of_k_and_schema():
@@ -271,47 +262,25 @@ def test_bucket_population_matches_case_lengths():
     assert population == expected
 
 
-_SYNTH_SCHEMA = AttributeSchema(names=("amount", "channel"), numeric=(True, False))
-
-
-def _assert_same_coding(log, lengths_of):
-    """Encode once per case and from scratch, in the same call order."""
-    fresh, scratch = CategoryCodec(), TextCodec()
-    for index, trace in enumerate(log):
-        case = Case(log, index)
-        for k in lengths_of(trace):
-            got = encode(case, k, _SYNTH_SCHEMA, fresh, label=trace.label)
-            want = scratch_encode(
-                Prefix(trace.case_id, k, tuple(trace.events[:k])),
-                _SYNTH_SCHEMA,
-                scratch,
-                label=trace.label,
-            )
-            assert got == want
-    assert coded_texts(fresh, log) == scratch._codes
-
-
-def test_encode_matches_the_scratch_encoder_on_every_prefix():
-    log = parsed_log(DriftLogSpec(n_cases=120, drift_at=60, seed=5))
-    _assert_same_coding(log, lambda trace: range(1, len(trace) + 1))
-
-
-def test_encode_matches_the_scratch_encoder_when_lengths_are_skipped():
-    # run_stream encodes a case only at some lengths (after grace, when the
-    # bucket's model is ready), starting anywhere and then at its case end
-    rng = random.Random(7)
-    log = parsed_log(DriftLogSpec(n_cases=120, drift_at=60, seed=6))
-
-    def some_lengths(trace):
-        return sorted(rng.sample(range(1, len(trace) + 1), rng.randint(1, len(trace))))
-
-    _assert_same_coding(log, some_lengths)
-
-
-def test_encode_codes_no_event_beyond_the_largest_k():
-    codec = CategoryCodec()
-    schema = AttributeSchema(names=("channel",), numeric=(False,))
-    case = _case(["A", "B", "C"], attrs=[{"channel": "web"}, {"channel": "x"}, {"channel": "y"}])
-    encode(case, 2, schema, codec)
-    assert coded_texts(codec, case.log) == {"A": 1, "B": 2, "web": 3, "x": 4}
-    assert (case.acts, case.slots) == ([1, 2], [3, 4])
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("attrs", [(), ("amount", "channel")], ids=["activities", "attributes"])
+def test_encode_matches_the_scratch_encoder_on_every_prefix_length(attrs, seed):
+    # Shuffled rows and blank cells; schema names in another order than the
+    # log's columns, and one the log lacks.
+    log = shuffled_blanked_log(seed, n_cases=60)
+    names = tuple(reversed(attrs)) + ("ghost",) if attrs else ()
+    schema = AttributeSchema.from_traces(names, log)
+    assert schema.numeric == ((False, True, False) if attrs else ())
+    lengths = log.lengths()
+    scratch = TextCodec()
+    want = {
+        k: [
+            scratch_encode(Prefix(trace.case_id, k, tuple(trace.events[:k])), schema, scratch)
+            for trace in log
+            if len(trace) >= k
+        ]
+        for k in range(1, int(lengths.max()) + 1)
+    }
+    codec = codec_like(scratch, log)
+    for k, rows in want.items():
+        assert _encode(log, np.flatnonzero(lengths >= k), k, schema, codec) == rows, k

@@ -31,7 +31,7 @@ from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs, many_case_logs
 from oracles import event_replay, loop_metrics, reference_run_stream
-from parsed_logs import coded_texts
+from parsed_logs import coded_texts, shuffled_blanked_log
 
 POLICIES = ("incremental", "window-retrain", "static")
 ATTRS = ((), ("amount", "channel"))
@@ -111,30 +111,13 @@ def test_run_loop_matches_the_reference_on_random_many_case_logs(
     _assert_same_run(log, policy, attrs, grace, eval_window, eval_every, retrain_every)
 
 
-def _shuffled_blanked_log(seed):
-    """A seeded synth log with its rows shuffled and about a tenth of its attribute cells blank."""
-    rng = random.Random(seed)
-    header, *rows = to_csv(generate(DriftLogSpec(n_cases=90, drift_at=45, seed=seed))).splitlines()
-    columns = header.split(",")
-    attributes = [columns.index("amount"), columns.index("channel")]
-    blanked = []
-    for row in rows:
-        cells = row.split(",")
-        for at in attributes:
-            if rng.random() < 0.1:
-                cells[at] = ""
-        blanked.append(",".join(cells))
-    rng.shuffle(blanked)
-    return parse_log(io.StringIO("\n".join([header, *blanked]) + "\n"))
-
-
 @pytest.mark.parametrize("seed", [2, 5])
 @pytest.mark.parametrize("attrs", ATTRS, ids=["activities", "attributes"])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_run_loop_matches_the_reference_on_shuffled_synth_logs(policy, attrs, seed):
     rng = random.Random(f"{policy}/{attrs}/{seed}")
     _assert_same_run(
-        _shuffled_blanked_log(seed),
+        shuffled_blanked_log(seed),
         policy,
         attrs,
         grace=rng.randint(5, 20),
