@@ -36,7 +36,6 @@ from .prefixing import (
     MISSING_CODE,
     AttributeSchema,
     BucketConfig,
-    CategoryCodec,
     default_k_max,
     encode,
 )

@@ -349,6 +349,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # Every config is built, and so validated, before any of them runs.
     configs = [replace(base, model=model, out_dir=str(Path(base.out_dir) / model)) for model in models]
     log = parse_log(base.log)
+    if base.grace >= len(log):  # every parsed case ends with a label
+        raise ConfigError(
+            f"--grace {base.grace} covers all {len(log)} labels of the log, so no model would be evaluated"
+        )
 
     rows = []
     pooled = []

@@ -14,11 +14,11 @@ current window.
 the replay and keeps only integers: per label, its case and stream index;
 per issued prediction, its case, bucket and stream index. Whether a
 bucket's model is ready to predict follows from label counts alone (each
-model's ``labels_to_ready``), so no model is trained in this pass. It then
-codes the events the protocol codes, at the moments and in the order the
-protocol codes them (a case's prefix when it is predicted, its training
-prefixes when its label arrives; activities before attributes), so the
-final :class:`~.prefixing.CategoryCodec` is the one an online run builds.
+model's ``labels_to_ready``), so no model is trained in this pass. A
+category's code is its string id in the log (see :mod:`~.prefixing`), so no
+pass numbers the categories. A schema that contradicts a column holding a
+value is rejected once the log is known, before any model learns
+(:func:`~.prefixing.check_schema`).
 
 The evaluation pass serves one bucket at a time. A model changes only when
 it learns, so the bucket's labels, in label order, split where its model
@@ -26,13 +26,13 @@ can change (``labels_until_change``: at each retrain for window-retrain,
 never after grace for static, at every label for naive Bayes). Between two
 changes, its predictions are served by one model version, one
 ``predict(row)`` each, and its training rows are learned as a block. The
-rows come from :class:`~.prefixing.FeatureRows`, which reads the final
-codec and gathers them with :func:`~.prefixing.encode`, at most ``GATHER``
-cases at a time. Each resolution is its outcome (``2 * predicted +
-actual``) and the index of the label that resolved it; one array pass per
-bucket turns them into every series: confusion counts of each window from
-a cumulative sum lagged by ``eval_window`` resolutions, then
-:func:`metrics_from_confusion` over all points at once.
+rows come from :class:`~.prefixing.FeatureRows`, which gathers them with
+:func:`~.prefixing.encode`, at most ``GATHER`` cases at a time. Each
+resolution is its outcome (``2 * predicted + actual``) and the index of the
+label that resolved it; one array pass per bucket turns them into every
+series: confusion counts of each window from a cumulative sum lagged by
+``eval_window`` resolutions, then :func:`metrics_from_confusion` over all
+points at once.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ import numpy as np
 from .classifiers import LearnerParams, OutcomeModel, UpdatePolicy, model_class
 from .errors import ConfigError
 from .event_model import EventLog, StreamItem
-from .prefixing import GATHER, MISSING_CODE, AttributeSchema, BucketConfig, CategoryCodec, FeatureRows
-from .prefixing import attribute_columns, contradictions
+from .prefixing import AttributeSchema, BucketConfig, FeatureRows, check_schema
 from .prefixing import encode  # noqa: F401  -- the batch encoder; only the tracer reads this name (ROADMAP item 6)
 
 METRICS = ("accuracy", "precision", "recall", "f1")
@@ -142,7 +141,6 @@ def run_stream(
         if metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r}")
     schema = schema if schema is not None else AttributeSchema()
-    codec = CategoryCodec()
 
     model_type = model_class(policy)
     if eval_window < 1:
@@ -152,8 +150,8 @@ def run_stream(
     record = _Record.of(stream, model_type, buckets, grace, params)
     labels_seen = len(record.labelled)
     if labels_seen:
-        _code_events(record, schema, codec, buckets)
-        rows = FeatureRows(record.log, schema, codec)
+        check_schema(record.log, schema)
+        rows = FeatureRows(record.log, schema)
     kept = [] if ledger is not None else None  # per bucket: what the ledger needs
     # The labels after grace at which the series take a point.
     points = np.arange(grace + eval_every, labels_seen + 1, eval_every)
@@ -243,76 +241,6 @@ class _Record:
         label_index = np.zeros(len(log), np.int32)
         label_index[labelled] = np.arange(1, len(labelled) + 1)
         return cls(log, labelled, labelled_at, log.lengths()[labelled], label_index, issued, issued_k, issued_at)
-
-
-def _code_events(record: _Record, schema: AttributeSchema, codec: CategoryCodec, buckets: BucketConfig) -> None:
-    """Code every event the protocol codes into ``codec``, in the protocol's order.
-
-    A prediction at position ``k`` codes the case's events up to ``k`` not
-    coded yet: their activities, then their attributes. A label codes the
-    case's training prefixes ``k_min..min(k_max, N)`` one after another:
-    up to ``k_min`` as one such chunk, then event by event. Codes go to the
-    string ids in the order of their first use. The coding steps are taken
-    ``GATHER`` labels (and the predictions before them) at a time.
-    """
-    log = record.log
-    k_min = buckets.k_min
-    lengths = record.label_lengths
-    label_top = np.where(lengths >= k_min, np.minimum(lengths, buckets.k_max), 0)
-    coded = np.zeros(len(log), np.int64)  # per case, the events coded so far
-    contradicted = contradictions(log, schema)
-    categorical = [
-        column
-        for column, numeric in zip(attribute_columns(log, schema), schema.numeric)
-        if column is not None and not numeric
-    ]
-    issued_from = 0
-    for begin in range(0, len(record.labelled), GATHER):
-        labels = slice(begin, begin + GATHER)
-        at = record.labelled_at[labels]
-        issued_to = np.searchsorted(record.issued_at, at[-1], side="right")
-        if labels.stop >= len(record.labelled):
-            issued_to = len(record.issued)
-        issued = slice(issued_from, issued_to)
-        issued_from = issued_to
-        # The batch's coding steps in stream order (a prediction before the
-        # label of the same event): each step's case and the event count it
-        # codes up to; a step starts where the case's previous one stopped.
-        order = np.argsort(np.concatenate((record.issued_at[issued], at)), kind="stable")
-        case = np.concatenate((record.issued[issued], record.labelled[labels]))[order]
-        top = np.concatenate((record.issued_k[issued], label_top[labels]))[order]
-        by_case = np.argsort(case, kind="stable")
-        same = case[by_case[1:]] == case[by_case[:-1]]
-        after = coded[case]
-        after[by_case[1:][same]] = top[by_case[:-1][same]]
-        last = by_case[np.append(~same, True)]
-        coded[case[last]] = top[last]
-        if contradicted:
-            first_coded = case[(after == 0) & (top > 0)]
-            hits = [
-                (flags[first_coded].argmax(), message)
-                for flags, message in contradicted
-                if flags[first_coded].any()
-            ]
-            if hits:
-                raise ConfigError(min(hits, key=lambda hit: hit[0])[1])
-        # A label's steps up to k_min form one chunk; later events are each their own.
-        chunk_end = np.where(order >= issued_to - issued.start, np.maximum(after, k_min), top)
-        count = np.maximum(top - after, 0)
-        of = np.repeat(np.arange(len(count)), count)
-        position = np.arange(len(of)) - (np.cumsum(count) - count)[of] + after[of]
-        event = log.bounds[case][of] + position
-        fresh = np.ones(len(of), bool)
-        fresh[1:] = (of[1:] != of[:-1]) | (position[1:] >= chunk_end[of[1:]])
-        group = 2 * np.cumsum(fresh)
-        # Within a group, activities first, then attributes event by event.
-        ids = np.stack([log.activity[event]] + [values[event] for values in categorical], axis=1)
-        keys = np.stack([group] + [group + 1] * len(categorical), axis=1)
-        sequence = ids.ravel()[np.argsort(keys.ravel(), kind="stable")]
-        sequence = sequence[sequence != MISSING_CODE]
-        distinct, first = np.unique(sequence, return_index=True)
-        for string_id in distinct[np.argsort(first)].tolist():
-            codec[string_id]
 
 
 def _serve_bucket(

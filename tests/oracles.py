@@ -11,7 +11,8 @@ per-node split search. ``dict_reader_parse_log``, ``tuple_replay`` and
 used before it stored events compactly and gathered prefix rows from the
 log's columns, kept as the references for those changes; they read
 attributes through ``attribute_map``, not ``Event.attribute``, and code
-text with ``TextCodec``.
+text with ``TextCodec``, which numbers texts by first appearance in the CSV
+text, read apart from the parsed log's string table.
 ``event_replay``, ``EvalWindow``, ``loop_metrics`` and ``reference_run_stream``
 are the replay that built an ``Event`` per item and the run loop that kept a
 window per bucket and computed every point's metrics as its label arrived,
@@ -23,6 +24,7 @@ kept as the references for the run loop that keeps only integers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -470,21 +472,45 @@ def attribute_map(event):
 
 
 class TextCodec:
-    """Append-only table from categorical text to codes 1, 2, ... in first-use order."""
+    """Table from categorical text to code: 1, 2, ... by first appearance in the CSV text.
 
-    def __init__(self):
+    Numbers the texts itself, with ``csv.DictReader``, as ``parse_log`` is
+    meant to number its string table: row by row, the activity (as written)
+    before each attribute column's stripped cell. A column that reads as
+    numbers holds no code until its first other text; then its earlier cells
+    are coded in row order, just before that text. An empty cell is never
+    coded.
+    """
+
+    def __init__(self, text):
         self._codes = {}
+        reader = csv.DictReader(io.StringIO(text))
+        attr_names = [name for name in dict.fromkeys(reader.fieldnames) if name not in REQUIRED_COLUMNS]
+        numeric_texts = {name: [] for name in attr_names}  # None once the column is categorical
+        for record in reader:
+            self._add(record["activity"])
+            for name in attr_names:
+                value = (record.get(name) or "").strip()
+                earlier = numeric_texts[name]
+                if earlier is None:
+                    self._add(value)
+                elif _is_decimal(value) or not value:
+                    earlier.append(value)
+                else:
+                    for cell in earlier + [value]:
+                        self._add(cell)
+                    numeric_texts[name] = None
+
+    def _add(self, text):
+        if text and text not in self._codes:
+            self._codes[text] = len(self._codes) + 1
 
     def code(self, text):
-        existing = self._codes.get(text)
-        if existing is not None:
-            return existing
-        fresh = len(self._codes) + 1
-        self._codes[text] = fresh
-        return fresh
+        return self._codes[text]
 
-    def __len__(self):
-        return len(self._codes)
+    def texts(self):
+        """The coded texts, in code order."""
+        return list(self._codes)
 
 
 def scratch_encode(prefix, schema, codec):
@@ -550,17 +576,16 @@ class EvalWindow:
 
 
 def reference_run_stream(
-    stream, policy, buckets, grace=200, eval_window=100, metrics=METRICS, eval_every=1,
+    stream, codec, policy, buckets, grace=200, eval_window=100, metrics=METRICS, eval_every=1,
     schema=None, params=LearnerParams(), ledger=None,
 ):
     """The run loop over :class:`EventItem`s: a window per bucket, metrics per label.
 
-    Encodes each prefix from scratch with a ``TextCodec``. Returns the
-    series keyed by (bucket, metric), the number of labels, the codec and
-    the models, trained one labeled sample at a time.
+    Encodes each prefix from scratch with ``codec``, a ``TextCodec`` of the
+    replayed log. Returns the series keyed by (bucket, metric), the number
+    of labels and the models, trained one labeled sample at a time.
     """
     schema = schema if schema is not None else AttributeSchema()
-    codec = TextCodec()
     model_type = model_class(policy)
     models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
     windows = {k: EvalWindow(k, eval_window) for k in buckets.buckets()}
@@ -624,7 +649,7 @@ def reference_run_stream(
                 series[(eval_k, metric)].values.append(values[metric])
                 series[(eval_k, metric)].label_indices.append(labels_seen)
 
-    return series, labels_seen, codec, models
+    return series, labels_seen, models
 
 
 def fstring_rows(annotation):

@@ -4,32 +4,29 @@ import random
 from io import StringIO
 
 from stability_meter.event_model import REQUIRED_COLUMNS, parse_log
-from stability_meter.prefixing import CategoryCodec
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 
-def parsed_log(source, columns=REQUIRED_COLUMNS):
-    """``parse_log`` of a synth log or of rows written in code.
+def csv_text(source, columns=REQUIRED_COLUMNS):
+    """The CSV text of a synth log or of rows written in code.
 
     ``source`` is a :class:`DriftLogSpec`, whose generated log is written with
     ``to_csv``, or rows of cells under the header ``columns``; a cell is
     written with ``str`` and ``None`` stands for an empty cell.
     """
     if isinstance(source, DriftLogSpec):
-        text = to_csv(generate(source))
-    else:
-        lines = [",".join(columns)]
-        lines.extend(",".join("" if cell is None else str(cell) for cell in row) for row in source)
-        text = "\n".join(lines) + "\n"
-    return parse_log(StringIO(text))
+        return to_csv(generate(source))
+    lines = [",".join(columns)]
+    lines.extend(",".join("" if cell is None else str(cell) for cell in row) for row in source)
+    return "\n".join(lines) + "\n"
 
 
-def coded_texts(codec, log):
-    """Text -> code of each string of ``log`` that the run's ``codec`` has coded."""
-    return {log.strings[string_id]: code for string_id, code in codec.items() if string_id}
+def parsed_log(source, columns=REQUIRED_COLUMNS):
+    """``parse_log`` of :func:`csv_text`."""
+    return parse_log(StringIO(csv_text(source, columns)))
 
 
-def shuffled_blanked_log(seed, n_cases=90):
+def shuffled_blanked_csv(seed, n_cases=90):
     """A seeded synth log with its rows shuffled and about a tenth of its attribute cells blank."""
     rng = random.Random(seed)
     header, *rows = to_csv(generate(DriftLogSpec(n_cases=n_cases, drift_at=n_cases // 2, seed=seed))).splitlines()
@@ -43,20 +40,4 @@ def shuffled_blanked_log(seed, n_cases=90):
                 cells[at] = ""
         blanked.append(",".join(cells))
     rng.shuffle(blanked)
-    return parse_log(StringIO("\n".join([header, *blanked]) + "\n"))
-
-
-def full_codec(log):
-    """A ``CategoryCodec`` of every string of ``log``, coded in string-table order."""
-    codec = CategoryCodec()
-    for string_id in range(1, len(log.strings)):
-        codec[string_id]
-    return codec
-
-
-def codec_like(text_codec, log):
-    """A ``CategoryCodec`` of ``log`` that gives each text the code ``text_codec`` gave it."""
-    codec = CategoryCodec()
-    for text in text_codec._codes:  # in first-use order, so the codes come out equal
-        codec[log.strings.index(text)]
-    return codec
+    return "\n".join([header, *blanked]) + "\n"

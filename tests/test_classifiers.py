@@ -19,7 +19,7 @@ from stability_meter.prefixing import AttributeSchema, BucketConfig, encode
 from stability_meter.synthgen import DriftLogSpec
 
 from oracles import ReferenceTree, nb_posterior_scores
-from parsed_logs import full_codec, parsed_log
+from parsed_logs import parsed_log
 
 
 def _tree_json(model):
@@ -380,7 +380,7 @@ def _synth_samples(attrs, seed, k=3, cases=320):
     log = parsed_log(DriftLogSpec(n_cases=cases, drift_at=cases // 2, seed=seed))
     schema = AttributeSchema.from_traces(attrs, log)
     long_enough = np.flatnonzero(log.lengths() >= k)
-    rows = encode(log, long_enough, k, schema, full_codec(log).array(log))
+    rows = encode(log, long_enough, k, schema)
     return schema.feature_mask(k), rows, np.array(log.labels)[long_enough]
 
 

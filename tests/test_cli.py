@@ -3,6 +3,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,6 +20,7 @@ from stability_meter import cli
 from stability_meter.classifiers import LearnerParams
 from stability_meter.cli import RunConfig, SeriesReport, _config_from_args, build_parser, main
 from stability_meter.evaluation import PerformanceSeries
+from stability_meter.event_model import parse_log
 from stability_meter.stability import annotate_series
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
@@ -298,7 +301,23 @@ def test_compare_names_the_model_that_evaluated_nothing(small_log, tmp_path, cap
     assert code == 2
     assert stdout == ""
     assert stderr == (
-        "stability-meter: warning: --grace 60 covers all 60 labels; nothing was evaluated\n"
+        "stability-meter: config error: --grace 60 covers all 60 labels of the log, "
+        "so no model would be evaluated\n"
+    )
+    assert not (tmp_path / "cmp").exists()  # rejected before any model ran
+
+
+def test_compare_names_a_model_whose_buckets_evaluated_nothing(small_log, tmp_path, capsys):
+    # Every bucket lies above the longest case, so no prefix is ever predicted.
+    longest = int(parse_log(small_log).lengths().max())
+    code, stdout, stderr = _run_cli(
+        ["compare", "--log", str(small_log), "--models", "incremental,static", "--grace", "20",
+         "--k-min", str(longest + 1), "--k-max", str(longest + 2), "--out", str(tmp_path / "cmp")],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
         "stability-meter: config error: model 'incremental' evaluated no series, so there is nothing to compare\n"
     )
 
@@ -649,3 +668,47 @@ def test_rows_format_each_float_as_the_per_row_f_string_does(column):
     )
     report = SeriesReport(PerformanceSeries(2, "f1", column, list(range(6))), annotation, annotation.measures)
     assert report.rows() == fstring_rows(annotation)
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        pytest.param(
+            [("incremental", "channel"), ("window-retrain", "amount,channel"), ("static", "amount,channel")],
+            id="categorical-or-trees",
+        ),
+        pytest.param(
+            [("incremental", "amount,channel")],
+            id="incremental-numeric",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="IncrementalNaiveBayes.finish_grace bins numeric attributes with np.quantile, "
+                "which imports numpy.ma",
+            ),
+        ),
+    ],
+)
+def test_no_run_imports_numpy_ma(tmp_path, runs):
+    # numpy.ma is not imported with numpy, and importing it costs about 1 MB
+    # of peak RSS per run. A plain ``np.unique(x)``, with no ``return_*``
+    # flag, imports it (numpy 2.4).
+    log = tmp_path / "log.csv"
+    log.write_text(to_csv(generate(DriftLogSpec(n_cases=120, drift_at=60, seed=2))))
+    script = (
+        "import sys\n"
+        "from stability_meter import cli\n"
+        "for model, attrs in zip(sys.argv[3::2], sys.argv[4::2]):\n"
+        "    argv = ['run', '--log', sys.argv[1], '--out', sys.argv[2] + '/' + model, '--model', model,\n"
+        "            '--attrs', attrs, '--grace', '30', '--eval-window', '10', '--retrain-every', '8']\n"
+        "    assert cli.main(argv) == 0, model\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    source = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([source] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(log), str(tmp_path), *(cell for run in runs for cell in run)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "False"

@@ -12,7 +12,6 @@ from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
 from oracles import attribute_map, dict_reader_parse_log, replayed_events, tuple_replay
-from parsed_logs import full_codec
 
 
 def _parse(text):
@@ -440,7 +439,7 @@ def test_blank_numeric_cells_are_missing_in_the_view_and_encode_as_zero():
     assert log.kinds() == {"amount": True}
     assert [event.attribute("amount") for event in log[0].events] == [None, None, None]
     schema = AttributeSchema.from_traces(["amount"], log)
-    assert encode(log, [0], 3, schema, full_codec(log).array(log))[0, 3:].tolist() == [0.0, 0.0, 0.0]
+    assert encode(log, [0], 3, schema)[0, 3:].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_a_numeric_looking_column_turned_categorical_keeps_its_cells_as_written():

@@ -50,9 +50,9 @@ GOLDEN = {
         "plots": "a7b752c485020abe4d25e8dee74c2d4bd5c5a8d660033f66e84151b3f9b1822f",
     },
     "window-retrain": {
-        "performance.csv": "1e4004967b9be8f8dbb8a4eb0bd7291db43ffb3198488ff3377cb0a7a277c928",
-        "meta.json": "f359a4531a6815e32bdb5ac2aa0f943b5c22c6d610234932cfc2adb511be119b",
-        "plots": "a99b5dc4477650b549ff74438f33a864f406d79236dd283d75ac2ab43e491620",
+        "performance.csv": "231bac913214890799efdb709392838578823f3f0ae92e9be4242abeb7251e34",
+        "meta.json": "190cf8f659ba6d45ee5c04e79e820704ac6d158fb5ec2569765138fab9a69c18",
+        "plots": "fb3e927d20a8485aed2ebe5cb29a2d2cdee87df0939c5066b577fb9ccc2262cc",
     },
     "attrs": {
         "performance.csv": "d3623fd702bf4f5ce03aee4b9999fbebd1e404d488c93feaa6ea54d13c0205b0",

@@ -2,20 +2,21 @@ from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from stability_meter.errors import ConfigError
+from stability_meter.errors import ConfigError, StabilityMeterError
 from stability_meter.event_model import Event, Trace, parse_log
 from stability_meter.prefixing import (
     MISSING_CODE,
     AttributeSchema,
     BucketConfig,
-    CategoryCodec,
     default_k_max,
     encode,
 )
 
+from log_strategies import csv_logs
 from oracles import Prefix, TextCodec, scratch_encode
-from parsed_logs import codec_like, coded_texts, full_codec, parsed_log, shuffled_blanked_log
+from parsed_logs import csv_text, parsed_log, shuffled_blanked_csv
 
 
 def prefixes_of(trace, cfg):
@@ -50,9 +51,13 @@ _COLUMNS = ("case_id", "activity", "timestamp", "label", "amount", "channel", "e
 
 def _one_case_log(activities, attrs=None, case_id="c"):
     """A parsed one-case log whose i-th event has the cells of ``attrs[i - 1]``."""
+    return parse_log(StringIO(_one_case_csv(activities, attrs, case_id)))
+
+
+def _one_case_csv(activities, attrs=None, case_id="c"):
     attrs = attrs or [{}] * len(activities)
     last = len(activities)
-    return parsed_log(
+    return csv_text(
         [
             (case_id, activity, i, 1 if i == last else None, *(cells.get(name) for name in _COLUMNS[4:]))
             for i, (activity, cells) in enumerate(zip(activities, attrs), start=1)
@@ -61,16 +66,14 @@ def _one_case_log(activities, attrs=None, case_id="c"):
     )
 
 
-def _encode(log, cases, k, schema, codec=None):
-    """``encode``'s rows of the ``k``-prefixes of ``cases`` as tuples, through ``codec`` (default: every string)."""
-    codec = full_codec(log) if codec is None else codec
-    rows = encode(log, np.array(cases), k, schema, codec.array(log))
-    return [tuple(row) for row in rows.tolist()]
+def _encode(log, cases, k, schema):
+    """``encode``'s rows of the ``k``-prefixes of ``cases`` as tuples."""
+    return [tuple(row) for row in encode(log, np.array(cases), k, schema).tolist()]
 
 
-def _code(codec, log, text):
-    """The code ``codec`` gave ``text`` in ``log``."""
-    return codec[log.strings.index(text)]
+def _code(log, text):
+    """The code of ``text`` in ``log``: its string id."""
+    return log.strings.index(text)
 
 
 def _log_of_lengths(*lengths):
@@ -122,25 +125,22 @@ def test_short_trace_yields_no_prefixes():
 
 def test_encode_activities_only():
     log = _one_case_log(["A", "B"])
-    codec = full_codec(log)
-    (row,) = _encode(log, [0], 2, AttributeSchema(), codec)
-    assert row == (_code(codec, log, "A"), _code(codec, log, "B")) == (1, 2)
+    (row,) = _encode(log, [0], 2, AttributeSchema())
+    assert row == (_code(log, "A"), _code(log, "B")) == (1, 2)
 
 
 def test_encode_appends_attributes_per_position():
     log = _one_case_log(["A", "B"], attrs=[{"amount": 10.0}, {"amount": 20.0}])
-    codec = full_codec(log)
     schema = AttributeSchema(names=("amount",), numeric=(True,))
-    assert _encode(log, [0], 2, schema, codec) == [(_code(codec, log, "A"), _code(codec, log, "B"), 10.0, 20.0)]
+    assert _encode(log, [0], 2, schema) == [(_code(log, "A"), _code(log, "B"), 10.0, 20.0)]
 
 
 def test_encode_missing_attribute_uses_reserved_code():
     log = _one_case_log(["A", "B"], attrs=[{"channel": "web"}, {}])
-    codec = full_codec(log)
     schema = AttributeSchema(names=("channel",), numeric=(False,))
-    (row,) = _encode(log, [0], 2, schema, codec)
+    (row,) = _encode(log, [0], 2, schema)
     assert row[-1] == MISSING_CODE
-    assert row[-2] == _code(codec, log, "web")
+    assert row[-2] == _code(log, "web")
 
 
 def test_encode_looks_attributes_up_by_name():
@@ -151,30 +151,43 @@ def test_encode_looks_attributes_up_by_name():
         {},
         {"channel": None, "amount": None},
     ]
-    log = _one_case_log(["A", "B", "C", "D"], attrs=attrs)
+    text = _one_case_csv(["A", "B", "C", "D"], attrs=attrs)
+    log = parse_log(StringIO(text))
     schema = AttributeSchema(names=("channel", "ghost", "amount"), numeric=(False, False, True))
-    scratch = TextCodec()
     events = log[0].events
-    want = [scratch_encode(Prefix("c", k, tuple(events[:k])), schema, scratch) for k in range(1, 5)]
-    codec = codec_like(scratch, log)
-    assert [_encode(log, [0], k, schema, codec)[0] for k in range(1, 5)] == want
+    want = [scratch_encode(Prefix("c", k, tuple(events[:k])), schema, TextCodec(text)) for k in range(1, 5)]
+    assert [_encode(log, [0], k, schema)[0] for k in range(1, 5)] == want
     assert want[-1][4:] == (
-        _code(codec, log, "web"), MISSING_CODE, 1.5,
-        _code(codec, log, "phone"), MISSING_CODE, 4.0,
+        _code(log, "web"), MISSING_CODE, 1.5,
+        _code(log, "phone"), MISSING_CODE, 4.0,
         MISSING_CODE, MISSING_CODE, 0.0,
         MISSING_CODE, MISSING_CODE, 0.0,
     )
 
 
-def test_encode_reads_a_finished_codec_and_assigns_no_code():
-    # the run assigns codes in its protocol's order; the encoder only reads them
-    log = _one_case_log(["A", "B", "C"], attrs=[{"channel": "web"}, {"channel": "x"}, {}])
+def test_codes_number_texts_by_first_appearance_in_the_file():
+    # row by row, the activity before the attributes; the rows' timestamps
+    # put "C" and "x" first in the case, which does not change their codes
+    log = parsed_log(
+        [("c", "A", 3, None, "web"), ("c", "B", 4, 1, None), ("c", "C", 1, None, "x")],
+        columns=_COLUMNS[:4] + ("channel",),
+    )
     schema = AttributeSchema(names=("channel",), numeric=(False,))
-    codec = CategoryCodec()
-    codec[log.strings.index("B")]
-    codec[log.strings.index("web")]
-    assert _encode(log, [0], 3, schema, codec) == [(0, 1, 0, 2, 0, 0)]
-    assert coded_texts(codec, log) == {"B": 1, "web": 2}
+    assert log.strings[1:] == ["A", "web", "B", "C", "x"]
+    assert _encode(log, [0], 3, schema) == [(4, 1, 3, 5, 2, MISSING_CODE)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(csv_logs())
+def test_the_string_table_numbers_texts_as_the_reference_codec_does(text):
+    # Drawn channel cells include "10" and "nan", so a column often reads
+    # as numbers until a later text turns it categorical.
+    try:
+        log = parse_log(StringIO(text))
+    except StabilityMeterError:
+        return
+    assert log.strings[0] is None
+    assert log.strings[1:] == TextCodec(text).texts()
 
 
 def test_a_column_empty_on_every_row_is_categorical_and_missing():
@@ -211,7 +224,7 @@ def test_identical_prefix_content_encodes_identically():
 
 
 def test_a_column_the_schema_contradicts_reads_zero():
-    # run_stream rejects such a schema once a coded case holds a value there
+    # run_stream rejects such a schema once any case holds a value there
     # (test_run_loop); the encoder itself reads the column as empty.
     log = parsed_log(
         [("a", "x", 1, 1, None, None), ("b", "x", 2, None, 2.5, "web"), ("b", "y", 3, 0, None, None)],
@@ -267,12 +280,13 @@ def test_bucket_population_matches_case_lengths():
 def test_encode_matches_the_scratch_encoder_on_every_prefix_length(attrs, seed):
     # Shuffled rows and blank cells; schema names in another order than the
     # log's columns, and one the log lacks.
-    log = shuffled_blanked_log(seed, n_cases=60)
+    text = shuffled_blanked_csv(seed, n_cases=60)
+    log = parse_log(StringIO(text))
     names = tuple(reversed(attrs)) + ("ghost",) if attrs else ()
     schema = AttributeSchema.from_traces(names, log)
     assert schema.numeric == ((False, True, False) if attrs else ())
     lengths = log.lengths()
-    scratch = TextCodec()
+    scratch = TextCodec(text)
     want = {
         k: [
             scratch_encode(Prefix(trace.case_id, k, tuple(trace.events[:k])), schema, scratch)
@@ -281,6 +295,5 @@ def test_encode_matches_the_scratch_encoder_on_every_prefix_length(attrs, seed):
         ]
         for k in range(1, int(lengths.max()) + 1)
     }
-    codec = codec_like(scratch, log)
     for k, rows in want.items():
-        assert _encode(log, np.flatnonzero(lengths >= k), k, schema, codec) == rows, k
+        assert _encode(log, np.flatnonzero(lengths >= k), k, schema) == rows, k

@@ -6,7 +6,7 @@ every series in one array pass; ``oracles.reference_run_stream`` over
 ``oracles.event_replay`` builds an ``Event`` per item, encodes each prefix
 from scratch with a text-keyed codec, trains the models one labeled sample
 at a time and computes each point's metrics from a window as its label
-arrives. Both must give the same series, ledger and codes, on drawn,
+arrives. Both must give the same series, ledger and models, on drawn,
 seeded and hand-made logs.
 """
 
@@ -14,45 +14,37 @@ import io
 import random
 import tracemalloc
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stability_meter import evaluation
 from stability_meter.classifiers import LearnerParams
 from stability_meter.errors import ConfigError, StabilityMeterError
 from stability_meter.evaluation import METRICS, metrics_from_confusion, run_stream
 from stability_meter.event_model import parse_log, replay
-from stability_meter.prefixing import AttributeSchema, BucketConfig, CategoryCodec, default_k_max
+from stability_meter.prefixing import AttributeSchema, BucketConfig, default_k_max
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs, many_case_logs
-from oracles import event_replay, loop_metrics, reference_run_stream
-from parsed_logs import coded_texts, shuffled_blanked_log
+from oracles import TextCodec, event_replay, loop_metrics, reference_run_stream
+from parsed_logs import shuffled_blanked_csv
 
 POLICIES = ("incremental", "window-retrain", "static")
 ATTRS = ((), ("amount", "channel"))
 
 
-def _assert_same_run(log, policy, attrs, grace, eval_window, eval_every, retrain_every):
+def _assert_same_run(text, policy, attrs, grace, eval_window, eval_every, retrain_every):
+    log = parse_log(io.StringIO(text))
     schema = AttributeSchema.from_traces(attrs, log)
     buckets = BucketConfig(2, max(2, default_k_max(log)))
     params = LearnerParams(train_window=30, retrain_every=retrain_every, memory=40)
     options = dict(grace=grace, eval_window=eval_window, eval_every=eval_every, schema=schema, params=params)
-    codecs = []
-
-    def recorded_codec():
-        codecs.append(CategoryCodec())
-        return codecs[-1]
-
     ledger, want_ledger = [], []
-    with mock.patch.object(evaluation, "CategoryCodec", recorded_codec):
-        result = run_stream(replay(log), policy, buckets, ledger=ledger, **options)
-    want, labels_seen, text_codec, want_models = reference_run_stream(
-        event_replay(log), policy, buckets, ledger=want_ledger, **options
+    result = run_stream(replay(log), policy, buckets, ledger=ledger, **options)
+    want, labels_seen, want_models = reference_run_stream(
+        event_replay(log), TextCodec(text), policy, buckets, ledger=want_ledger, **options
     )
     assert result.labels_seen == labels_seen
     assert result.series.keys() == want.keys()
@@ -62,7 +54,6 @@ def _assert_same_run(log, policy, attrs, grace, eval_window, eval_every, retrain
             np.array(series.values).view(np.int64), np.array(want[key].values).view(np.int64)
         ), key
     assert ledger == want_ledger
-    assert coded_texts(codecs[0], log) == text_codec._codes
     for k, model in result.models.items():
         reference = want_models[k]
         assert (model.version, model.is_ready) == (reference.version, reference.is_ready), k
@@ -88,10 +79,10 @@ def test_run_loop_matches_the_reference_on_random_logs(
 ):
     # Drawn logs hold at most three cases, so the grace period is short.
     try:
-        log = parse_log(io.StringIO(text))
+        parse_log(io.StringIO(text))
     except StabilityMeterError:
         return
-    _assert_same_run(log, policy, attrs, grace, eval_window, eval_every, retrain_every)
+    _assert_same_run(text, policy, attrs, grace, eval_window, eval_every, retrain_every)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -107,8 +98,7 @@ def test_run_loop_matches_the_reference_on_random_logs(
 def test_run_loop_matches_the_reference_on_random_many_case_logs(
     text, policy, attrs, grace, eval_window, eval_every, retrain_every
 ):
-    log = parse_log(io.StringIO(text))
-    _assert_same_run(log, policy, attrs, grace, eval_window, eval_every, retrain_every)
+    _assert_same_run(text, policy, attrs, grace, eval_window, eval_every, retrain_every)
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -117,7 +107,7 @@ def test_run_loop_matches_the_reference_on_random_many_case_logs(
 def test_run_loop_matches_the_reference_on_shuffled_synth_logs(policy, attrs, seed):
     rng = random.Random(f"{policy}/{attrs}/{seed}")
     _assert_same_run(
-        shuffled_blanked_log(seed),
+        shuffled_blanked_csv(seed),
         policy,
         attrs,
         grace=rng.randint(5, 20),
@@ -127,8 +117,8 @@ def test_run_loop_matches_the_reference_on_shuffled_synth_logs(policy, attrs, se
     )
 
 
-def _edge_log():
-    """A log whose first four cases (the grace period) have two events, then longer ones.
+def _edge_csv():
+    """The CSV text of a log whose first four cases (the grace period) have two events, then longer ones.
 
     Cases, in stream order: four grace cases of length 2, so buckets 3..7
     get no label during grace; one of length 2, which ends on an event
@@ -151,15 +141,15 @@ def _edge_log():
         activity = "abcd"[(case + position) % 4]
         channel = ("web", "shop", "app")[(case * position) % 3]
         rows.append(f"{name},{activity},{time},{(case * 5 + 3) % 7 % 2},{10 + 3.5 * case - position},{channel}")
-    return parse_log(io.StringIO("\n".join(rows) + "\n"))
+    return "\n".join(rows) + "\n"
 
 
 @pytest.mark.parametrize("attrs", ATTRS, ids=["activities", "attributes"])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_run_loop_matches_the_reference_at_readiness_and_interval_edges(policy, attrs):
-    log = _edge_log()
-    assert default_k_max(log) == 7
-    ledger = _assert_same_run(log, policy, attrs, grace=4, eval_window=3, eval_every=1, retrain_every=1)
+    text = _edge_csv()
+    assert default_k_max(parse_log(io.StringIO(text))) == 7
+    ledger = _assert_same_run(text, policy, attrs, grace=4, eval_window=3, eval_every=1, retrain_every=1)
     # A prediction on the case's own last event, resolved by that event's label.
     assert any(pair.issued_at == pair.stream_index for pair in ledger)
     top = sorted((pair.issued_at, pair.model_version) for pair in ledger if pair.bucket == 7)
@@ -176,23 +166,51 @@ _CONTRADICTED = AttributeSchema(names=("amount", "channel"), numeric=(False, Tru
 @pytest.mark.parametrize(
     "rows, error",
     [
-        # Case a is coded first and holds text in channel: channel is named.
-        (["a,x,1,,,web", "b,x,2,,2.5,", "a,y,3,1,,", "b,y,4,0,,"], "'channel' holds text"),
+        # Case a, first in the stream, holds text in channel only; case b
+        # holds a number in amount, the schema's first contradicted column.
+        (["a,x,1,,,web", "b,x,2,,2.5,", "a,y,3,1,,", "b,y,4,0,,"], "'amount' holds numbers"),
         # Case a holds values in both columns: the schema's first is named.
         (["a,x,1,,1.5,web", "a,y,2,1,,"], "'amount' holds numbers"),
-        # Only case c, shorter than every bucket and never coded, holds values.
-        (["a,x,1,,,", "c,x,2,0,1.5,web", "a,y,3,1,,"], None),
+        # Only case c, shorter than every bucket, holds values.
+        (["a,x,1,,,", "c,x,2,0,1.5,web", "a,y,3,1,,"], "'amount' holds numbers"),
+        # Only the schema's second column holds a value.
+        (["a,x,1,,,web", "a,y,2,1,,"], "'channel' holds text"),
+        # Both columns are empty on every row: nothing contradicts the schema.
+        (["a,x,1,,,", "a,y,2,1,,"], None),
     ],
-    ids=["first-coded-case", "first-attribute", "uncoded-case"],
+    ids=["any-case", "first-attribute", "short-case", "second-attribute", "empty-columns"],
 )
-def test_run_stream_rejects_a_contradicting_schema_at_the_first_case_coded_with_a_value(rows, error):
+def test_run_stream_rejects_a_contradicting_schema_when_any_case_holds_a_value(rows, error):
     log = parse_log(io.StringIO("\n".join(["case_id,activity,timestamp,label,amount,channel", *rows]) + "\n"))
     options = dict(grace=1, schema=_CONTRADICTED)
     if error is None:
-        assert run_stream(replay(log), "static", BucketConfig(2, 2), **options).labels_seen == 2
+        assert run_stream(replay(log), "static", BucketConfig(2, 2), **options).labels_seen == 1
     else:
         with pytest.raises(ConfigError, match=f"{error} in the log; the schema declares it"):
             run_stream(replay(log), "static", BucketConfig(2, 2), **options)
+
+
+def test_equal_gain_categories_split_on_the_one_first_in_the_file():
+    # Channel b holds only positive cases and channel c only negative ones,
+    # so a root split on either has the same Gini gain; channel a is mixed.
+    # One case of channel c is moved to the top of the file, but its
+    # timestamps keep it late in the stream, after every case of channel b:
+    # the tie goes to c, whose string id, and so code, is the lower one.
+    channels = ["b", "c", "a"] * 10
+    rows = [
+        f"{case},{activity},{2 * case + position},{label if position == 2 else ''},{channel if position == 1 else ''}"
+        for case, channel in enumerate(channels)
+        for label in [{"b": 1, "c": 0, "a": case % 2}[channel]]
+        for position, activity in ((1, "x"), (2, "y"))
+    ]
+    last_c = 3 * 9 + 1
+    rows = rows[2 * last_c : 2 * last_c + 2] + rows[: 2 * last_c] + rows[2 * last_c + 2 :]
+    log = parse_log(io.StringIO("\n".join(["case_id,activity,timestamp,label,channel", *rows]) + "\n"))
+    assert log.strings.index("c") < log.strings.index("b")
+    schema = AttributeSchema.from_traces(("channel",), log)
+    result = run_stream(replay(log), "static", BucketConfig(2, 2), grace=len(channels), schema=schema)
+    root = result.models[2]._tree.to_dict()
+    assert (root["kind"], root["feature"], root["threshold"]) == ("cat", 2, log.strings.index("c"))
 
 
 def test_array_metrics_match_the_scalar_formulas_bit_for_bit():
