@@ -31,7 +31,7 @@ from .evaluation import (
     metrics_from_confusion,
     run_stream,
 )
-from .event_model import Case, Event, EventLog, StreamItem, Trace, parse_log, replay
+from .event_model import Event, EventLog, Trace, parse_log
 from .prefixing import (
     MISSING_CODE,
     AttributeSchema,

@@ -1,4 +1,4 @@
-"""Continuous evaluation of per-bucket outcome models over a replayed stream.
+"""Continuous evaluation of per-bucket outcome models over a log's event stream.
 
 Each prefix-length bucket gets one model of the run's update policy. The
 protocol: the first ``grace`` labels only train the models (no predictions,
@@ -10,14 +10,15 @@ completed cases, triggers the policy's model update, and adds one point per
 (bucket, metric) to the performance series, computed over the bucket's
 current window.
 
-:func:`run_stream` computes this in two passes. The recording pass walks
-the replay and keeps only integers: per label, its case and stream index;
-per issued prediction, its case, bucket and stream index. Whether a
-bucket's model is ready to predict follows from label counts alone (each
-model's ``labels_to_ready``), so no model is trained in this pass. A
-category's code is its string id in the log (see :mod:`~.prefixing`), so no
-pass numbers the categories. A schema that contradicts a column holding a
-value is rejected once the log is known, before any model learns
+The stream is the parsed log's events in (timestamp, row) order,
+``log.order``. :func:`run_stream` computes this in two passes. The
+recording pass derives only integers from the log's arrays: per label, its
+case and stream index; per issued prediction, its case, bucket and stream
+index. Whether a bucket's model is ready to predict follows from label
+counts alone (each model's ``labels_to_ready``), so no model is trained in
+this pass. A category's code is its string id in the log (see
+:mod:`~.prefixing`), so no pass numbers the categories. A schema that
+contradicts a column holding a value is rejected before any model learns
 (:func:`~.prefixing.check_schema`).
 
 The evaluation pass serves one bucket at a time. A model changes only when
@@ -37,20 +38,21 @@ points at once.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .classifiers import LearnerParams, OutcomeModel, UpdatePolicy, model_class
 from .errors import ConfigError
-from .event_model import EventLog, StreamItem
+from .event_model import EventLog
 from .prefixing import AttributeSchema, BucketConfig, FeatureRows, check_schema
 from .prefixing import encode  # noqa: F401  -- the batch encoder; only the tracer reads this name (ROADMAP item 6)
 
 METRICS = ("accuracy", "precision", "recall", "f1")
+
+# Events whose stream positions the recording pass reads at once.
+_CHUNK = 1024
 
 
 def metrics_from_confusion(tp, fp, fn, tn) -> dict[str, np.ndarray]:
@@ -113,7 +115,7 @@ class RunResult:
 
 
 def run_stream(
-    stream: Iterable[StreamItem],
+    log: EventLog,
     policy: UpdatePolicy | str,
     buckets: BucketConfig,
     grace: int = 200,
@@ -124,10 +126,9 @@ def run_stream(
     params: LearnerParams = LearnerParams(),
     ledger: list | None = None,
 ) -> RunResult:
-    """Replay the stream through one ``policy`` model per bucket.
+    """Run the events of a parsed log, in stream order, through one ``policy`` model per bucket.
 
-    ``stream`` is :func:`~.event_model.replay` of a parsed log; the run
-    holds that log from the stream's first item to its end. Returns the
+    ``log`` comes from :func:`~.event_model.parse_log`. Returns the
     per-(bucket, metric) series and the trained models. When ``ledger`` is
     a list, each resolved prediction/label pair is appended to it as a
     :class:`ResolvedPair` (the raw material an offline recomputation can be
@@ -147,18 +148,18 @@ def run_stream(
         raise ConfigError(f"evaluation window must be >= 1, got {eval_window}")
     models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
 
-    record = _Record.of(stream, model_type, buckets, grace, params)
+    check_schema(log, schema)
+    record = _Record.of(log, model_type, buckets, grace, params)
+    rows = FeatureRows(log, schema)
     labels_seen = len(record.labelled)
-    if labels_seen:
-        check_schema(record.log, schema)
-        rows = FeatureRows(record.log, schema)
     kept = [] if ledger is not None else None  # per bucket: what the ledger needs
     # The labels after grace at which the series take a point.
     points = np.arange(grace + eval_every, labels_seen + 1, eval_every)
     series = {}
     for k, model in models.items():
-        resolutions = _serve_bucket(model, k, record, rows, grace, kept) if labels_seen else _NO_RESOLUTIONS
-        values, label_indices = _window_series(*resolutions, points, eval_window, metrics)
+        values, label_indices = _window_series(
+            *_serve_bucket(model, k, record, rows, grace, kept), points, eval_window, metrics
+        )
         for metric in metrics:
             series[(k, metric)] = PerformanceSeries(k, metric, values[metric], list(label_indices))
     if kept:
@@ -171,16 +172,15 @@ _NO_RESOLUTIONS = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 @dataclass
 class _Record:
-    """What the recording pass keeps of a replay: the log and integers, in stream order.
+    """What the recording pass keeps of a log: the log and integers, in stream order.
 
     ``labelled`` and ``labelled_at`` hold each label's case and stream index,
     ``label_lengths`` its case's length, and ``label_index`` each case's
-    1-based label index (0 for a case that never ended); ``issued``,
-    ``issued_k`` and ``issued_at`` hold each issued prediction's case, bucket
-    and stream index.
+    1-based label index; ``issued``, ``issued_k`` and ``issued_at`` hold each
+    issued prediction's case, bucket and stream index.
     """
 
-    log: EventLog | None
+    log: EventLog
     labelled: np.ndarray
     labelled_at: np.ndarray
     label_lengths: np.ndarray
@@ -190,57 +190,54 @@ class _Record:
     issued_at: np.ndarray
 
     @classmethod
-    def of(cls, stream, model_type, buckets: BucketConfig, grace: int, params: LearnerParams) -> "_Record":
-        """Walk the stream and record its labels and the predictions the protocol issues.
+    def of(cls, log: EventLog, model_type, buckets: BucketConfig, grace: int, params: LearnerParams) -> "_Record":
+        """Record the log's labels and the predictions the protocol issues, from its arrays.
 
-        A bucket is ready once grace is over and its model's
+        The stream is ``log.order``, and a case's label comes with its last
+        event. A bucket is ready once grace is over and its model's
         ``labels_to_ready`` rule, applied to the bucket's label counts, says
-        so. A prediction at an event is issued before the event's label.
+        so; from the next event on, it predicts at each event that completes
+        a prefix of its length. A prediction at an event is issued before
+        the event's label.
         """
-        items = iter(stream)
-        first = next(items, None)
-        if first is None:
-            nothing = np.empty(0, np.int32)
-            return cls(None, nothing, nothing, nothing, nothing, nothing, nothing, nothing)
-        log = first.case.log
-        k_max = buckets.k_max
+        bounds, order = log.bounds, log.order
         # The narrowest integer columns that hold a case, a bucket and a stream index.
-        at = "i" if len(log.order) < 2**31 else "q"
-        labelled, labelled_at = array("i"), array(at)
-        issued, issued_k, issued_at = array("i"), array("b" if k_max < 128 else "i"), array(at)
-        ready = bytearray(k_max + 1)  # ready[k]: bucket k's model predicts
-        waiting: dict[int, int] = {}  # bucket -> post-grace labels it needs to be ready
-        for stream_index, (case, k, is_end) in enumerate(chain((first,), items), start=1):
-            if k <= k_max and ready[k]:
-                issued.append(case.index)
-                issued_k.append(k)
-                issued_at.append(stream_index)
-            if not is_end:
-                continue
-            labelled.append(case.index)
-            labelled_at.append(stream_index)
-            if waiting:
-                for bucket in [bucket for bucket in waiting if bucket <= k]:
-                    waiting[bucket] -= 1
-                    if not waiting[bucket]:
-                        del waiting[bucket]
-                        ready[bucket] = 1
-            if len(labelled) == grace:
-                lengths = log.lengths()[np.array(labelled)]
-                for bucket in buckets.buckets():
-                    need = model_type.labels_to_ready(int(np.count_nonzero(lengths >= bucket)), params)
-                    if need == 0:
-                        ready[bucket] = 1
-                    elif need is not None:
-                        waiting[bucket] = need
+        index = np.int32 if len(order) < 2**31 else np.int64
+        k_max = buckets.k_max
+        ends = np.zeros(len(order), bool)
+        ends[bounds[1:] - 1] = True
+        labelled_at = np.flatnonzero(ends[order]).astype(index) + 1
+        del ends
+        labelled = (np.searchsorted(bounds, order[labelled_at - 1], side="right") - 1).astype(index)
+        label_lengths = log.lengths()[labelled]
 
-        # Copied to exact size, so the columns' spare capacity goes.
-        labelled, labelled_at, issued, issued_k, issued_at = (
-            np.array(values) for values in (labelled, labelled_at, issued, issued_k, issued_at)
-        )
-        label_index = np.zeros(len(log), np.int32)
+        # ready_after[k]: the stream index after which bucket k predicts; the
+        # last one when it never does, as for the lengths outside the buckets.
+        ready_after = np.full(k_max + 2, len(order))
+        if len(labelled) >= grace:
+            later = label_lengths[grace:]
+            for k in buckets.buckets():
+                need = model_type.labels_to_ready(int(np.count_nonzero(label_lengths[:grace] >= k)), params)
+                if need == 0:
+                    ready_after[k] = labelled_at[grace - 1]
+                elif need is not None:
+                    counted = np.flatnonzero(later >= k)
+                    if need <= len(counted):
+                        ready_after[k] = labelled_at[grace + counted[need - 1]]
+
+        bucket = np.int8 if k_max < 128 else np.int32
+        parts = []
+        for begin in range(0, len(order), _CHUNK):
+            at = order[begin : begin + _CHUNK]
+            case = np.searchsorted(bounds, at, side="right") - 1
+            k = np.minimum(at - bounds[case] + 1, k_max + 1)
+            stream_index = np.arange(begin + 1, begin + 1 + len(at))
+            issue = stream_index > ready_after[k]
+            parts.append((case[issue].astype(index), k[issue].astype(bucket), stream_index[issue].astype(index)))
+        issued, issued_k, issued_at = map(np.concatenate, zip(*parts))
+        label_index = np.zeros(len(log), index)
         label_index[labelled] = np.arange(1, len(labelled) + 1)
-        return cls(log, labelled, labelled_at, log.lengths()[labelled], label_index, issued, issued_k, issued_at)
+        return cls(log, labelled, labelled_at, label_lengths, label_index, issued, issued_k, issued_at)
 
 
 def _serve_bucket(
@@ -308,7 +305,6 @@ def _serve_bucket(
         kept.append((k, issued, predicted, versions))
     resolved = record.label_index[cases]
     order = np.argsort(resolved, kind="stable")
-    order = order[resolved[order] > 0]  # a prediction whose case never ends stays pending
     return 2 * predicted[order] + rows.labels[cases[order]], resolved[order]
 
 
@@ -320,7 +316,6 @@ def _write_ledger(ledger: list, record: _Record, kept: list) -> None:
     cases, issued_at = record.issued[issued], record.issued_at[issued]
     resolved = record.label_index[cases]
     order = np.lexsort((issued_at, resolved))
-    order = order[resolved[order] > 0]
     log = record.log
     for label, stream_index, case, bucket, guess, version, issued_index in zip(
         resolved[order].tolist(),

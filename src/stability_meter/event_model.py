@@ -1,4 +1,4 @@
-"""Event log model: a columnar event table, per-case views, and replay.
+"""Event log model: a columnar event table and per-case views.
 
 A log is a CSV file with one row per event (columns ``case_id``, ``activity``,
 ``timestamp``, ``label``, plus arbitrary attribute columns). :func:`parse_log`
@@ -7,12 +7,8 @@ string tables and one label per case, and no :class:`Event` objects.
 :func:`parse_log` is the only way to build an :class:`EventLog`; a log
 written in code is parsed from its text, ``parse_log(io.StringIO(text))``.
 Indexing the log builds a :class:`Trace` view of one case, with its events,
-on demand. :func:`replay` builds no event: each item of the
-timestamp-ordered stream is a :class:`StreamItem` of the event's
-:class:`Case` handle (one per case, made at its first event), its position
-in the case and whether it closes the case. A consumer reads the event from
-the log's columns through the handle, and the outcome label of a case comes
-with its last event.
+on demand. ``EventLog.order`` is the stream: the events sorted by
+(timestamp, row), and the outcome label of a case comes with its last event.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from math import isfinite
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Union
+from typing import IO, Iterator, Union
 
 import numpy as np
 
@@ -39,8 +35,6 @@ LogSource = Union[str, Path, IO[str]]
 _TIMESTAMP_RANGE = range(-(2**63), 2**63)
 # Cells of a numeric-looking column whose text is joined into one string.
 _TEXT_CHUNK = 1024
-# Events replayed per step.
-_REPLAY_CHUNK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,8 +43,8 @@ class Event:
 
     ``timestamp`` is normalized to integer milliseconds. ``position`` is the
     1-based index of the event within its case. ``row`` is the physical line
-    the event came from (header = line 1) and breaks timestamp ties during
-    replay. ``values`` holds the attribute values aligned with ``names``:
+    the event came from (header = line 1) and breaks timestamp ties in the
+    stream. ``values`` holds the attribute values aligned with ``names``:
     float for numeric columns, str otherwise, ``None`` for an empty cell.
     Every event of a parsed log shares one ``names`` tuple.
     """
@@ -448,64 +442,3 @@ def _read_log(reader) -> EventLog:
         columns=columns,
         missing=missing,
     )
-
-
-class Case:
-    """The read-only handle of one case in a replayed log; every item of the case carries it.
-
-    ``index`` is the case's number in ``log`` (``log[index]`` is its trace),
-    ``case_id`` and ``label`` its id and outcome, and its events are the
-    log's columns ``start:stop``, in (timestamp, row) order.
-    """
-
-    __slots__ = ("log", "index", "case_id", "label", "start", "stop")
-
-    def __init__(self, log: EventLog, index: int) -> None:
-        self.log = log
-        self.index = index
-        self.case_id = log.case_ids[index]
-        self.label = log.labels[index]
-        self.start = int(log.bounds[index])
-        self.stop = int(log.bounds[index + 1])
-
-
-class StreamItem(NamedTuple):
-    """A replayed event: its case, its 1-based position there, and whether it closes the case."""
-
-    case: Case
-    position: int
-    is_case_end: bool
-
-    @property
-    def label(self) -> int | None:
-        """The case label on the case's last event, None on the others."""
-        return self.case.label if self.is_case_end else None
-
-
-def replay(log: EventLog) -> Iterator[StreamItem]:
-    """Replay a parsed log as one stream ordered by (timestamp, original row).
-
-    ``log`` comes from :func:`parse_log` (for a log written in code,
-    ``parse_log(io.StringIO(text))``). Each case gets one :class:`Case` at
-    its first event, and every item of the case carries it; the last one
-    is flagged ``is_case_end``. No two events share a row, so the order is
-    a deterministic function of the log. The stream is made
-    ``_REPLAY_CHUNK`` events at a time and holds only the handles of the
-    cases still open, so it keeps no per-event object that its consumer has
-    let go.
-    """
-    bounds, order = log.bounds, log.order
-    open_cases: dict[int, Case] = {}
-    for begin in range(0, len(order), _REPLAY_CHUNK):
-        at = order[begin : begin + _REPLAY_CHUNK]
-        case = np.searchsorted(bounds, at, side="right") - 1
-        position = at - bounds[case] + 1
-        ends = at + 1 == bounds[case + 1]
-        for index in case[position == 1].tolist():
-            open_cases[index] = Case(log, index)
-        handles = list(map(open_cases.__getitem__, case.tolist()))
-        for index in case[ends].tolist():
-            del open_cases[index]
-        yield from map(
-            tuple.__new__, repeat(StreamItem), zip(handles, position.tolist(), ends.tolist())
-        )

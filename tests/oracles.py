@@ -17,6 +17,9 @@ text, read apart from the parsed log's string table.
 are the replay that built an ``Event`` per item and the run loop that kept a
 window per bucket and computed every point's metrics as its label arrived,
 kept as the references for the run loop that keeps only integers.
+``reference_record`` is that run loop's recording pass, which walked the
+replay event by event, kept as the reference for the pass that derives the
+same integers from the log's arrays.
 ``fstring_rows`` is the per-row formatter of ``performance.csv`` rows that
 ``SeriesReport.rows`` replaced with one ``repr`` per distinct float.
 """
@@ -37,7 +40,6 @@ from stability_meter.classifiers import LearnerParams, model_class
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError
 from stability_meter.evaluation import METRICS, PerformanceSeries, ResolvedPair
 from stability_meter.event_model import (
-    _REPLAY_CHUNK,
     REQUIRED_COLUMNS,
     Event,
     Trace,
@@ -415,24 +417,11 @@ class EventItem:
     label: int | None = None
 
 
-def replayed_events(log, stream):
-    """The :class:`EventItem` of each item of ``replay(log)``, its event read from ``log[i]``."""
-    traces = {}
-    items = []
-    for item in stream:
-        case = item.case
-        if case.index not in traces:
-            traces[case.index] = log[case.index]
-        event = traces[case.index].events[item.position - 1]
-        items.append(EventItem(event, item.is_case_end, item.label))
-    return items
-
-
 def event_replay(log):
-    """Replay a parsed log, building each ``Event`` as it is yielded."""
+    """Replay a parsed log in ``log.order``, building each ``Event`` as it is yielded."""
     bounds, labels = log.bounds, log.labels
-    for start in range(0, len(log.order), _REPLAY_CHUNK):
-        at = log.order[start : start + _REPLAY_CHUNK]
+    for start in range(0, len(log.order), 1024):
+        at = log.order[start : start + 1024]
         case = np.searchsorted(bounds, at, side="right") - 1
         ends = (at + 1 == bounds[case + 1]).tolist()
         for event, case_at, is_end in zip(log._events(at, case), case.tolist(), ends):
@@ -650,6 +639,56 @@ def reference_run_stream(
                 series[(eval_k, metric)].label_indices.append(labels_seen)
 
     return series, labels_seen, models
+
+
+def reference_record(log, model_type, buckets, grace, params):
+    """The recording pass as a walk over :func:`event_replay`: ``_Record``'s integer columns by name.
+
+    A bucket's readiness is counted down label by label: once grace ends,
+    its ``labels_to_ready`` need, then one less at each later label of a
+    case at least as long as the bucket. A prediction at an event is issued
+    before the event's label.
+    """
+    case_index = {case_id: index for index, case_id in enumerate(log.case_ids)}
+    case_lengths = [len(trace) for trace in log]
+    labelled, labelled_at, issued, issued_k, issued_at = [], [], [], [], []
+    ready = [False] * (buckets.k_max + 1)  # ready[k]: bucket k's model predicts
+    waiting = {}  # bucket -> post-grace labels it needs to be ready
+    for stream_index, item in enumerate(event_replay(log), start=1):
+        case, k = case_index[item.event.case_id], item.event.position
+        if k <= buckets.k_max and ready[k]:
+            issued.append(case)
+            issued_k.append(k)
+            issued_at.append(stream_index)
+        if not item.is_case_end:
+            continue
+        labelled.append(case)
+        labelled_at.append(stream_index)
+        for bucket in [bucket for bucket in waiting if bucket <= k]:
+            waiting[bucket] -= 1
+            if not waiting[bucket]:
+                del waiting[bucket]
+                ready[bucket] = True
+        if len(labelled) == grace:
+            lengths = [case_lengths[case] for case in labelled]
+            for bucket in buckets.buckets():
+                need = model_type.labels_to_ready(sum(length >= bucket for length in lengths), params)
+                if need == 0:
+                    ready[bucket] = True
+                elif need is not None:
+                    waiting[bucket] = need
+    label_index = [0] * len(log)
+    for index, case in enumerate(labelled, start=1):
+        label_index[case] = index
+    return {
+        "labelled": labelled,
+        "labelled_at": labelled_at,
+        "label_lengths": [case_lengths[case] for case in labelled],
+        "label_index": label_index,
+        "issued": issued,
+        "issued_k": issued_k,
+        "issued_at": issued_at,
+    }
 
 
 def fstring_rows(annotation):

@@ -13,7 +13,6 @@ import pytest
 from stability_meter.advisor import SCENARIO_PROFILES, ConfigSummary, rank
 from stability_meter.cli import main
 from stability_meter.evaluation import metrics_from_confusion, run_stream
-from stability_meter.event_model import replay
 from stability_meter.prefixing import BucketConfig
 from stability_meter.stability import (
     detect_drops,
@@ -23,7 +22,7 @@ from stability_meter.stability import (
 )
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
-from oracles import brute_meta, brute_moving_stats, stats_from_ma_phi
+from oracles import brute_meta, brute_moving_stats, event_replay, stats_from_ma_phi
 from parsed_logs import parsed_log
 
 
@@ -151,7 +150,7 @@ def test_criterion_7_drift_experiment_directional():
     started = time.perf_counter()
     spec = DriftLogSpec(n_cases=2000, drift_at=1000, seed=0, noise=0.05)
     log = parsed_log(spec)
-    completion = [item.case.case_id for item in replay(log) if item.is_case_end]
+    completion = [item.event.case_id for item in event_replay(log) if item.is_case_end]
     drift_label = next(
         i + 1
         for i, case_id in enumerate(completion)
@@ -161,7 +160,7 @@ def test_criterion_7_drift_experiment_directional():
     buckets = BucketConfig(k_min=4, k_max=4)
     series = {}
     for policy in ("static", "incremental"):
-        result = run_stream(replay(log), policy, buckets, grace=200, eval_window=100)
+        result = run_stream(log, policy, buckets, grace=200, eval_window=100)
         series[policy] = result.series[(4, "accuracy")]
 
     # static: at least one significant drop within 200 labels after the drift

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from stability_meter.cli import RunConfig
 from stability_meter.evaluation import run_stream
-from stability_meter.event_model import parse_log, replay
+from stability_meter.event_model import parse_log
 from stability_meter.prefixing import AttributeSchema, BucketConfig, default_k_max
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
@@ -54,7 +54,7 @@ def _untraced_predictions(log, model):
     traces = parse_log(log)
     ledger = []
     run_stream(
-        replay(traces), config.model, BucketConfig(config.k_min, default_k_max(traces)),
+        traces, config.model, BucketConfig(config.k_min, default_k_max(traces)),
         grace=config.grace, eval_window=config.eval_window,
         schema=AttributeSchema.from_traces(config.attrs, traces),
         params=config.learner_params(), ledger=ledger,

@@ -15,6 +15,7 @@ from stability_meter.classifiers import (
 )
 from stability_meter.errors import NotReadyError
 from stability_meter.evaluation import run_stream
+from stability_meter.event_model import REQUIRED_COLUMNS
 from stability_meter.prefixing import AttributeSchema, BucketConfig, encode
 from stability_meter.synthgen import DriftLogSpec
 
@@ -507,7 +508,8 @@ def test_static_predict_before_training_raises():
 def test_framework_builds_one_model_per_bucket(policy, kind):
     buckets = BucketConfig(k_min=2, k_max=5)
     schema = AttributeSchema(names=("amount",), numeric=(True,))
-    models = run_stream([], policy, buckets, schema=schema).models
+    log = parsed_log([("a", "x", 1, None, 2.5), ("a", "y", 2, 1, 3)], REQUIRED_COLUMNS + ("amount",))
+    models = run_stream(log, policy, buckets, schema=schema).models
     assert sorted(models) == [2, 3, 4, 5]
     assert all(isinstance(model, kind) for model in models.values())
     assert all(model.policy is UpdatePolicy(policy) for model in models.values())

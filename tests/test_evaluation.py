@@ -4,7 +4,6 @@ import pytest
 
 from stability_meter.errors import ConfigError
 from stability_meter.evaluation import METRICS, metrics_from_confusion, run_stream
-from stability_meter.event_model import replay
 from stability_meter.prefixing import BucketConfig
 
 from oracles import EvalWindow, confusion_metrics
@@ -36,7 +35,7 @@ def _run(specs, policy="incremental", grace=2, eval_window=10, k_min=2, k_max=2,
     log = _sequential_log(specs)
     buckets = BucketConfig(k_min=k_min, k_max=k_max)
     return run_stream(
-        replay(log),
+        log,
         policy,
         buckets,
         grace=grace,
@@ -122,7 +121,7 @@ def test_unknown_policy_is_a_config_error():
         ConfigError,
         match="^unknown model 'bogus'; expected one of incremental, window-retrain, static$",
     ):
-        run_stream([], "bogus", BucketConfig(2, 3))
+        run_stream(_sequential_log([(["a", "b"], 1)]), "bogus", BucketConfig(2, 3))
 
 
 def test_window_of_one_tracks_latest_case_correctness():

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError, StabilityMeterError
-from stability_meter.event_model import Event, EventLog, Trace, parse_log, replay
+from stability_meter.event_model import Event, EventLog, Trace, parse_log
 from stability_meter.prefixing import AttributeSchema, encode
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
-from oracles import attribute_map, dict_reader_parse_log, replayed_events, tuple_replay
+from oracles import attribute_map, dict_reader_parse_log, tuple_replay
 
 
 def _parse(text):
@@ -162,34 +162,35 @@ def test_empty_attribute_cells_are_missing():
     assert traces[0].events[1].attribute("amount") == 3.5
 
 
-def test_replay_interleaves_cases_by_timestamp():
-    traces = _parse(
+def _stream(log):
+    """The log's events in stream order, read through ``log.order``."""
+    events = [event for trace in log for event in trace.events]
+    return [events[at] for at in log.order.tolist()]
+
+
+def test_stream_order_interleaves_cases_by_timestamp():
+    log = _parse(
         "case_id,activity,timestamp,label\n"
         "x,x1,1,\n"
         "x,x2,5,1\n"
         "y,y1,2,\n"
         "y,y2,3,0\n"
     )
-    items = list(replay(traces))
-    order = [(item.case.case_id, item.position) for item in items]
-    assert order == [("x", 1), ("y", 1), ("y", 2), ("x", 2)]
-    assert [item.is_case_end for item in items] == [False, False, True, True]
-    assert [item.label for item in items] == [None, None, 0, 1]
+    stream = _stream(log)
+    assert [(event.case_id, event.position) for event in stream] == [("x", 1), ("y", 1), ("y", 2), ("x", 2)]
+    assert stream == [item.event for item in tuple_replay(log)]
 
 
-def test_replay_single_case():
-    traces = _parse(
+def test_stream_order_of_a_single_case_is_the_case():
+    log = _parse(
         "case_id,activity,timestamp,label\n"
         + "".join(f"a,s{i},{i},\n" for i in range(1, 4))
         + "a,end,4,1\n"
     )
-    items = list(replay(traces))
-    assert len(items) == 4
-    assert [item.is_case_end for item in items] == [False, False, False, True]
-    assert items[-1].label == 1
+    assert log.order.tolist() == [0, 1, 2, 3]
 
 
-def test_replay_breaks_timestamp_ties_by_row_order():
+def test_stream_order_breaks_timestamp_ties_by_row_order():
     # both case-end events share a timestamp; row order decides
     text = (
         "case_id,activity,timestamp,label\n"
@@ -198,10 +199,10 @@ def test_replay_breaks_timestamp_ties_by_row_order():
         "p,p2,7,1\n"
         "q,q2,7,0\n"
     )
-    items = list(replay(_parse(text)))
-    tail = [(item.case.case_id, item.label) for item in items[-2:]]
-    assert tail == [("p", 1), ("q", 0)]
-    # flipping the two rows flips the emission order
+    log = _parse(text)
+    assert [event.case_id for event in _stream(log)[-2:]] == ["p", "q"]
+    assert _stream(log) == [item.event for item in tuple_replay(log)]
+    # flipping the two rows flips the stream order
     flipped = (
         "case_id,activity,timestamp,label\n"
         "p,p1,1,\n"
@@ -209,27 +210,20 @@ def test_replay_breaks_timestamp_ties_by_row_order():
         "q,q2,7,0\n"
         "p,p2,7,1\n"
     )
-    items = list(replay(_parse(flipped)))
-    tail = [(item.case.case_id, item.label) for item in items[-2:]]
-    assert tail == [("q", 0), ("p", 1)]
+    log = _parse(flipped)
+    assert [event.case_id for event in _stream(log)[-2:]] == ["q", "p"]
+    assert _stream(log) == [item.event for item in tuple_replay(log)]
 
 
-def test_replay_conservation_and_order_invariants():
-    traces = _parse(BASIC)
-    items = list(replay(traces))
-    assert len(items) == sum(len(trace) for trace in traces)
-    assert sum(1 for item in items if item.is_case_end) == len(traces)
-    assert all(item.label is None or item.is_case_end for item in items)
-    stamps = [traces.timestamp[item.case.start + item.position - 1] for item in items]
+def test_stream_order_is_a_timestamp_sorted_permutation_of_the_events():
+    log = _parse(BASIC)
+    assert sorted(log.order.tolist()) == list(range(sum(len(trace) for trace in log)))
+    stamps = log.timestamp[log.order].tolist()
     assert stamps == sorted(stamps)
-    assert all(item.case is items[0].case for item in items if item.case.case_id == "a")
 
 
-def test_replay_is_deterministic():
-    def stream(text):
-        return [(item.case.case_id, item.position, item.is_case_end, item.label) for item in replay(_parse(text))]
-
-    assert stream(BASIC) == stream(BASIC)
+def test_stream_order_is_deterministic():
+    assert _stream(_parse(BASIC)) == _stream(_parse(BASIC))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +309,7 @@ def _assert_parsers_agree(text):
                 new_map, old_map = attribute_map(new_event), attribute_map(old_event)
                 assert new_map == old_map
                 assert [type(v) for v in new_map.values()] == [type(v) for v in old_map.values()]
-        assert replayed_events(log, replay(log)) == list(tuple_replay(want))
+        assert _stream(log) == [item.event for item in tuple_replay(want)]
 
 
 @pytest.mark.parametrize("text", HAND_LOGS.values(), ids=HAND_LOGS.keys())
@@ -389,7 +383,7 @@ def test_replay_matches_the_reference_on_logs_with_timestamp_ties():
     rng.shuffle(rows)
     text = f"{_H}\n" + "".join(rows)
     log = _parse(text)
-    stamps = [log.timestamp[item.case.start + item.position - 1] for item in replay(log)]
+    stamps = log.timestamp[log.order].tolist()
     assert len(set(stamps)) < len(stamps)
     _assert_parsers_agree(text)
 
@@ -412,26 +406,6 @@ def test_parse_peak_memory_per_event_stays_small(tmp_path):
     events = int(log.lengths().sum())
     assert peak / events < 150
     assert retained / events < 64
-
-
-def test_replay_peak_memory_does_not_grow_with_the_log(tmp_path):
-    # Items are made a chunk at a time, so draining the stream holds a
-    # bounded batch of them whatever the size of the log. Building events
-    # for the whole log up front would cost ~250 B per event, ~9 MB more
-    # on the larger log.
-    peaks = []
-    for cases in (400, 4000):
-        path = tmp_path / f"log{cases}.csv"
-        path.write_text(to_csv(generate(DriftLogSpec(n_cases=cases, drift_at=cases // 2, seed=3))))
-        log = parse_log(path)
-        tracemalloc.start()
-        try:
-            for _ in replay(log):
-                pass
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_blank_numeric_cells_are_missing_in_the_view_and_encode_as_zero():

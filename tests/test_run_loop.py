@@ -1,13 +1,15 @@
 """The two-pass run loop against the online reference loop.
 
-``run_stream`` over ``replay`` records the labels and issued predictions as
-integers, then serves each bucket's model from gathered rows and makes
-every series in one array pass; ``oracles.reference_run_stream`` over
-``oracles.event_replay`` builds an ``Event`` per item, encodes each prefix
-from scratch with a text-keyed codec, trains the models one labeled sample
-at a time and computes each point's metrics from a window as its label
-arrives. Both must give the same series, ledger and models, on drawn,
-seeded and hand-made logs.
+``run_stream`` over a parsed log records the labels and issued predictions
+as integers from the log's arrays, then serves each bucket's model from
+gathered rows and makes every series in one array pass;
+``oracles.reference_run_stream`` over ``oracles.event_replay`` builds an
+``Event`` per item, encodes each prefix from scratch with a text-keyed
+codec, trains the models one labeled sample at a time and computes each
+point's metrics from a window as its label arrives. Both must give the same
+series, ledger and models, on drawn, seeded and hand-made logs; the
+recording pass must also give the integers of ``oracles.reference_record``,
+which walks the replay event by event.
 """
 
 import io
@@ -20,15 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stability_meter.classifiers import LearnerParams
+from stability_meter.classifiers import LearnerParams, model_class
 from stability_meter.errors import ConfigError, StabilityMeterError
-from stability_meter.evaluation import METRICS, metrics_from_confusion, run_stream
-from stability_meter.event_model import parse_log, replay
+from stability_meter.evaluation import METRICS, _Record, metrics_from_confusion, run_stream
+from stability_meter.event_model import parse_log
 from stability_meter.prefixing import AttributeSchema, BucketConfig, default_k_max
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs, many_case_logs
-from oracles import TextCodec, event_replay, loop_metrics, reference_run_stream
+from oracles import TextCodec, event_replay, loop_metrics, reference_record, reference_run_stream
 from parsed_logs import shuffled_blanked_csv
 
 POLICIES = ("incremental", "window-retrain", "static")
@@ -42,7 +44,7 @@ def _assert_same_run(text, policy, attrs, grace, eval_window, eval_every, retrai
     params = LearnerParams(train_window=30, retrain_every=retrain_every, memory=40)
     options = dict(grace=grace, eval_window=eval_window, eval_every=eval_every, schema=schema, params=params)
     ledger, want_ledger = [], []
-    result = run_stream(replay(log), policy, buckets, ledger=ledger, **options)
+    result = run_stream(log, policy, buckets, ledger=ledger, **options)
     want, labels_seen, want_models = reference_run_stream(
         event_replay(log), TextCodec(text), policy, buckets, ledger=want_ledger, **options
     )
@@ -160,6 +162,43 @@ def test_run_loop_matches_the_reference_at_readiness_and_interval_edges(policy, 
         assert any(later - earlier == 2 for (_, earlier), (_, later) in zip(top, top[1:]))
 
 
+# Grace periods against a log's label count, one label per case.
+GRACE = {"below": lambda labels: labels // 3 + 1, "at": lambda labels: labels, "above": lambda labels: labels + 1}
+
+
+def _assert_same_record(text, policy, grace, retrain_every, k_min):
+    log = parse_log(io.StringIO(text))
+    buckets = BucketConfig(k_min, max(k_min, default_k_max(log)))
+    model_type, params = model_class(policy), LearnerParams(retrain_every=retrain_every)
+    grace = GRACE[grace](len(log))
+    record = _Record.of(log, model_type, buckets, grace, params)
+    for name, want in reference_record(log, model_type, buckets, grace, params).items():
+        assert getattr(record, name).tolist() == want, name
+
+
+@pytest.mark.parametrize("grace", GRACE)
+@pytest.mark.parametrize("retrain_every", [1, 7])
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(text=many_case_logs(), k_min=st.integers(2, 4))
+def test_recording_pass_matches_the_replay_walk_on_random_logs(policy, retrain_every, grace, text, k_min):
+    # Drawn cases have 1 to 5 events, so k_min is above some case lengths.
+    _assert_same_record(text, policy, grace, retrain_every, k_min)
+
+
+@pytest.mark.parametrize("grace", GRACE)
+@pytest.mark.parametrize("retrain_every", [1, 7])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "text, k_min",
+    # Synth cases have 4 to 16 events; the edge log's grace cases have 2.
+    [(shuffled_blanked_csv(4), 5), (_edge_csv(), 2)],
+    ids=["shuffled-synth", "edge"],
+)
+def test_recording_pass_matches_the_replay_walk_on_fixed_logs(text, k_min, policy, retrain_every, grace):
+    _assert_same_record(text, policy, grace, retrain_every, k_min)
+
+
 _CONTRADICTED = AttributeSchema(names=("amount", "channel"), numeric=(False, True))
 
 
@@ -184,10 +223,10 @@ def test_run_stream_rejects_a_contradicting_schema_when_any_case_holds_a_value(r
     log = parse_log(io.StringIO("\n".join(["case_id,activity,timestamp,label,amount,channel", *rows]) + "\n"))
     options = dict(grace=1, schema=_CONTRADICTED)
     if error is None:
-        assert run_stream(replay(log), "static", BucketConfig(2, 2), **options).labels_seen == 1
+        assert run_stream(log, "static", BucketConfig(2, 2), **options).labels_seen == 1
     else:
         with pytest.raises(ConfigError, match=f"{error} in the log; the schema declares it"):
-            run_stream(replay(log), "static", BucketConfig(2, 2), **options)
+            run_stream(log, "static", BucketConfig(2, 2), **options)
 
 
 def test_equal_gain_categories_split_on_the_one_first_in_the_file():
@@ -208,7 +247,7 @@ def test_equal_gain_categories_split_on_the_one_first_in_the_file():
     log = parse_log(io.StringIO("\n".join(["case_id,activity,timestamp,label,channel", *rows]) + "\n"))
     assert log.strings.index("c") < log.strings.index("b")
     schema = AttributeSchema.from_traces(("channel",), log)
-    result = run_stream(replay(log), "static", BucketConfig(2, 2), grace=len(channels), schema=schema)
+    result = run_stream(log, "static", BucketConfig(2, 2), grace=len(channels), schema=schema)
     root = result.models[2]._tree.to_dict()
     assert (root["kind"], root["feature"], root["threshold"]) == ("cat", 2, log.strings.index("c"))
 
@@ -228,30 +267,41 @@ def test_array_metrics_reject_an_empty_window():
         metrics_from_confusion(np.array([1, 0]), np.array([0, 0]), np.array([0, 0]), np.array([0, 0]))
 
 
-def _run_peak_per_event(log, stream, policy="static", attrs=(), params=LearnerParams()):
-    """Peak traced bytes per event of a run over ``stream``, with few series points."""
+def _run_peak_per_event(log, policy="static", attrs=(), params=LearnerParams(), held=None):
+    """Peak traced bytes per event of a run over ``log``, with few series points.
+
+    ``held(log)``, when given, is made before the run and kept until it ends.
+    """
     schema = AttributeSchema.from_traces(attrs, log)
     tracemalloc.start()
     try:
+        kept = held(log) if held else None
         run_stream(
-            stream(), policy, BucketConfig(2, default_k_max(log)),
+            log, policy, BucketConfig(2, default_k_max(log)),
             grace=50, eval_window=20, eval_every=100, metrics=("f1",), schema=schema, params=params,
         )
         peak = tracemalloc.get_traced_memory()[1]
+        del kept
     finally:
         tracemalloc.stop()
     return peak / int(log.lengths().sum())
 
 
+def _stream_items(log):
+    """One (case, position, is_case_end) tuple per event, in stream order."""
+    case = np.searchsorted(log.bounds, log.order, side="right") - 1
+    position = log.order - log.bounds[case] + 1
+    return list(zip(case.tolist(), position.tolist(), (log.order + 1 == log.bounds[case + 1]).tolist()))
+
+
 def test_run_stream_peak_memory_per_event_stays_small():
-    # The replayed run holds the open cases' handles, the integers it
-    # records, the models and a bounded batch of gathered rows: ~50 B/event
-    # here. A stream that first lists every item of the log peaks near 150,
-    # and one that lists the whole stream order as Python ints near 95.
+    # The run holds the integers it records, the models and a bounded batch
+    # of gathered rows: ~36 B/event here. A run that also holds one tuple
+    # per event, as a listed per-event stream did, peaks near 120.
     log = parse_log(io.StringIO(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))))
-    _run_peak_per_event(log, lambda: replay(log))  # warm up, untimed and unchecked
-    assert _run_peak_per_event(log, lambda: replay(log)) < 80
-    assert _run_peak_per_event(log, lambda: iter(list(replay(log)))) > 80
+    _run_peak_per_event(log)  # warm up, untimed and unchecked
+    assert _run_peak_per_event(log) < 80
+    assert _run_peak_per_event(log, held=_stream_items) > 80
 
 
 def test_window_retrain_with_attributes_gathers_rows_in_bounded_batches():
@@ -261,5 +311,5 @@ def test_window_retrain_with_attributes_gathers_rows_in_bounded_batches():
     log = parse_log(io.StringIO(to_csv(generate(DriftLogSpec(n_cases=1000, drift_at=500, seed=3)))))
     params = LearnerParams(train_window=30, retrain_every=64)
     run = dict(policy="window-retrain", attrs=("amount", "channel"), params=params)
-    _run_peak_per_event(log, lambda: replay(log), **run)  # warm up, untimed and unchecked
-    assert _run_peak_per_event(log, lambda: replay(log), **run) < 52
+    _run_peak_per_event(log, **run)  # warm up, untimed and unchecked
+    assert _run_peak_per_event(log, **run) < 52

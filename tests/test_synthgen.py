@@ -3,7 +3,7 @@ from io import StringIO
 import pytest
 
 from stability_meter.errors import ConfigError
-from stability_meter.event_model import parse_log, replay
+from stability_meter.event_model import parse_log
 from stability_meter.synthgen import (
     BRANCH_ACTIVITIES,
     CLOSE_ACTIVITY,
@@ -17,6 +17,7 @@ from stability_meter.synthgen import (
     to_csv,
 )
 
+from oracles import event_replay
 from parsed_logs import parsed_log
 
 
@@ -52,13 +53,13 @@ def test_case_shape():
 
 
 def test_cases_overlap_in_the_stream():
-    items = list(replay(parsed_log(DriftLogSpec(n_cases=50, drift_at=25, seed=3))))
+    items = list(event_replay(parsed_log(DriftLogSpec(n_cases=50, drift_at=25, seed=3))))
     open_cases, max_open = set(), 0
     for item in items:
-        open_cases.add(item.case.case_id)
+        open_cases.add(item.event.case_id)
         max_open = max(max_open, len(open_cases))
         if item.is_case_end:
-            open_cases.discard(item.case.case_id)
+            open_cases.discard(item.event.case_id)
     assert max_open >= 5
 
 
