@@ -21,6 +21,7 @@ from .errors import (
     LogFormatError,
     LogValueError,
     NotReadyError,
+    SettingError,
     StabilityMeterError,
 )
 from .evaluation import (

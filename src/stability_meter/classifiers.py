@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NotReadyError
+from .errors import ConfigError, NotReadyError, require_at_least
 
 
 class UpdatePolicy(str, Enum):
@@ -60,10 +60,7 @@ class LearnerParams:
     memory: int = 300
 
     def __post_init__(self) -> None:
-        if self.tree_depth < 1:
-            raise ConfigError("tree depth must be >= 1")
-        if self.train_window < 1 or self.retrain_every < 1 or self.memory < 1:
-            raise ConfigError("window sizes and retrain cadence must be >= 1")
+        require_at_least(1, **vars(self))  # every field is a count
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +135,7 @@ class DecisionTree:
     """
 
     def __init__(self, max_depth: int = LearnerParams.tree_depth, min_leaf: int = MIN_LEAF) -> None:
-        if max_depth < 1 or min_leaf < 1:
-            raise ConfigError("max_depth and min_leaf must be >= 1")
+        require_at_least(1, max_depth=max_depth, min_leaf=min_leaf)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.root: _Node | None = None

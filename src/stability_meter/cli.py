@@ -1,11 +1,10 @@
 """Command-line entry point: ``run``, ``compare``, ``rank``, and ``synth``.
 
 ``run`` replays a log through one update policy's models and writes
-``performance.csv``, ``meta.json``, and per-series plot data. ``compare``
-runs several update policies over the same log and appends scenario
-rankings. ``rank`` orders precomputed configurations for a business
-scenario. ``synth`` generates a drifted synthetic log. All artifacts are
-plain CSV/JSON written atomically.
+``performance.csv`` and ``meta.json``. ``compare`` runs several update
+policies over the same log and appends scenario rankings. ``rank`` orders
+precomputed configurations for a business scenario. ``synth`` generates a
+drifted synthetic log. All artifacts are plain CSV/JSON written atomically.
 """
 
 from __future__ import annotations
@@ -34,23 +33,21 @@ from .errors import (
     EmptyLogError,
     LogFormatError,
     LogValueError,
+    SettingError,
     StabilityMeterError,
+    require_at_least,
 )
-from .evaluation import METRICS, PerformanceSeries, run_stream
+from .evaluation import METRICS, PerformanceSeries, check_run_settings, run_stream
 from .event_model import EventLog, parse_log
 from .prefixing import AttributeSchema, BucketConfig, default_k_max
 from .stability import MetaMeasures, SeriesAnnotation, annotate_series, meta_measures
 from .synthgen import DriftLogSpec, generate, to_csv
 
-# perfbench/bench_trace.py looks this name up; ROADMAP item 1b deletes it.
+# perfbench/bench_trace.py looks these names up; ROADMAP item 1b deletes them.
 replay = None
+_series_csv = None
 
-
-# RunConfig fields checked to be >= 1, in the order they are reported.
-_AT_LEAST_ONE = (
-    "ma_window", "grace", "eval_window", "eval_every",
-    "train_window", "tree_depth", "retrain_every", "nb_memory",
-)
+_FLAGS = {"memory": "nb-memory"}  # the library settings not named as their flags
 
 
 @dataclass(frozen=True)
@@ -75,14 +72,17 @@ class RunConfig:
     eval_every: int = 1
 
     def __post_init__(self) -> None:
+        # The library's own checks, run before any log is read, each setting named
+        # by its flag (moving_stats checks its window only once it has a series).
         model_class(self.model)
-        for name in _AT_LEAST_ONE:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
-        if self.k_min < 2:
-            raise ConfigError(f"--k-min must be >= 2, got {self.k_min}")
-        if self.k_max is not None and self.k_max < self.k_min:
-            raise ConfigError(f"--k-max must be >= --k-min {self.k_min}, got {self.k_max}")
+        try:
+            require_at_least(1, ma_window=self.ma_window)
+            check_run_settings(self.grace, self.eval_window, self.eval_every)
+            self.learner_params()
+            BucketConfig(self.k_min, self.k_min if self.k_max is None else self.k_max)
+        except SettingError as err:
+            flags = ("--" + _FLAGS.get(name, name).replace("_", "-") for name in err.settings)
+            raise ConfigError(err.template.format(*flags)) from None
 
     def learner_params(self) -> LearnerParams:
         return LearnerParams(
@@ -193,7 +193,7 @@ def execute_run(
             reports.append(SeriesReport(series, annotation, measures))
 
     out_dir = Path(config.out_dir)
-    _atomic_write(out_dir / "performance.csv", _performance_csv(reports, out_dir / "plots"))
+    _atomic_write(out_dir / "performance.csv", _performance_csv(reports))
     _atomic_write(out_dir / "meta.json", (_meta_json(config, buckets, auto, reports),))
 
     if print_summary:
@@ -201,26 +201,16 @@ def execute_run(
     return reports
 
 
-def _performance_csv(reports: list[SeriesReport], plots_dir: Path) -> Iterator[str]:
-    # One chunk per series, written as it is made, and the series' plot file
-    # written from the same rows just before it: the whole text never sits in
-    # memory, nor does its encoded copy, nor more than one series' rows.
+def _performance_csv(reports: list[SeriesReport]) -> Iterator[str]:
+    # One chunk per series, written as it is made: the whole text never sits
+    # in memory, nor does its encoded copy, nor more than one series' rows.
     yield "label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id\n"
     for report in reports:
         series = report.series
-        rows = report.rows()
-        plot = plots_dir / f"series_k{series.bucket}_{series.metric}.csv"
-        _atomic_write(plot, (_series_csv(series.label_indices, rows),))
         key = f",{series.bucket},{series.metric},"
         yield "".join(
-            f"{label_index}{key}{row}\n" for label_index, row in zip(series.label_indices, rows)
+            f"{label_index}{key}{row}\n" for label_index, row in zip(series.label_indices, report.rows())
         )
-
-
-def _series_csv(label_indices: list[int], rows: list[str]) -> str:
-    lines = ["label_index,value,ma,std,lb,ub,is_drop,drop_id"]
-    lines.extend(f"{label_index},{row}" for label_index, row in zip(label_indices, rows))
-    return "\n".join(lines) + "\n"
 
 
 def _meta_entry(config_name: str, report: SeriesReport) -> dict:

@@ -9,6 +9,21 @@ class ConfigError(StabilityMeterError):
     """Invalid configuration value (window sizes, profiles, flag combinations)."""
 
 
+class SettingError(ConfigError):
+    """A setting out of range; each ``{}`` of ``template`` stands for one of ``settings``, in turn."""
+
+    def __init__(self, template: str, *settings: str) -> None:
+        super().__init__(template.format(*settings))
+        self.template, self.settings = template, settings
+
+
+def require_at_least(bound: int, **settings: int) -> None:
+    """Raise a :class:`SettingError` for the first of ``settings`` below ``bound``."""
+    for setting, value in settings.items():
+        if value < bound:
+            raise SettingError(f"{{}} must be >= {bound}, got {value}", setting)
+
+
 class LogFormatError(StabilityMeterError):
     """Structurally malformed input log (missing columns, bad timestamps)."""
 

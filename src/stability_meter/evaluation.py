@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import LearnerParams, OutcomeModel, UpdatePolicy, model_class
-from .errors import ConfigError
+from .errors import ConfigError, require_at_least
 from .event_model import EventLog
 from .prefixing import AttributeSchema, BucketConfig, FeatureRows, check_schema
 from .prefixing import encode  # noqa: F401  -- the batch encoder; only the tracer reads this name (ROADMAP item 6)
@@ -114,6 +114,11 @@ class RunResult:
     models: dict[int, OutcomeModel]  # bucket -> its model, as trained by the run
 
 
+def check_run_settings(grace: int, eval_window: int, eval_every: int) -> None:
+    """Reject a :func:`run_stream` count below 1 as a :class:`~.errors.SettingError`."""
+    require_at_least(1, grace=grace, eval_window=eval_window, eval_every=eval_every)
+
+
 def run_stream(
     log: EventLog,
     policy: UpdatePolicy | str,
@@ -134,18 +139,13 @@ def run_stream(
     :class:`ResolvedPair` (the raw material an offline recomputation can be
     checked against); by default none is kept.
     """
-    if grace < 1:
-        raise ConfigError(f"grace period must be >= 1, got {grace}")
-    if eval_every < 1:
-        raise ConfigError(f"evaluation cadence must be >= 1, got {eval_every}")
+    check_run_settings(grace, eval_window, eval_every)
     for metric in metrics:
         if metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r}")
     schema = schema if schema is not None else AttributeSchema()
 
     model_type = model_class(policy)
-    if eval_window < 1:
-        raise ConfigError(f"evaluation window must be >= 1, got {eval_window}")
     models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
 
     check_schema(log, schema)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SettingError, require_at_least
 from .event_model import EventLog
 
 # Categorical code reserved for values absent from an event: the string id of an empty cell.
@@ -33,11 +33,9 @@ class BucketConfig:
     k_max: int = 2
 
     def __post_init__(self) -> None:
-        if not 2 <= self.k_min <= self.k_max:
-            raise ConfigError(
-                f"bucket range must satisfy 2 <= k_min <= k_max, got "
-                f"[{self.k_min}, {self.k_max}]"
-            )
+        require_at_least(2, k_min=self.k_min)
+        if self.k_max < self.k_min:
+            raise SettingError(f"{{}} must be >= {{}} {self.k_min}, got {self.k_max}", "k_max", "k_min")
 
     def buckets(self) -> range:
         return range(self.k_min, self.k_max + 1)

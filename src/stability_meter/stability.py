@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import require_at_least
 
 # Elements per block of full windows that moving_stats reduces at once.
 _BLOCK_ELEMENTS = 1 << 20
@@ -83,8 +83,7 @@ def moving_stats(points: Sequence[float], window: int) -> MovingStats:
     itself included; the divisor is the window length, so a single point has
     ma = p and phi = 0. Constant windows yield exactly phi = 0.
     """
-    if window < 1:
-        raise ConfigError(f"moving window must be >= 1, got {window}")
+    require_at_least(1, window=window)
     series = np.asarray(points, dtype=float)
     n = len(series)
     if n == 0:

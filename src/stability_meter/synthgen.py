@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from io import StringIO
 
-from .errors import ConfigError
+from .errors import ConfigError, require_at_least
 from .event_model import Event, Trace
 
 START_ACTIVITY = "submit_request"
@@ -66,8 +66,7 @@ class DriftLogSpec:
     noise: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.n_cases < 1:
-            raise ConfigError(f"n_cases must be >= 1, got {self.n_cases}")
+        require_at_least(1, n_cases=self.n_cases)
         if not 1 <= self.drift_at <= self.n_cases:
             raise ConfigError(
                 f"drift_at must be in [1, {self.n_cases}], got {self.drift_at}"

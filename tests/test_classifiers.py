@@ -13,7 +13,7 @@ from stability_meter.classifiers import (
     UpdatePolicy,
     WindowRetrainModel,
 )
-from stability_meter.errors import NotReadyError
+from stability_meter.errors import NotReadyError, SettingError
 from stability_meter.evaluation import run_stream
 from stability_meter.event_model import REQUIRED_COLUMNS
 from stability_meter.prefixing import AttributeSchema, BucketConfig, encode
@@ -21,6 +21,14 @@ from stability_meter.synthgen import DriftLogSpec
 
 from oracles import ReferenceTree, nb_posterior_scores
 from parsed_logs import parsed_log
+
+
+@pytest.mark.parametrize("field", ["tree_depth", "train_window", "retrain_every", "memory"])
+def test_learner_params_name_the_setting_below_one(field):
+    with pytest.raises(SettingError, match=f"^{field} must be >= 1, got 0$") as raised:
+        LearnerParams(**{field: 0})
+    assert raised.value.settings == (field,)
+    assert raised.value.template.format("X") == "X must be >= 1, got 0"
 
 
 def _tree_json(model):

@@ -67,13 +67,10 @@ def test_run_smoke_produces_all_artifacts(small_log, tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert (out / "performance.csv").exists()
+    assert sorted(path.name for path in out.iterdir()) == ["meta.json", "performance.csv"]
     meta = json.loads((out / "meta.json").read_text())
     assert meta["configuration"]["model"] == "incremental"
     assert meta["series"], "expected at least one evaluated series"
-    for entry in meta["series"]:
-        plot = out / "plots" / f"series_k{entry['bucket']}_{entry['metric']}.csv"
-        assert plot.exists()
     assert "k_max=" in stdout
 
 
@@ -89,22 +86,35 @@ def test_run_files_get_the_mode_the_umask_allows(small_log, tmp_path, capsys):
         os.umask(previous)
     assert code == 0
     modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.rglob("*") if path.is_file()}
-    assert {"performance.csv", "meta.json"} < set(modes)
-    assert modes == dict.fromkeys(modes, 0o644)
+    assert modes == {"performance.csv": 0o644, "meta.json": 0o644}
 
 
-def test_failed_plot_write_leaves_no_performance_csv_or_temp_file(small_log, tmp_path, capsys):
+def _run_into_blocked_out(small_log, tmp_path, capsys, blocked):
+    """Exit code, stderr and what ``--out`` holds after a run whose ``blocked`` file is a directory."""
     out = tmp_path / "out"
-    out.mkdir()
-    (out / "plots").write_text("a file where the plots directory goes\n")
+    (out / blocked).mkdir(parents=True)
     code, _, stderr = _run_cli(
         ["run", "--log", str(small_log), "--grace", "20", "--eval-window", "10", "--out", str(out)],
         capsys,
     )
+    return code, stderr, sorted(str(path.relative_to(out)) for path in out.rglob("*"))
+
+
+def test_failed_performance_csv_write_leaves_nothing_but_the_blocking_directory(small_log, tmp_path, capsys):
+    code, stderr, left = _run_into_blocked_out(small_log, tmp_path, capsys, "performance.csv")
     assert code == 4
     assert stderr.startswith("stability-meter: i/o error:")
     assert stderr.count("\n") == 1
-    assert [path.name for path in out.iterdir()] == ["plots"]
+    assert left == ["performance.csv"]
+
+
+def test_failed_meta_json_write_leaves_performance_csv_and_no_temp_file(small_log, tmp_path, capsys):
+    code, stderr, left = _run_into_blocked_out(small_log, tmp_path, capsys, "meta.json")
+    assert code == 4
+    assert stderr.startswith("stability-meter: i/o error:")
+    assert stderr.count("\n") == 1
+    assert left == ["meta.json", "performance.csv"]
+    assert (tmp_path / "out" / "performance.csv").is_file()
 
 
 def test_writing_performance_csv_keeps_no_finished_series_rows(tmp_path, capsys, monkeypatch):
@@ -245,6 +255,7 @@ def test_compare_parses_once_and_each_model_matches_a_separate_run(
     )
     assert code == 0
     assert calls == [str(small_log)]
+    assert sorted(path.name for path in (tmp_path / "cmp").iterdir()) == ["compare.json", *sorted(models)]
     for model in models:
         alone = tmp_path / "alone" / model
         code, _, _ = _run_cli(
@@ -252,8 +263,7 @@ def test_compare_parses_once_and_each_model_matches_a_separate_run(
         )
         assert code == 0
         compared = _tree_bytes(tmp_path / "cmp" / model)
-        assert {"performance.csv", "meta.json"} < set(compared)
-        assert any(name.startswith("plots") for name in compared)
+        assert sorted(compared) == ["meta.json", "performance.csv"]
         assert compared == _tree_bytes(alone)
 
 

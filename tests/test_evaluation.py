@@ -106,12 +106,12 @@ def test_grace_period_suppresses_predictions():
 
 def test_config_validation():
     specs = [(["a", "b"], 1)]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^grace must be >= 1, got 0$"):
         _run(specs, grace=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^eval_window must be >= 1, got 0$"):
         _run(specs, eval_window=0)
-    with pytest.raises(ConfigError):
-        _run(specs, eval_every=0)
+    with pytest.raises(ConfigError, match="^eval_every must be >= 1, got -2$"):
+        _run(specs, eval_every=-2)
     with pytest.raises(ConfigError):
         _run(specs, metrics=("auc",))
 

@@ -1,9 +1,9 @@
 """Golden digests: fixed inputs and flags must keep producing the same bytes.
 
 Each configuration replays a small seeded ``synth`` log through ``run`` and
-hashes ``performance.csv``, ``meta.json`` and the plot files. A change that
-alters any output on purpose must say so and re-record these digests; a
-speed-up that moves a last float bit fails here.
+hashes ``performance.csv`` and ``meta.json``, the only files it writes. A
+change that alters any output on purpose must say so and re-record these
+digests; a speed-up that moves a last float bit fails here.
 
 ``meta.json`` records the ``--log`` argument, so the run uses a relative log
 name inside the temporary directory.
@@ -42,32 +42,26 @@ GOLDEN = {
     "static": {
         "performance.csv": "f3f93b1b16b646de6da0f53285e87d2821e092237e22a2dcfa7e1c1e44617b1e",
         "meta.json": "89cd20ab1b8ce15deee1a0f8f3bc6374c01780e466940984a7e279c7c3b7a26c",
-        "plots": "432450c839a602943d190ad738d8e34eb1c2b9c12360d495ef6a83e313298087",
     },
     "incremental": {
         "performance.csv": "45aded439941b4e3cdeb82c60ab18ef32955668995e48db0ce3724dac3d91d40",
         "meta.json": "09998060b423bfe36cdcc4a0fa107c44ecdafe25e3456ffd2c3675c74beadbce",
-        "plots": "a7b752c485020abe4d25e8dee74c2d4bd5c5a8d660033f66e84151b3f9b1822f",
     },
     "window-retrain": {
         "performance.csv": "231bac913214890799efdb709392838578823f3f0ae92e9be4242abeb7251e34",
         "meta.json": "190cf8f659ba6d45ee5c04e79e820704ac6d158fb5ec2569765138fab9a69c18",
-        "plots": "fb3e927d20a8485aed2ebe5cb29a2d2cdee87df0939c5066b577fb9ccc2262cc",
     },
     "attrs": {
         "performance.csv": "d3623fd702bf4f5ce03aee4b9999fbebd1e404d488c93feaa6ea54d13c0205b0",
         "meta.json": "16bc7a3c47dbbf45f2ab2cb0a9ac1030a563273fe71bdc8ada88bc151c832548",
-        "plots": "fdb235fb2aedd67e95694ab0ab5b4d9c6b8fe32e9e8dd48ac4ced7d984f6606a",
     },
     "retrain-attrs": {
         "performance.csv": "ae87358f32f2b7ad68de149bc10fc1bc20a6ad52ce014ffca16f61dfe2778f1e",
         "meta.json": "bbf18c475d1cb606c8d977e561031cc5092191eb0fd80e6f65d6962da83c47ae",
-        "plots": "092541a4851df3b6dea519936adb016e0a6ddf18ede3676102fbbcb5e123562e",
     },
     "ma-window-150": {
         "performance.csv": "7fa1114803180c2781ae64743b34484f3ad8d3a1ae5fb221d3ef50ba87651c7e",
         "meta.json": "9c43e2c95c03ca8c9a7b42b92ce31db5e4d9ae1dfe59fc5c7fbea80b35f5d36e",
-        "plots": "c06c8fd309e655688c7d445b2d9f13155c41c98339f35dc21610e66b5e1b6b43",
     },
 }
 
@@ -77,13 +71,10 @@ def _sha256(path):
 
 
 def _digests(out):
-    plots = hashlib.sha256()
-    for path in sorted((out / "plots").glob("*.csv")):
-        plots.update(f"{path.name} {_sha256(path)}\n".encode())
+    assert sorted(path.name for path in out.iterdir()) == ["meta.json", "performance.csv"]
     return {
         "performance.csv": _sha256(out / "performance.csv"),
         "meta.json": _sha256(out / "meta.json"),
-        "plots": plots.hexdigest(),
     }
 
 

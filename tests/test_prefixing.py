@@ -98,9 +98,9 @@ def test_default_k_max_irregular_lengths_with_median_12():
 
 
 def test_bucket_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^k_min must be >= 2, got 1$"):
         BucketConfig(k_min=1, k_max=5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^k_max must be >= k_min 5, got 4$"):
         BucketConfig(k_min=5, k_max=4)
     assert list(BucketConfig(k_min=2, k_max=4).buckets()) == [2, 3, 4]
 
