@@ -412,8 +412,9 @@ class _TreeModel:
 class WindowRetrainModel(_TreeModel):
     """Decision tree refit from scratch on a sliding window of samples.
 
-    Retraining fires on every ``retrain_every``-th labeled sample once the
-    grace period is over; the first fit happens when the grace period ends.
+    The first fit happens when the grace period ends; after it, every
+    ``retrain_every``-th labeled sample is a cadence point. A block of labels
+    that passes several fits one tree, at the last, while ``version`` counts each.
     The window is a ring buffer of at most ``train_window`` feature rows and
     labels: each block of labeled rows overwrites the oldest slots once the
     window is full, and a fit reads the filled slots as they lie, since row
@@ -446,19 +447,18 @@ class WindowRetrainModel(_TreeModel):
         return self._retrain_every - self._pending
 
     def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
-        """Add labeled rows to the window in order, retraining at each cadence point they pass."""
+        """Add labeled rows to the window in order, fitting once, at the last cadence point they pass."""
         _check_width(rows.shape[1], self._mask, self.bucket)
-        start = 0
-        while start < len(rows):
-            stop = len(rows)
-            if self._grace_done:
-                stop = min(stop, start + self._retrain_every - self._pending)
-            self._write(rows[start:stop], labels[start:stop])
-            if self._grace_done:
-                self._pending += stop - start
-                if self._pending >= self._retrain_every:
-                    self.retrain()
-            start = stop
+        cut = 0
+        if self._grace_done:
+            passed, pending = divmod(self._pending + len(rows), self._retrain_every)
+            if passed:
+                cut = len(rows) - pending
+                self._write(rows[:cut], labels[:cut])
+                self.retrain()
+                self.version += passed - 1
+            self._pending = pending
+        self._write(rows[cut:], labels[cut:])
 
     def _write(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Write the rows into the oldest slots; only the last ``train_window`` of them stay."""

@@ -35,19 +35,18 @@ from .errors import (
     LogValueError,
     SettingError,
     StabilityMeterError,
-    require_at_least,
 )
 from .evaluation import METRICS, PerformanceSeries, check_run_settings, run_stream
 from .event_model import EventLog, parse_log
 from .prefixing import AttributeSchema, BucketConfig, default_k_max
-from .stability import MetaMeasures, SeriesAnnotation, annotate_series, meta_measures
+from .stability import MetaMeasures, SeriesAnnotation, annotate_series, check_window, meta_measures
 from .synthgen import DriftLogSpec, generate, to_csv
 
 # perfbench/bench_trace.py looks these names up; ROADMAP item 1b deletes them.
 replay = None
 _series_csv = None
 
-_FLAGS = {"memory": "nb-memory"}  # the library settings not named as their flags
+_FLAGS = {"memory": "nb-memory", "window": "ma-window"}  # the library settings not named as their flags
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,11 @@ class RunConfig:
         # The library's own checks, run before any log is read, each setting named
         # by its flag (moving_stats checks its window only once it has a series).
         model_class(self.model)
+        repeated = next((name for at, name in enumerate(self.attrs) if name in self.attrs[:at]), None)
+        if repeated is not None:
+            raise ConfigError(f"--attrs names {repeated!r} twice")
         try:
-            require_at_least(1, ma_window=self.ma_window)
+            check_window(self.ma_window)
             check_run_settings(self.grace, self.eval_window, self.eval_every)
             self.learner_params()
             BucketConfig(self.k_min, self.k_min if self.k_max is None else self.k_max)
@@ -156,6 +158,9 @@ def execute_run(
     """
     if log is None:
         log = parse_log(config.log)
+    unknown = next((name for name in config.attrs if name not in log.names), None)
+    if unknown is not None:
+        raise ConfigError(f"--attrs names {unknown!r}, which is not an attribute column of the log")
     auto = config.k_max is None
     k_max = default_k_max(log) if auto else config.k_max
     if auto and k_max < config.k_min:

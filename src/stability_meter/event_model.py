@@ -17,7 +17,7 @@ import csv
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import repeat
 from math import isfinite
 from pathlib import Path
@@ -31,8 +31,10 @@ REQUIRED_COLUMNS = ("case_id", "activity", "timestamp", "label")
 
 LogSource = Union[str, Path, IO[str]]
 
-# Timestamps are held as int64 milliseconds.
+# Timestamps are held as int64 milliseconds since the Unix epoch.
 _TIMESTAMP_RANGE = range(-(2**63), 2**63)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MILLISECOND = timedelta(milliseconds=1)
 # Cells of a numeric-looking column whose text is joined into one string.
 _TEXT_CHUNK = 1024
 
@@ -179,7 +181,11 @@ class EventLog(Sequence):
 
 
 def _parse_timestamp(raw: str, row: int) -> int:
-    """Normalize an integer or ISO-8601 timestamp to milliseconds."""
+    """Normalize an integer or ISO-8601 timestamp to milliseconds.
+
+    An ISO moment's fraction of a millisecond is dropped toward the past,
+    computed exactly, with no float in between.
+    """
     text = raw.strip()
     try:
         value = int(text)
@@ -191,7 +197,7 @@ def _parse_timestamp(raw: str, row: int) -> int:
             raise LogFormatError(f"row {row}: cannot parse timestamp {raw!r}") from None
         if moment.tzinfo is None:
             moment = moment.replace(tzinfo=timezone.utc)
-        value = int(moment.timestamp() * 1000)
+        value = (moment - _EPOCH) // _MILLISECOND
     if value not in _TIMESTAMP_RANGE:
         raise LogFormatError(f"row {row}: timestamp out of range")
     return value
@@ -302,9 +308,10 @@ def parse_log(source: LogSource) -> EventLog:
     ``"nan"`` is a plain string. An empty numeric cell is marked missing,
     not stored as a number.
 
-    Blank lines are skipped, missing cells of a short row count as empty,
-    cells beyond the header are ignored, and of repeated header names the
-    last column wins. Case ids and attribute values are stripped of
+    A file may start with a UTF-8 byte-order mark, which is not part of the
+    header. Blank lines are skipped, missing cells of a short row count as
+    empty, cells beyond the header are ignored, and of repeated header names
+    the last column wins. Case ids and attribute values are stripped of
     surrounding whitespace; activities are kept as written. Built events
     share one tuple of attribute names, and one string object per distinct
     case id, activity and categorical value.
@@ -324,7 +331,7 @@ def parse_log(source: LogSource) -> EventLog:
         EmptyLogError: no data rows.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as handle:
+        with open(source, newline="", encoding="utf-8-sig") as handle:
             try:
                 return parse_log(handle)
             except UnicodeDecodeError as err:

@@ -76,6 +76,11 @@ class MetaMeasures:
         return 100.0 * self.drop_count / self.n_points
 
 
+def check_window(window: int) -> None:
+    """Reject a moving-statistics ``window`` below 1 as a :class:`~.errors.SettingError`."""
+    require_at_least(1, window=window)
+
+
 def moving_stats(points: Sequence[float], window: int) -> MovingStats:
     """Moving average and population standard deviation over the series.
 
@@ -83,7 +88,7 @@ def moving_stats(points: Sequence[float], window: int) -> MovingStats:
     itself included; the divisor is the window length, so a single point has
     ma = p and phi = 0. Constant windows yield exactly phi = 0.
     """
-    require_at_least(1, window=window)
+    check_window(window)
     series = np.asarray(points, dtype=float)
     n = len(series)
     if n == 0:

@@ -1,8 +1,11 @@
 import json
 from collections import deque
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stability_meter.classifiers import (
     MIN_LEAF,
@@ -458,6 +461,39 @@ def test_learning_blocks_matches_observing_one_sample_at_a_time(kind, block):
         one.finish_grace()
         blocks.finish_grace()
         assert _model_state(blocks) == _model_state(one)
+
+
+_cached_samples = cache(_synth_samples)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    retrain_every=st.sampled_from([1, 3, 7]),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+)
+def test_window_retrain_fits_once_per_block_that_passes_a_cadence_point(retrain_every, sizes):
+    mask, rows, labels = _cached_samples(("amount", "channel"), seed=5)
+    params = LearnerParams(train_window=20, retrain_every=retrain_every)
+    one, blocks = WindowRetrainModel(3, mask, params), WindowRetrainModel(3, mask, params)
+    grace = 25
+    for model in (one, blocks):
+        model.learn(rows[:grace], labels[:grace])
+        model.finish_grace()
+    fits = []
+    real_fit = DecisionTree.fit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DecisionTree, "fit", lambda tree, *args: fits.append(tree) or real_fit(tree, *args))
+        start = grace
+        for size in sizes:
+            stop = min(start + size, len(rows))
+            for features, label in zip(rows[start:stop].tolist(), labels[start:stop].tolist()):
+                one.observe_label(features, label)
+            passes = stop - start >= blocks.labels_until_change()
+            fits.clear()
+            blocks.learn(rows[start:stop], labels[start:stop])
+            assert len(fits) == passes
+            assert _model_state(blocks) == _model_state(one)
+            start = stop
 
 
 # ---------------------------------------------------------------------------

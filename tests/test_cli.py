@@ -570,6 +570,31 @@ def test_bad_setting_names_its_flag_before_the_log_is_read(tmp_path, capsys, fla
     assert stderr == f"stability-meter: config error: {message}\n"
 
 
+def test_a_repeated_attribute_is_rejected_before_the_log_is_read(tmp_path, capsys):
+    argv = ["run", "--log", str(tmp_path / "missing.csv"), "--attrs", "amount,channel,amount"]
+    code, _, stderr = _run_cli(argv, capsys)
+    assert code == 2
+    assert stderr == "stability-meter: config error: --attrs names 'amount' twice\n"
+
+
+@pytest.mark.parametrize(
+    "attrs, name",
+    [("ghost", "ghost"), ("amount,timestamp", "timestamp"), ("amount,channel", "channel")],
+    ids=["no such column", "a required column", "a header cell with a space"],
+)
+def test_an_attribute_the_log_lacks_is_rejected_before_the_run(tmp_path, capsys, attrs, name):
+    log = tmp_path / "log.csv"
+    text = to_csv(generate(DriftLogSpec(n_cases=60, drift_at=30, seed=1)))
+    log.write_text(text.replace(",channel\n", ", channel\n", 1))  # the header's last cell
+    out = tmp_path / "out"
+    code, _, stderr = _run_cli(["run", "--log", str(log), "--attrs", attrs, "--out", str(out)], capsys)
+    assert code == 2
+    assert stderr == (
+        f"stability-meter: config error: --attrs names {name!r}, which is not an attribute column of the log\n"
+    )
+    assert not out.exists()
+
+
 _COMPARE_STDOUT = """\
 log: LOG  metric: accuracy  models: incremental, window-retrain, static
          config  bucket  metric          avg  drops  volatility   max_mag   avg_mag  recovery

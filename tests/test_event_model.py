@@ -1,9 +1,12 @@
+import calendar
 import random
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 from io import StringIO
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError, StabilityMeterError
 from stability_meter.event_model import Event, EventLog, Trace, parse_log
@@ -88,9 +91,52 @@ def test_iso_timestamps_normalized_to_milliseconds():
     traces = _parse(
         "case_id,activity,timestamp,label\n"
         "a,x,1970-01-01T00:00:01,\n"
-        "a,y,1970-01-01T00:00:02.500Z,1\n"
+        "a,y,1970-01-01T00:00:02.500Z,\n"
+        "a,z,2004-05-12T20:36:25.195Z,1\n"  # its float seconds times 1000 is 1084394185194.9998
     )
-    assert [event.timestamp for event in traces[0].events] == [1000, 2500]
+    assert [event.timestamp for event in traces[0].events] == [1000, 2500, 1084394185195]
+
+
+def _epoch_milliseconds(moment):
+    """Whole milliseconds from the epoch to ``moment`` (UTC when naive), counted without ``timedelta``."""
+    utc = moment.utctimetuple() if moment.tzinfo else moment.timetuple()
+    return calendar.timegm(utc) * 1000 + moment.microsecond // 1000
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    moment=st.datetimes(min_value=datetime(1800, 1, 1), max_value=datetime(2200, 1, 1)),
+    fraction=st.sampled_from(["milliseconds", "microseconds"]),
+    offset=st.none() | st.just("Z") | st.integers(-(23 * 60 + 59), 23 * 60 + 59),
+)
+def test_iso_timestamps_drop_a_millisecond_fraction_toward_the_past(moment, fraction, offset):
+    text = moment.isoformat(timespec=fraction)
+    if offset == "Z":
+        text += "Z"
+        moment = moment.replace(tzinfo=timezone.utc)
+    elif offset is not None:
+        moment = moment.replace(tzinfo=timezone(timedelta(minutes=offset)))
+        text = moment.isoformat(timespec=fraction)
+    if fraction == "milliseconds":
+        moment = moment.replace(microsecond=moment.microsecond // 1000 * 1000)
+    traces = _parse(f"case_id,activity,timestamp,label\na,x,{text},1\n")
+    assert traces[0].events[0].timestamp == _epoch_milliseconds(moment), text
+
+
+def test_a_file_with_a_byte_order_mark_parses_as_the_file_without_it(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("case_id,activity,timestamp,label,amount\na,x,1,,2.5\na,y,2,1,\nb,x,3,0,4\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = parse_log(plain), parse_log(marked)
+    assert got.names == want.names == ("amount",)
+    assert list(got) == list(want)
+
+
+def test_bytes_that_are_not_utf8_after_a_byte_order_mark_report_their_row(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"\xef\xbb\xbfcase_id,activity,timestamp,label\nx,a,1,\nx,\xff,2,1\n")
+    with pytest.raises(LogFormatError, match="^row 3: not valid UTF-8"):
+        parse_log(log)
 
 
 @pytest.mark.parametrize("cell", ["", " ", "\t"])

@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from stability_meter.classifiers import DecisionTree
 from stability_meter.cli import main
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
@@ -36,6 +37,8 @@ CONFIGS = {
     ],
     # above numpy's 128-element pairwise-summation block
     "ma-window-150": ["--model", "static", "--ma-window", "150"],
+    # blocks of labels that pass several cadence points
+    "window-retrain-every-1": ["--model", "window-retrain", "--retrain-every", "1"],
 }
 
 GOLDEN = {
@@ -63,6 +66,10 @@ GOLDEN = {
         "performance.csv": "7fa1114803180c2781ae64743b34484f3ad8d3a1ae5fb221d3ef50ba87651c7e",
         "meta.json": "9c43e2c95c03ca8c9a7b42b92ce31db5e4d9ae1dfe59fc5c7fbea80b35f5d36e",
     },
+    "window-retrain-every-1": {
+        "performance.csv": "1b1058d650a3d60f6be4e203342b49a3dc9dd2ea198cadd4ed3de8ef830fb879",
+        "meta.json": "18bf6a59695051a2771b425c69f06049ef849ef82a226b17d83046ca9706d651",
+    },
 }
 
 
@@ -78,12 +85,25 @@ def _digests(out):
     }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_run_outputs_match_recorded_digests(name, tmp_path, monkeypatch, capsys):
+def _run(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "log.csv").write_text(
         to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))
     )
     assert main(["run", "--log", "log.csv", "--out", "out", *_BASE, *CONFIGS[name]]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_run_outputs_match_recorded_digests(name, tmp_path, monkeypatch, capsys):
+    _run(name, tmp_path, monkeypatch, capsys)
     assert _digests(tmp_path / "out") == GOLDEN[name]
+
+
+def test_window_retrain_every_1_fits_once_per_learned_block(tmp_path, monkeypatch, capsys):
+    # A fit at every cadence point made 2,619; one per learned block that passes a point makes 1,367.
+    fits = []
+    real_fit = DecisionTree.fit
+    monkeypatch.setattr(DecisionTree, "fit", lambda tree, *args: fits.append(tree) or real_fit(tree, *args))
+    _run("window-retrain-every-1", tmp_path, monkeypatch, capsys)
+    assert len(fits) == 1367

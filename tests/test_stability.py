@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stability_meter import stability
-from stability_meter.errors import ConfigError
+from stability_meter.errors import SettingError
 from stability_meter.stability import (
     annotate_series,
     detect_drops,
@@ -45,8 +45,9 @@ def test_moving_stats_large_window_equals_cumulative():
 
 
 def test_moving_stats_rejects_bad_window_and_empty_series():
-    with pytest.raises(ConfigError):
+    with pytest.raises(SettingError, match="^window must be >= 1, got 0$") as raised:
         moving_stats([0.5], window=0)
+    assert raised.value.settings == ("window",)
     with pytest.raises(ValueError):
         moving_stats([], window=3)
 
