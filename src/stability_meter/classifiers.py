@@ -6,7 +6,10 @@ The three policies differ only in how they react to newly labeled cases:
   every label, with bounded memory so old evidence ages out.
 * ``window-retrain``: a decision tree refit from scratch on a sliding
   window of the most recent labeled samples, kept as a ring buffer of
-  feature rows that each fit reads in place.
+  feature rows that each fit reads in place. A run knows every window its
+  predictions read before it fits any, so it fits a bucket's trees ahead,
+  in batches, with one search (:func:`fit_windows`), and the model takes
+  each tree at its cadence point.
 * ``static``: the same tree learner fit once on the grace-period samples
   and frozen afterwards.
 
@@ -21,8 +24,9 @@ model is trained.
 All learners are deterministic: identical sample streams produce identical
 model states and predictions. Prediction ties break toward label 0. The
 tree depends only on the multiset of its training rows, not on their order,
-and its per-node split search is exact: ``tests/oracles.py`` keeps a
-one-feature-at-a-time reference that it must match tree for tree.
+and its split search is exact: ``tests/oracles.py`` keeps a
+one-feature-at-a-time reference that every tree must match, whether it was
+grown alone or in a batch of windows.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import log
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,23 +93,31 @@ class _Node:
         }
 
 
-def _gini(n1: float, n: float) -> float:
-    p = n1 / n
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+def _gains(ones_left: np.ndarray, n_left: np.ndarray, ones: np.ndarray, n: np.ndarray, parent: np.ndarray):
+    """Gini gain of each candidate, from float arrays of equal shape; overwrites all but ``n``.
+
+    ``ones`` and ``n`` are the candidate's node's label-1 and row counts and
+    ``parent`` its Gini impurity. Every candidate leaves rows on both sides.
+    The float operations are those of the scalar formula, in its order.
+    """
+    ones_right = np.subtract(ones, ones_left, out=ones)
+    left = _weighted_gini(ones_left, n_left)
+    n_right = np.subtract(n, n_left, out=n_left)
+    left += _weighted_gini(ones_right, n_right)
+    left /= n
+    return np.subtract(parent, left, out=parent)
 
 
-def _gains(ones_left: np.ndarray, n_left: np.ndarray, ones_total: int, n: int, parent: float):
-    """Gini gain of each candidate (float counts); every candidate leaves rows on both sides."""
-    n_right = n - n_left
-    ones_right = ones_total - ones_left
-    p_left = ones_left / n_left
-    p_right = ones_right / n_right
-    gini_left = 1.0 - p_left**2 - (1.0 - p_left) ** 2
-    gini_right = 1.0 - p_right**2 - (1.0 - p_right) ** 2
-    return parent - (n_left * gini_left + n_right * gini_right) / n
-
-
-_NO_CANDIDATES = np.empty(0, dtype=np.int64)
+def _weighted_gini(ones: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``count * gini`` of each side, in ``ones``'s storage: ``1 - p**2 - (1 - p)**2`` with ``p = ones / count``."""
+    p = np.divide(ones, count, out=ones)
+    rest = np.subtract(1.0, p)
+    rest *= rest
+    p *= p
+    np.subtract(1.0, p, out=p)
+    p -= rest
+    p *= count
+    return p
 
 
 def _check_width(width: int, mask: tuple, bucket: int) -> None:
@@ -116,6 +128,24 @@ def _check_width(width: int, mask: tuple, bucket: int) -> None:
         )
 
 
+def _fit_input(features, labels, numeric_mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sample matrix, 0/1 labels and numeric mask of a fit, or a one-line ``ValueError``."""
+    matrix = np.asarray(features, dtype=float)
+    if matrix.ndim != 2 or len(matrix) == 0:
+        raise ValueError("fit requires a non-empty 2-D sample matrix")
+    mask = np.asarray(numeric_mask, dtype=bool)
+    if mask.shape != (matrix.shape[1],):
+        raise ValueError(f"numeric mask has {mask.size} flags for {matrix.shape[1]} features")
+    target = np.asarray(labels)
+    if target.shape != (len(matrix),):
+        raise ValueError(f"fit has {target.size} labels for {len(matrix)} rows")
+    if ((target != 0) & (target != 1)).any():
+        raise ValueError("fit labels must be 0 or 1")
+    if matrix.size and np.isnan(matrix.min()):
+        raise ValueError("fit features must not be NaN")
+    return matrix, target.astype(np.int8), mask
+
+
 class DecisionTree:
     """Greedy binary classification tree using Gini impurity.
 
@@ -123,15 +153,8 @@ class DecisionTree:
     midpoint thresholds. Candidates are enumerated in a fixed order (feature
     index, then sorted value), and the first candidate with the best gain
     wins, so fitting is fully deterministic. Splits must leave at least
-    ``min_leaf`` samples on each side.
-
-    Each node searches all features at once (histogram split finding): one
-    sort with cumulative label counts covers the numeric columns, and two
-    ``bincount`` calls over (feature, value) keys cover the categorical
-    columns, whose values are coded once per fit. One gain computation
-    scores both kinds of candidate. A node's row and label counts come from
-    its parent's chosen split, and a child that will be a leaf is never
-    sliced out, so the cost of a fit is a few numpy calls per searched node.
+    ``min_leaf`` samples on each side. A fit is :func:`fit_windows` of one
+    window.
     """
 
     def __init__(self, max_depth: int = LearnerParams.tree_depth, min_leaf: int = MIN_LEAF) -> None:
@@ -146,91 +169,9 @@ class DecisionTree:
         labels: Sequence[int] | np.ndarray,
         numeric_mask: Sequence[bool],
     ) -> "DecisionTree":
-        matrix = np.asarray(features, dtype=float)
-        target = np.asarray(labels, dtype=bool)
-        if matrix.ndim != 2 or len(matrix) == 0:
-            raise ValueError("fit requires a non-empty 2-D sample matrix")
-        mask = np.asarray(numeric_mask, dtype=bool)
-        if mask.shape != (matrix.shape[1],):
-            raise ValueError(f"numeric mask has {mask.size} flags for {matrix.shape[1]} features")
-        self._numeric = mask.nonzero()[0]
-        self._categorical = (~mask).nonzero()[0]
-        # Code every categorical cell against one sorted table of the
-        # distinct values (ascending within each column too) and offset
-        # column c by c * width, so one bincount histograms them all.
-        cells = matrix[:, self._categorical].T
-        self._table, codes = np.unique(cells, return_inverse=True)
-        self._width = len(self._table)
-        offsets = np.arange(len(cells), dtype=np.int64)[:, None] * self._width
-        keys = codes.reshape(cells.shape).astype(np.int64, copy=False) + offsets
-        numeric = np.ascontiguousarray(matrix[:, self._numeric].T)
-        self._lanes = np.arange(len(numeric))[:, None]  # row index of each numeric feature
-        ones = int(np.count_nonzero(target))
-        self.root = self._node(numeric, keys, target, slice(None), len(target), ones, depth=0)
+        matrix, target, mask = _fit_input(features, labels, numeric_mask)
+        (self.root,) = _grow(matrix, target, np.array([[0, len(matrix)]]), mask, self.max_depth, self.min_leaf)
         return self
-
-    def _node(self, numeric, keys, target, rows, n: int, ones: int, depth: int) -> _Node:
-        """The subtree over ``rows`` of the parent's arrays: ``n`` rows, ``ones`` of label 1.
-
-        ``numeric`` holds one row per numeric feature and ``keys`` one row
-        of offset codes per categorical feature, both in feature-index
-        order. The numeric cuts and then the categorical cells go into one
-        gain array; ``argmax`` picks the first maximum, which within each
-        block is the lowest feature and then the lowest value. A numeric
-        pick yields to an equal categorical gain of a lower feature index.
-        """
-        if ones == 0 or ones == n or depth >= self.max_depth or n < 2 * self.min_leaf:
-            return _Node(prediction=int(ones > n - ones))
-        numeric, keys, target = numeric[:, rows], keys[:, rows], target[rows]
-        min_leaf = self.min_leaf
-        num_n = num_ones = cat_n = cat_ones = _NO_CANDIDATES
-        if len(numeric):
-            # A cut after sorted position lo + i leaves lo + i + 1 rows on the left.
-            lo, hi = min_leaf - 1, n - min_leaf
-            order = numeric.argsort(axis=1, kind="stable")
-            values = numeric[self._lanes, order]
-            feature, cut = (values[:, lo:hi] != values[:, lo + 1 : hi + 1]).nonzero()
-            num_n = cut + min_leaf
-            num_ones = target[order].cumsum(axis=1)[:, lo:hi][feature, cut]
-        if len(keys):
-            size = len(keys) * self._width
-            counts = np.bincount(keys.ravel(), minlength=size)
-            cells = ((counts >= min_leaf) & (counts <= n - min_leaf)).nonzero()[0]
-            cat_n = counts[cells]
-            cat_ones = np.bincount(keys[:, target].ravel(), minlength=size)[cells]
-        split_n = np.concatenate((num_n, cat_n), dtype=float)
-        if not len(split_n):
-            return _Node(prediction=int(ones > n - ones))
-        split_ones = np.concatenate((num_ones, cat_ones), dtype=float)
-        gains = _gains(split_ones, split_n, ones, n, _gini(float(ones), float(n)))
-        pick = int(gains.argmax())
-        boundary = len(num_n)
-        if pick < boundary < len(gains):
-            rival = boundary + int(gains[boundary:].argmax())
-            if gains[rival] == gains[pick]:
-                column = int(cells[rival - boundary]) // self._width
-                if self._categorical[column] < self._numeric[feature[pick]]:
-                    pick = rival
-        n_left, ones_left = int(split_n[pick]), int(split_ones[pick])
-        if pick < boundary:
-            f, i = feature[pick], lo + cut[pick]
-            threshold = float((values[f, i] + values[f, i + 1]) / 2.0)
-            node = _Node(feature=int(self._numeric[f]), numeric_split=True, threshold=threshold)
-            left = numeric[f] <= threshold
-            if not values[f, i] <= threshold < values[f, i + 1]:
-                # The midpoint of adjacent doubles can round up to the upper
-                # value, and a sum past the float range becomes +-inf: the
-                # rows sent left are then not the cut's, so count the mask.
-                n_left = int(np.count_nonzero(left))
-                ones_left = int(np.count_nonzero(target[left]))
-        else:
-            cell = int(cells[pick - boundary])
-            column, code = divmod(cell, self._width)
-            node = _Node(feature=int(self._categorical[column]), threshold=float(self._table[code]))
-            left = keys[column] == cell
-        node.left = self._node(numeric, keys, target, left, n_left, ones_left, depth + 1)
-        node.right = self._node(numeric, keys, target, ~left, n - n_left, ones - ones_left, depth + 1)
-        return node
 
     def predict(self, features: Sequence[float]) -> int:
         if self.root is None:
@@ -248,6 +189,273 @@ class DecisionTree:
         if self.root is None:
             raise NotReadyError("decision tree has not been fit")
         return self.root.to_dict()
+
+
+FIT_CELLS = 1 << 15  # window cells (rows times features, summed over its windows) in one fit_windows call
+_GAIN_CHUNK = 1024  # split candidates whose gains are computed at once
+_CODED_COLUMNS = 8  # columns whose cells are coded at once
+
+
+def fit_windows(
+    rows: np.ndarray,
+    labels: np.ndarray,
+    windows,
+    numeric_mask: Sequence[bool],
+    max_depth: int = LearnerParams.tree_depth,
+    min_leaf: int = MIN_LEAF,
+) -> list[DecisionTree]:
+    """The trees of many windows of one row sequence, grown together by one exact search.
+
+    ``windows`` holds (start, stop) ranges of ``rows``, which may overlap;
+    each tree is the one :meth:`DecisionTree.fit` grows on its window's rows
+    and labels. The working set grows with the window cells (rows times
+    features, summed over the windows), so callers keep it near
+    :data:`FIT_CELLS`.
+    """
+    require_at_least(1, max_depth=max_depth, min_leaf=min_leaf)
+    matrix, target, mask = _fit_input(rows, labels, numeric_mask)
+    bounds = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
+    if ((bounds[:, 0] < 0) | (bounds[:, 0] >= bounds[:, 1]) | (bounds[:, 1] > len(matrix))).any():
+        raise ValueError(f"every window must be a non-empty range of the {len(matrix)} rows")
+    trees = [DecisionTree(max_depth, min_leaf) for _ in bounds]
+    for tree, root in zip(trees, _grow(matrix, target, bounds, mask, max_depth, min_leaf)):
+        tree.root = root
+    return trees
+
+
+def _grow(matrix, target, windows, mask, max_depth: int, min_leaf: int) -> list[_Node]:
+    """The root of each window's tree, grown breadth-first: one split search per depth for all windows.
+
+    The open nodes of a depth hold their rows as indices into the matrix, in
+    node order. A node whose rows are pure or too few, or that is at
+    ``max_depth``, becomes a leaf; the others are searched together
+    (:class:`_Splits`), and the rows of each split node move to the child
+    its split sends them to.
+    """
+    sizes = windows[:, 1] - windows[:, 0]
+    index = np.int32 if len(matrix) < 2**31 else np.int64
+    members = (np.arange(sizes.sum()) + np.repeat(windows[:, 0] - (np.cumsum(sizes) - sizes), sizes)).astype(index)
+    node_of = np.repeat(np.arange(len(windows), dtype=index), sizes)
+    ones_before = np.concatenate(([0], np.cumsum(target, dtype=np.int64)))
+    n, ones = sizes, ones_before[windows[:, 1]] - ones_before[windows[:, 0]]
+    splits = _Splits(matrix, target, mask, min_leaf, int(sizes.sum()))
+    roots = [_Node() for _ in windows]
+    nodes = roots
+    for depth in range(max_depth + 1):
+        searched = (ones > 0) & (ones < n) & (n >= 2 * min_leaf) & (depth < max_depth)
+        members, node_of, n, ones, nodes = _keep(searched, members, node_of, n, ones, nodes)
+        if not nodes:
+            break
+        feature, numeric, threshold = splits.best(members, node_of, n, ones)
+        split = feature >= 0
+        members, node_of, n, ones, nodes = _keep(split, members, node_of, n, ones, nodes)
+        if not nodes:
+            break
+        feature, numeric, threshold = feature[split], numeric[split], threshold[split]
+        value, bound = matrix[members, feature[node_of]], threshold[node_of]
+        # As in predict: left when value <= threshold (numeric), value == threshold (categorical).
+        child = 2 * node_of + ~np.where(numeric[node_of], value <= bound, value == bound)
+        del value, bound
+        counts = np.bincount(2 * child + target[members], minlength=4 * len(feature)).reshape(-1, 2)
+        n, ones = counts.sum(axis=1), counts[:, 1]
+        order = np.argsort(child, kind="stable")
+        members, node_of = members[order], child[order]
+        del child, order
+        for node, f, is_numeric, cut in zip(nodes, feature.tolist(), numeric.tolist(), threshold.tolist()):
+            node.feature, node.numeric_split, node.threshold = f, is_numeric, cut
+            node.left, node.right = _Node(), _Node()
+        nodes = [child for node in nodes for child in (node.left, node.right)]
+    return roots
+
+
+def _keep(kept: np.ndarray, members, node_of, n, ones, nodes: list):
+    """The ``kept`` nodes, their rows (nodes numbered among the kept ones) and counts; the others become leaves."""
+    if kept.all():
+        return members, node_of, n, ones, nodes
+    for node, keep, n_node, ones_node in zip(nodes, kept.tolist(), n.tolist(), ones.tolist()):
+        if not keep:
+            node.prediction = int(ones_node > n_node - ones_node)
+    rows = kept[node_of]
+    members, node_of = members[rows], (np.cumsum(kept, dtype=node_of.dtype) - 1)[node_of[rows]]
+    return members, node_of, n[kept], ones[kept], [node for node, keep in zip(nodes, kept.tolist()) if keep]
+
+
+class _Splits:
+    """The exact split search of :func:`_grow` over one matrix: tables built once, one search per depth.
+
+    Each cell is coded once by its column's sorted distinct values
+    (:func:`_column_codes`). A numeric cell's code is its rank, and it
+    becomes a ``feature | rank | label`` integer row key; a depth adds each
+    row's node on top and sorts all keys with one sort, which groups every
+    (node, feature) segment by value. A cut after each run of equal ranks is
+    a candidate, and its label-1 count comes from a running count over the
+    sorted keys. A categorical cell's code names its (feature, value) cell;
+    a depth counts each node's cells and labels in one ``bincount`` table,
+    and each cell is a candidate. One gain formula scores both kinds. A node
+    takes its first best candidate, which is the lowest feature index and
+    then the lowest value.
+    """
+
+    def __init__(self, matrix, target, mask, min_leaf: int, window_rows: int) -> None:
+        self.min_leaf = min_leaf
+        self.numeric, self.categorical = mask.nonzero()[0], (~mask).nonzero()[0]
+        labels = target[:, None]
+        self.values, ranks, sizes = _column_codes(matrix, self.numeric)
+        self.first_ranks = np.cumsum(sizes) - sizes
+        # A key is node * stride + rank * 2 + label; the ranks of each feature follow the last one's.
+        self.stride = 2 * len(self.values)
+        # Searched nodes hold at least 2 * min_leaf of the windows' rows each.
+        nodes = window_rows // (2 * min_leaf) + 1
+        self.dtype = np.int32 if nodes * self.stride < 2**31 else np.int64
+        self.numeric_keys = (2 * ranks + labels).astype(self.dtype)
+        self.cell_value, cells, sizes = _column_codes(matrix, self.categorical)
+        self.cell_feature = np.repeat(self.categorical, sizes)
+        self.cell_keys = 2 * cells + labels
+
+    def best(self, rows, node, n, ones):
+        """Per node, the feature, kind and threshold of its first best split; feature -1 where none.
+
+        ``rows`` and ``node`` pair each row index with its node, in node
+        order; ``n`` and ``ones`` hold each node's row and label-1 counts.
+        """
+        n_float, ones_float = n.astype(float), ones.astype(float)
+        p = ones_float / n_float
+        scored = n_float, ones_float, 1.0 - p * p - (1.0 - p) * (1.0 - p)
+        cell, *cells = self._cells(rows, node, n)
+        cell_best, cell_first = _first_best(*cells, scored)
+        cut_at, *cuts, keys = self._cuts(rows, node, n)
+        cut_best, cut_first = _first_best(*cuts, scored)
+        feature = np.full(len(n), -1)
+        threshold = np.zeros(len(n))
+        has_cut = cut_first >= 0
+        at = cut_at[cut_first[has_cut]]
+        rank, upper = keys[at] % len(self.values), keys[at + 1] % len(self.values)
+        feature[has_cut] = self.numeric[np.searchsorted(self.first_ranks, rank, side="right") - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The midpoint of adjacent doubles can round up to the upper value,
+            # a sum past the float range is +-inf, and -inf + inf is NaN: rows
+            # go left by comparing their values with it, so the split stays
+            # exact either way.
+            threshold[has_cut] = (self.values[rank] + self.values[upper]) / 2.0
+        has_cell = cell_first >= 0
+        cell_feature = np.full(len(n), len(self.numeric) + len(self.categorical))
+        cell_feature[has_cell] = self.cell_feature[cell[cell_first[has_cell]]]
+        # A cell wins with a larger gain, or an equal one at a lower feature index.
+        take = has_cell & ((cell_best > cut_best) | ((cell_best == cut_best) & (cell_feature < feature)) | ~has_cut)
+        feature[take] = cell_feature[take]
+        threshold[take] = self.cell_value[cell[cell_first[take]]]
+        return feature, ~take, threshold
+
+    def _cuts(self, rows, node, n):
+        """The numeric cuts: sorted-key positions, nodes, label-1 and row counts on the left, and the keys.
+
+        The keys come back sorted and without their label bit: ``node |
+        feature | rank``.
+        """
+        width, min_leaf = len(self.numeric), self.min_leaf
+        if not width:
+            return (np.empty(0, np.int64),) * 5
+        keys = self.numeric_keys[rows]
+        keys += (node * self.stride).astype(self.dtype)[:, None]
+        keys = keys.ravel()
+        keys.sort()
+        ones_upto = np.zeros(len(keys) + 1, self.dtype)  # label-1 keys before each position
+        np.cumsum(keys & 1, dtype=self.dtype, out=ones_upto[1:])
+        keys >>= 1
+        # Position p is a cut when the next key differs, and leaves min_leaf rows on each side.
+        cut = np.zeros(len(keys), bool)
+        np.not_equal(keys[1:], keys[:-1], out=cut[:-1])
+        segment = np.repeat(n, width)
+        start = np.cumsum(segment) - segment
+        edge = np.concatenate((np.arange(min_leaf - 1), -np.arange(1, min_leaf + 1)))
+        edge = np.where(edge < 0, segment[:, None] + edge, edge) + start[:, None]
+        cut[edge.ravel()] = False
+        at = np.flatnonzero(cut).astype(np.int32)
+        del cut
+        bounds = np.searchsorted(at, start)
+        per_segment = np.append(bounds[1:], len(at)) - bounds
+        first = np.repeat(start.astype(np.int32), per_segment)  # each cut's segment start
+        after = at + 1
+        ones_left = ones_upto[after] - ones_upto[first]
+        del ones_upto
+        after -= first
+        cut_node = np.repeat(np.repeat(np.arange(len(n), dtype=np.int32), width), per_segment)
+        return at, ones_left, after, cut_node, keys
+
+    def _cells(self, rows, node, n):
+        """The categorical candidates: cells, label-1 and row counts of each, and nodes."""
+        cells, min_leaf = len(self.cell_value), self.min_leaf
+        if not cells:
+            return (np.empty(0, np.int64),) * 4
+        keys = self.cell_keys[rows].astype(np.intp)  # bincount's index type
+        keys += (2 * cells * node)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=2 * cells * len(n)).reshape(-1, 2)
+        del keys
+        sizes = counts.sum(axis=1)
+        (at,) = ((sizes >= min_leaf) & (sizes <= np.repeat(n, cells) - min_leaf)).nonzero()
+        cell_node, cell = np.divmod(at, cells)
+        return cell, counts[at, 1], sizes[at], cell_node
+
+
+def _column_codes(matrix, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A table of the listed columns' sorted distinct values, each cell's index in it, and each column's count.
+
+    Indices ascend with the value within a column, and each column's follow
+    the previous column's. Equal values share an index, +0.0 and -0.0 too.
+    Columns are coded ``_CODED_COLUMNS`` at a time.
+    """
+    codes = np.empty((len(matrix), len(columns)), np.int32)
+    tables, sizes = [], []
+    offset = 0
+    for lo in range(0, len(columns), _CODED_COLUMNS):
+        part = matrix[:, columns[lo : lo + _CODED_COLUMNS]]
+        order = part.argsort(axis=0)
+        part = np.take_along_axis(part, order, axis=0)
+        distinct = np.empty(part.shape, bool)
+        distinct[0] = True
+        np.not_equal(part[1:], part[:-1], out=distinct[1:])
+        index = np.cumsum(distinct, axis=0, dtype=np.int32)  # 1 + the index within the column
+        count = index[-1].astype(np.int64)
+        index += (offset + np.cumsum(count) - count - 1).astype(np.int32)
+        np.put_along_axis(codes[:, lo : lo + len(count)], order, index, axis=0)
+        tables.append(part.T[distinct.T])
+        sizes.append(count)
+        offset += int(count.sum())
+    if not tables:
+        return np.empty(0), codes, np.empty(0, np.int64)
+    return np.concatenate(tables), codes, np.concatenate(sizes)
+
+
+def _first_best(ones_left, n_left, node, scored):
+    """Per node, its largest gain and the index of its first candidate with it; -inf and -1 where none.
+
+    The candidates are in node order; ``scored`` holds each node's float
+    row count, label-1 count and impurity. Gains are computed
+    ``_GAIN_CHUNK`` candidates at a time.
+    """
+    n, ones, parent = scored
+    best, first = np.full(len(n), -np.inf), np.full(len(n), -1)
+    if not len(node):
+        return best, first
+    gains = np.empty(len(node))
+    for lo in range(0, len(node), _GAIN_CHUNK):
+        part = slice(lo, lo + _GAIN_CHUNK)
+        at = node[part]
+        gains[part] = _gains(ones_left[part].astype(float), n_left[part].astype(float), ones[at], n[at], parent[at])
+    starts = np.flatnonzero(_changes(node))
+    best[node[starts]] = np.maximum.reduceat(gains, starts)
+    hit = np.flatnonzero(gains == best[node])
+    lead = _changes(node[hit])
+    first[node[hit[lead]]] = hit[lead]
+    return best, first
+
+
+def _changes(values: np.ndarray) -> np.ndarray:
+    """Whether each element differs from the one before it; the first does."""
+    change = np.empty(len(values), bool)
+    change[:1] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return change
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +640,8 @@ class WindowRetrainModel(_TreeModel):
         rows = min(params.train_window, _FIRST_WINDOW_ROWS)
         self._rows = np.empty((rows, len(self._mask)))
         self._labels = np.empty(rows, dtype=np.int64)
-        self._seen = 0  # labeled samples written so far
+        self._seen = 0  # labeled samples counted so far
+        self._unwritten = 0  # of which advance skipped writing
         self._retrain_every = params.retrain_every
         self._pending = 0
         self._grace_done = False
@@ -459,6 +668,62 @@ class WindowRetrainModel(_TreeModel):
                 self.version += passed - 1
             self._pending = pending
         self._write(rows[cut:], labels[cut:])
+
+    def fitted_trees(self, reads: np.ndarray, gather) -> Iterator[DecisionTree]:
+        """The trees of the cadence points ahead, fit in batches with :func:`fit_windows`, for :meth:`advance`.
+
+        ``reads`` holds ascending counts of learned labels at which the tree
+        will be read; the last is the count the model stops at. After ``c``
+        labels the tree is the fit at the last cadence point up to ``c``, on
+        the ``train_window`` labeled rows before that point. This yields the
+        tree of each such point past the current count, in order. A batch
+        holds about :data:`FIT_CELLS` window cells, and ``gather(indices)``
+        returns the rows and labels of 0-based label indices.
+        """
+        seen = self._seen
+        points = reads - (reads - seen + self._pending) % self._retrain_every
+        points = points[points > seen]
+        last = np.ones(len(points), bool)  # points ascend: keep the last of each run of equal ones
+        last[:-1] = points[1:] != points[:-1]
+        points = points[last]
+        return self._fit_ahead(np.maximum(points - self._train_window, 0), points, gather)
+
+    def _fit_ahead(self, starts: np.ndarray, points: np.ndarray, gather) -> Iterator[DecisionTree]:
+        """The trees of the windows ``starts[i]:points[i]``, grown about ``FIT_CELLS`` window cells at a time."""
+        cells = np.cumsum((points - starts) * len(self._mask))
+        first = 0
+        while first < len(points):
+            done = cells[first - 1] if first else 0
+            stop = max(first + 1, int(np.searchsorted(cells, done + FIT_CELLS, side="right")))
+            windows = np.stack((starts[first:stop], points[first:stop]), axis=1)
+            held = np.zeros(windows[-1, 1] - windows[0, 0], bool)
+            for start, point in windows - windows[0, 0]:
+                held[start:point] = True
+            union = windows[0, 0] + np.flatnonzero(held)  # the label indices of the windows' rows
+            trees = fit_windows(*gather(union), np.searchsorted(union, windows), self._mask, self._depth)
+            yield from trees
+            first = stop
+
+    def advance(self, labels: int, trees: Iterator[DecisionTree]) -> None:
+        """Count ``labels`` labeled rows as :meth:`learn` would, without writing them.
+
+        A block that passes a cadence point takes the next of ``trees``
+        (:meth:`fitted_trees`) as the fit at the last one. :meth:`fill`
+        writes the counted rows that the window still holds.
+        """
+        passed, self._pending = divmod(self._pending + labels, self._retrain_every)
+        if passed:
+            self._tree = next(trees)
+            self.version += passed
+        self._seen += labels
+        self._unwritten += labels
+
+    def fill(self, gather) -> None:
+        """Write the rows :meth:`advance` counted that the window holds; ``gather`` as for :meth:`fitted_trees`."""
+        count = min(self._unwritten, self._train_window)
+        self._seen -= count
+        self._write(*gather(np.arange(self._seen, self._seen + count)))
+        self._unwritten = 0
 
     def _write(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Write the rows into the oldest slots; only the last ``train_window`` of them stay."""

@@ -295,11 +295,27 @@ def _serve_bucket(
         # Per prediction, the labels before it; per label, the predictions up to it.
         labels_before = np.searchsorted(label_at, issued_at, side="left")
         served_by = np.searchsorted(issued_at, label_at, side="right")
+        step = learn
+        batched = model.policy is UpdatePolicy.WINDOW_RETRAIN
+        if batched:
+            # Every tree a prediction reads, and the last, is known now: fit them ahead in batches.
+            def gather(at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return rows.gather(label_cases[at], k)
+
+            trees = model.fitted_trees(np.append(labels_before, len(label_cases)), gather)
+
+            def step(stop: int) -> None:
+                nonlocal learned
+                model.advance(stop - learned, trees)
+                learned = stop
+
         while served < len(cases):
-            learn(int(labels_before[served]))
+            step(int(labels_before[served]))
             change = learned + model.labels_until_change()
             serve(len(cases) if change > len(label_cases) else int(served_by[change - 1]))
-        learn(len(label_cases))
+        step(len(label_cases))
+        if batched:
+            model.fill(gather)
 
     if kept is not None:
         kept.append((k, issued, predicted, versions))

@@ -147,6 +147,10 @@ class FeatureRows:
         self.schema = schema
         self.labels = np.array(log.labels, dtype=np.int64)
 
+    def gather(self, cases: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and labels of ``cases``, gathered at once."""
+        return encode(self.log, cases, k, self.schema), self.labels[cases]
+
     def blocks(self, cases: np.ndarray, k: int):
         """A taker of the next rows (and labels) of ``cases``, gathered ``GATHER`` at a time."""
         block = labels = None
@@ -157,7 +161,7 @@ class FeatureRows:
             nonlocal block, labels, gathered, used
             if used == gathered:
                 chunk = cases[gathered : gathered + GATHER]
-                block, labels = encode(self.log, chunk, k, self.schema), self.labels[chunk]
+                block, labels = self.gather(chunk, k)
                 gathered += len(chunk)
             start = used - (gathered - len(block))
             stop = start + min(n, gathered - used)

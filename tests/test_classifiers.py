@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import deque
 from functools import cache
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stability_meter.classifiers import (
+    FIT_CELLS,
     MIN_LEAF,
     DecisionTree,
     IncrementalNaiveBayes,
@@ -15,6 +17,7 @@ from stability_meter.classifiers import (
     StaticModel,
     UpdatePolicy,
     WindowRetrainModel,
+    fit_windows,
 )
 from stability_meter.errors import NotReadyError, SettingError
 from stability_meter.evaluation import run_stream
@@ -24,6 +27,7 @@ from stability_meter.synthgen import DriftLogSpec
 
 from oracles import ReferenceTree, nb_posterior_scores
 from parsed_logs import parsed_log
+from tree_counts import count_trees
 
 
 @pytest.mark.parametrize("field", ["tree_depth", "train_window", "retrain_every", "memory"])
@@ -322,6 +326,122 @@ def test_tree_rejects_a_mask_of_the_wrong_width():
         DecisionTree().fit([(1.0, 2.0)], [1], (True,))
 
 
+def test_tree_rejects_labels_of_another_length_than_the_rows():
+    # Too many labels failed with an IndexError deep in the search, too few with a broadcast error.
+    features = [(float(value),) for value in range(10)]
+    for labels in ([0, 1] * 5 + [1], [0, 1] * 4):
+        with pytest.raises(ValueError, match=rf"^fit has {len(labels)} labels for 10 rows$"):
+            DecisionTree().fit(features, labels, (True,))
+
+
+def test_tree_rejects_a_label_other_than_0_or_1():
+    # A label 2 was read as 1.
+    with pytest.raises(ValueError, match="^fit labels must be 0 or 1$"):
+        DecisionTree().fit([(0.0,), (1.0,), (2.0,)], [0, 1, 2], (False,))
+
+
+def test_tree_rejects_nan_features():
+    # A NaN row went left in training (no value sorts after it) and right in predict.
+    features = [(float(value), 1.0) for value in range(12)]
+    features[3] = (float("nan"), 1.0)
+    with pytest.raises(ValueError, match="^fit features must not be NaN$"):
+        DecisionTree(min_leaf=1).fit(features, [0] * 6 + [1] * 6, (True, False))
+
+
+def test_fit_windows_rejects_a_window_outside_the_rows():
+    features, labels = [(float(value),) for value in range(6)], [0, 1] * 3
+    for window in ((0, 7), (-1, 3), (4, 4)):
+        with pytest.raises(ValueError, match="non-empty range of the 6 rows"):
+            fit_windows(features, labels, [(0, 2), window], (True,))
+
+
+_EXTREMES = [1e308, 1.7e308, -1e308, -1.7e308]  # adjacent values whose midpoint overflows
+_INFINITIES = [float("-inf"), float("inf")]  # the midpoint of the two is NaN, which sends every row right
+
+
+@st.composite
+def _window_batches(draw):
+    """Rows, labels, windows of them and a mask: ties, signed zeros, extremes and constant columns."""
+    kinds = draw(st.sampled_from(["categorical", "numeric", "mixed"]))
+    width = draw(st.integers(1, 4))
+    mask = [kinds == "numeric" or (kinds == "mixed" and draw(st.booleans())) for _ in range(width)]
+    n = draw(st.integers(1, 90))
+    columns = []
+    for numeric in mask:
+        if numeric:
+            pool = draw(
+                st.sampled_from(
+                    [
+                        [-2.0, -1.0, 0.0, 1.0, 2.0],  # ties
+                        [0.0, -0.0, 1.0, -1.0],  # signed zeros
+                        _EXTREMES + [0.0],
+                        _INFINITIES + [0.0],
+                        _INFINITIES,
+                        [2.5],  # constant
+                        None,  # mostly distinct
+                    ]
+                )
+            )
+            value = st.floats(-1e3, 1e3, allow_nan=False) if pool is None else st.sampled_from(pool)
+        else:
+            value = st.sampled_from(draw(st.lists(st.sampled_from([-7.0, -1.0, 0.0, 2.0, 5.0, 40.0]), min_size=1)))
+        columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    layout = draw(st.sampled_from(["overlapping", "disjoint", "short"]))
+    if layout == "overlapping":
+        # Cadence-point windows: the first ones are shorter than the window length.
+        length = draw(st.integers(1, n))
+        step = draw(st.integers(1, max(1, length - 1)))
+        windows = [(max(0, point - length), point) for point in range(1, n + 1, step)]
+    elif layout == "disjoint":
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
+        bounds = list(zip([0] + cuts, cuts + [n]))
+        windows = [window for at, window in enumerate(bounds) if at % 2 == 0 or draw(st.booleans())]
+    else:
+        starts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+        windows = [(start, min(n, start + draw(st.integers(1, 4)))) for start in starts]
+    return np.array(columns).T.reshape(n, width), labels, windows, mask
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_window_batches(), st.integers(1, 6), st.integers(1, 6))
+def test_fit_windows_grows_the_reference_tree_of_each_window(batch, max_depth, min_leaf):
+    rows, labels, windows, mask = batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        trees = fit_windows(rows, labels, windows, mask, max_depth, min_leaf)
+        assert len(trees) == len(windows)
+        for (start, stop), tree in zip(windows, trees):
+            reference = ReferenceTree(max_depth, min_leaf).fit(rows[start:stop], labels[start:stop], mask)
+            assert _nan_equal(tree.to_dict()) == _nan_equal(reference.to_dict()), (start, stop)
+
+
+def _nan_equal(tree: dict) -> dict:
+    """A tree dict whose NaN thresholds (a cut between -inf and inf) compare equal to each other."""
+    if tree["kind"] == "leaf":
+        return tree
+    threshold = "nan" if np.isnan(tree["threshold"]) else tree["threshold"]
+    return {**tree, "threshold": threshold, "left": _nan_equal(tree["left"]), "right": _nan_equal(tree["right"])}
+
+
+def test_one_batch_of_the_widest_bucket_stays_near_a_megabyte():
+    # The widest bucket of a 5k retrain-attrs run: 10-prefixes with amount
+    # and channel, 30 features, 200-row windows every 64 labels, as many as
+    # FIT_CELLS holds. One tree on one such window peaks near 0.2 MB.
+    mask, rows, labels = _synth_samples(("amount", "channel"), seed=7, k=10, cases=1500)
+    count = FIT_CELLS // (200 * len(mask))
+    windows = [(64 * at, 64 * at + 200) for at in range(count)]
+    rows, labels = rows[: windows[-1][1]], labels[: windows[-1][1]]
+    assert count >= 4 and len(rows) == windows[-1][1]
+    fit_windows(rows, labels, windows, mask)  # warm up, unmeasured
+    tracemalloc.start()
+    try:
+        fit_windows(rows, labels, windows, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # window-retrain model
 # ---------------------------------------------------------------------------
@@ -479,10 +599,8 @@ def test_window_retrain_fits_once_per_block_that_passes_a_cadence_point(retrain_
     for model in (one, blocks):
         model.learn(rows[:grace], labels[:grace])
         model.finish_grace()
-    fits = []
-    real_fit = DecisionTree.fit
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DecisionTree, "fit", lambda tree, *args: fits.append(tree) or real_fit(tree, *args))
+        fits = count_trees(patch)
         start = grace
         for size in sizes:
             stop = min(start + size, len(rows))
@@ -494,6 +612,48 @@ def test_window_retrain_fits_once_per_block_that_passes_a_cadence_point(retrain_
             assert len(fits) == passes
             assert _model_state(blocks) == _model_state(one)
             start = stop
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    retrain_every=st.sampled_from([1, 3, 7]),
+    train_window=st.sampled_from([4, 20, 64]),
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+)
+def test_trees_fit_ahead_leave_the_state_that_learning_leaves(retrain_every, train_window, sizes):
+    # A run fits a window-retrain model's trees ahead, in batches, and counts
+    # its labeled rows without writing them; at the end it writes the rows
+    # the window still holds.
+    mask, rows, labels = _cached_samples(("amount", "channel"), seed=5)
+    params = LearnerParams(train_window=train_window, retrain_every=retrain_every)
+    learned, ahead = WindowRetrainModel(3, mask, params), WindowRetrainModel(3, mask, params)
+    grace = 25
+    for model in (learned, ahead):
+        model.learn(rows[:grace], labels[:grace])
+        model.finish_grace()
+    stops = np.minimum(grace + np.cumsum(sizes), len(rows))
+
+    def gather(at):
+        return rows[at], labels[at]
+
+    with pytest.MonkeyPatch.context() as patch:
+        fitted = count_trees(patch)
+        trees = ahead.fitted_trees(stops, gather)
+        start, passing = grace, 0
+        for stop in stops.tolist():
+            passing += stop - start >= learned.labels_until_change()
+            learned.learn(rows[start:stop], labels[start:stop])
+            ahead.advance(stop - start, trees)
+            assert _model_state(ahead) == _model_state(learned)
+            start = stop
+        assert next(trees, None) is None
+    # Each block that passes a cadence point builds one tree through each entry.
+    assert len(fitted) == 2 * passing
+    ahead.fill(gather)
+    assert (ahead._seen, ahead._pending, len(ahead._labels)) == (learned._seen, learned._pending, len(learned._labels))
+    filled = min(learned._seen, train_window)  # the slots the window has written
+    assert np.array_equal(ahead._rows[:filled], learned._rows[:filled])
+    assert np.array_equal(ahead._labels[:filled], learned._labels[:filled])
 
 
 # ---------------------------------------------------------------------------

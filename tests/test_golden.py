@@ -13,9 +13,10 @@ import hashlib
 
 import pytest
 
-from stability_meter.classifiers import DecisionTree
 from stability_meter.cli import main
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+
+from tree_counts import count_trees
 
 _BASE = ["--grace", "50", "--eval-window", "20"]
 
@@ -101,9 +102,11 @@ def test_run_outputs_match_recorded_digests(name, tmp_path, monkeypatch, capsys)
 
 
 def test_window_retrain_every_1_fits_once_per_learned_block(tmp_path, monkeypatch, capsys):
-    # A fit at every cadence point made 2,619; one per learned block that passes a point makes 1,367.
-    fits = []
-    real_fit = DecisionTree.fit
-    monkeypatch.setattr(DecisionTree, "fit", lambda tree, *args: fits.append(tree) or real_fit(tree, *args))
+    # A fit at every cadence point made 2,619 trees; one per learned block
+    # that passes a point made 1,367. Fitting ahead, a run builds the grace
+    # trees, the trees predictions read and each bucket's last: 1,354. The
+    # other 13 were fit where a learned block crossed a gather block, and no
+    # prediction read them.
+    trees = count_trees(monkeypatch)
     _run("window-retrain-every-1", tmp_path, monkeypatch, capsys)
-    assert len(fits) == 1367
+    assert len(trees) == 1354
