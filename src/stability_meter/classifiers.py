@@ -5,11 +5,11 @@ The three policies differ only in how they react to newly labeled cases:
 * ``incremental``: a categorical naive Bayes whose counts are updated on
   every label, with bounded memory so old evidence ages out.
 * ``window-retrain``: a decision tree refit from scratch on a sliding
-  window of the most recent labeled samples, kept as a ring buffer of
-  feature rows that each fit reads in place. A run knows every window its
-  predictions read before it fits any, so it fits a bucket's trees ahead,
-  in batches, with one search (:func:`fit_windows`), and the model takes
-  each tree at its cadence point.
+  window of the most recent labeled samples, held in label order. A run
+  knows every window its predictions read before it fits any, so it fits a
+  bucket's trees ahead, in batches, with one search (:func:`fit_windows`),
+  and the model takes each tree at its cadence point; learning a block
+  after grace takes the same path.
 * ``static``: the same tree learner fit once on the grace-period samples
   and frozen afterwards.
 
@@ -35,7 +35,7 @@ import bisect
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from math import log
+from math import floor, log
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -51,7 +51,6 @@ class UpdatePolicy(str, Enum):
 
 MIN_LEAF = 5  # fewest samples a tree split may leave on either side
 LAPLACE = 1.0  # naive Bayes likelihood smoothing
-_FIRST_WINDOW_ROWS = 64  # a window-retrain buffer's first size; it doubles up to train_window
 
 
 @dataclass(frozen=True)
@@ -463,6 +462,23 @@ def _changes(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _deciles(values: list[float]) -> list[float]:
+    """The nine decile edges of sorted ``values`` (none if empty), as ``np.quantile`` computes them.
+
+    The same float operations in its order: index ``(n - 1) * q``, its floor and fraction ``g``,
+    then ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` when ``g >= 0.5``. One value is every edge.
+    """
+    if len(values) < 2:
+        return values * 9
+    edges = []
+    for step in range(1, 10):
+        index = (len(values) - 1) * (step / 10)
+        below = floor(index)
+        a, b, g = values[below], values[below + 1], index - below
+        edges.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return edges
+
+
 class IncrementalNaiveBayes:
     """Categorical naive Bayes updated on every label, with bounded memory.
 
@@ -535,12 +551,7 @@ class IncrementalNaiveBayes:
         for index, is_numeric in enumerate(self._mask):
             if not is_numeric:
                 continue
-            values = sorted(float(features[index]) for features, _ in self._window)
-            if values:
-                edges = np.quantile(values, [q / 10 for q in range(1, 10)])
-                self._bins[index] = [float(edge) for edge in edges]
-            else:
-                self._bins[index] = []
+            self._bins[index] = _deciles(sorted(float(features[index]) for features, _ in self._window))
         self._frozen = True
         for features, label in self._window:
             self._count(features, label, +1)
@@ -623,11 +634,10 @@ class WindowRetrainModel(_TreeModel):
     The first fit happens when the grace period ends; after it, every
     ``retrain_every``-th labeled sample is a cadence point. A block of labels
     that passes several fits one tree, at the last, while ``version`` counts each.
-    The window is a ring buffer of at most ``train_window`` feature rows and
-    labels: each block of labeled rows overwrites the oldest slots once the
-    window is full, and a fit reads the filled slots as they lie, since row
-    order does not change the tree. The buffer grows by doubling up to
-    ``train_window`` rows, so a large window costs only what it holds.
+    The window is the last ``train_window`` feature rows and labels, in
+    label order. After grace, :meth:`learn` takes the path of a run: it
+    fits the block's tree with :meth:`fitted_trees` on the window and the
+    block, and :meth:`advance` counts the block.
     """
 
     policy = UpdatePolicy.WINDOW_RETRAIN
@@ -637,11 +647,9 @@ class WindowRetrainModel(_TreeModel):
     ) -> None:
         super().__init__(bucket, numeric_mask, params)
         self._train_window = params.train_window
-        rows = min(params.train_window, _FIRST_WINDOW_ROWS)
-        self._rows = np.empty((rows, len(self._mask)))
-        self._labels = np.empty(rows, dtype=np.int64)
+        self._rows = np.empty((0, len(self._mask)))
+        self._labels = np.empty(0, dtype=np.int64)
         self._seen = 0  # labeled samples counted so far
-        self._unwritten = 0  # of which advance skipped writing
         self._retrain_every = params.retrain_every
         self._pending = 0
         self._grace_done = False
@@ -658,16 +666,17 @@ class WindowRetrainModel(_TreeModel):
     def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Add labeled rows to the window in order, fitting once, at the last cadence point they pass."""
         _check_width(rows.shape[1], self._mask, self.bucket)
-        cut = 0
+        first = self._seen - len(self._labels)  # the label index of the first held row
+        rows, labels = np.concatenate((self._rows, rows)), np.concatenate((self._labels, labels))
+        stop = first + len(labels)
         if self._grace_done:
-            passed, pending = divmod(self._pending + len(rows), self._retrain_every)
-            if passed:
-                cut = len(rows) - pending
-                self._write(rows[:cut], labels[:cut])
-                self.retrain()
-                self.version += passed - 1
-            self._pending = pending
-        self._write(rows[cut:], labels[cut:])
+
+            def gather(at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return rows[at - first], labels[at - first]
+
+            self.advance(stop - self._seen, self.fitted_trees(np.array([stop]), gather))
+        self._seen = stop
+        self._rows, self._labels = rows[-self._train_window :], labels[-self._train_window :]
 
     def fitted_trees(self, reads: np.ndarray, gather) -> Iterator[DecisionTree]:
         """The trees of the cadence points ahead, fit in batches with :func:`fit_windows`, for :meth:`advance`.
@@ -683,9 +692,7 @@ class WindowRetrainModel(_TreeModel):
         seen = self._seen
         points = reads - (reads - seen + self._pending) % self._retrain_every
         points = points[points > seen]
-        last = np.ones(len(points), bool)  # points ascend: keep the last of each run of equal ones
-        last[:-1] = points[1:] != points[:-1]
-        points = points[last]
+        points = points[_changes(points)]  # points ascend: one of each run of equal ones
         return self._fit_ahead(np.maximum(points - self._train_window, 0), points, gather)
 
     def _fit_ahead(self, starts: np.ndarray, points: np.ndarray, gather) -> Iterator[DecisionTree]:
@@ -705,55 +712,25 @@ class WindowRetrainModel(_TreeModel):
             first = stop
 
     def advance(self, labels: int, trees: Iterator[DecisionTree]) -> None:
-        """Count ``labels`` labeled rows as :meth:`learn` would, without writing them.
+        """Count ``labels`` labeled rows; if they pass a cadence point, take the next of ``trees``.
 
-        A block that passes a cadence point takes the next of ``trees``
-        (:meth:`fitted_trees`) as the fit at the last one. :meth:`fill`
-        writes the counted rows that the window still holds.
+        ``trees`` comes from :meth:`fitted_trees`: the fit at the last point they pass.
         """
         passed, self._pending = divmod(self._pending + labels, self._retrain_every)
         if passed:
             self._tree = next(trees)
             self.version += passed
         self._seen += labels
-        self._unwritten += labels
 
     def fill(self, gather) -> None:
-        """Write the rows :meth:`advance` counted that the window holds; ``gather`` as for :meth:`fitted_trees`."""
-        count = min(self._unwritten, self._train_window)
-        self._seen -= count
-        self._write(*gather(np.arange(self._seen, self._seen + count)))
-        self._unwritten = 0
-
-    def _write(self, rows: np.ndarray, labels: np.ndarray) -> None:
-        """Write the rows into the oldest slots; only the last ``train_window`` of them stay."""
-        capacity = self._train_window
-        skipped = max(len(rows) - capacity, 0)
-        rows, labels = rows[skipped:], labels[skipped:]
-        self._seen += skipped
-        size = len(self._labels)
-        needed = min(self._seen + len(rows), capacity)
-        if needed > size:
-            while size < needed:
-                size = min(2 * size, capacity)
-            grown = size - len(self._labels)
-            self._rows = np.concatenate((self._rows, np.empty((grown, len(self._mask)))))
-            self._labels = np.concatenate((self._labels, np.empty(grown, dtype=np.int64)))
-        slot = self._seen % capacity
-        first = min(len(rows), capacity - slot)
-        self._rows[slot : slot + first] = rows[:first]
-        self._labels[slot : slot + first] = labels[:first]
-        self._rows[: len(rows) - first] = rows[first:]
-        self._labels[: len(rows) - first] = labels[first:]
-        self._seen += len(rows)
+        """Hold the last ``train_window`` counted rows as the window; ``gather`` as for :meth:`fitted_trees`."""
+        self._rows, self._labels = gather(np.arange(max(self._seen - self._train_window, 0), self._seen))
 
     def retrain(self) -> None:
         """Fit a fresh tree on the current window."""
-        if not self._seen:
+        if not len(self._labels):
             raise NotReadyError(f"bucket-{self.bucket} training window is empty")
-        filled = min(self._seen, self._train_window)
-        self._fit(self._rows[:filled], self._labels[:filled])
-        self._pending = 0
+        self._fit(self._rows, self._labels)
 
     def finish_grace(self) -> None:
         self._grace_done = True

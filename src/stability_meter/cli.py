@@ -408,8 +408,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     summaries = [ConfigSummary.from_mapping(entry) for entry in _load_rank_entries(args.meta)]
     if not summaries:
         raise ConfigError(f"{args.meta}: no config entries to rank")
+    by_name = {}
+    for summary in summaries:
+        if by_name.setdefault(summary.name, summary) is not summary:
+            raise ConfigError(f"{args.meta}: config name {summary.name!r} appears twice")
     ordered = rank(summaries, profile)
-    by_name = {summary.name: summary for summary in summaries}
     print(f"scenario: {args.scenario}  criteria: {', '.join(profile.criteria)}")
     for position, name in enumerate(ordered, start=1):
         print(f"{position:>3}. {name}  {_summary_fields(by_name[name])}")

@@ -6,7 +6,10 @@ with the package's code paths. ``brute_*`` use plain Python and
 the package used before it vectorised the full windows, kept as the
 bit-exact reference for that change. ``ReferenceTree`` is the Gini tree
 that searched splits one feature at a time, kept as the reference for the
-per-node split search. ``dict_reader_parse_log``, ``tuple_replay`` and
+per-node split search. ``ReferenceWindowRetrain`` is the window-retrain
+policy over a deque of rows, fitting a ``ReferenceTree`` at cadence points,
+kept as the reference for the model that learns through its fit-ahead
+path. ``dict_reader_parse_log``, ``tuple_replay`` and
 ``scratch_encode`` are the log parser, replay and prefix encoder the package
 used before it stored events compactly and gathered prefix rows from the
 log's columns, kept as the references for those changes; they read
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stability_meter.classifiers import LearnerParams, model_class
+from stability_meter.classifiers import MIN_LEAF, LearnerParams, model_class
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError
 from stability_meter.evaluation import METRICS, PerformanceSeries, ResolvedPair
 from stability_meter.event_model import (
@@ -321,6 +324,69 @@ class ReferenceTree:
         return parent - np.nan_to_num(weighted, nan=np.inf)
 
 
+class ReferenceWindowRetrain:
+    """The window-retrain policy over a deque of the last ``train_window`` rows.
+
+    The first tree is fit when the grace period ends; after it, every
+    ``retrain_every``-th labeled row is a cadence point. A block of rows
+    that passes several fits one ``ReferenceTree``, on the window at the
+    last of them, while ``version`` counts each. ``tree`` is the tree's
+    dict, and ``predict`` walks it.
+    """
+
+    def __init__(self, bucket, numeric_mask, params=LearnerParams()):
+        self.bucket = bucket
+        self.numeric_mask = tuple(numeric_mask)
+        self.params = params
+        self.window = deque(maxlen=params.train_window)  # (row, label) pairs in label order
+        self.version = 0
+        self.pending = 0  # labels since the last cadence point
+        self.grace_done = False
+        self.tree = None
+
+    @property
+    def is_ready(self):
+        return self.tree is not None
+
+    def labels_until_change(self):
+        return self.params.retrain_every - self.pending
+
+    def learn(self, rows, labels):
+        fit_on = None
+        for row, label in zip(rows, labels):
+            self.window.append((tuple(float(value) for value in row), int(label)))
+            if self.grace_done:
+                self.pending += 1
+                if self.pending == self.params.retrain_every:
+                    self.pending = 0
+                    self.version += 1
+                    fit_on = list(self.window)
+        if fit_on is not None:
+            self._fit(fit_on)
+
+    def observe_label(self, features, label):
+        self.learn([features], [label])
+
+    def finish_grace(self):
+        self.grace_done = True
+        if self.window:
+            self.version += 1
+            self._fit(list(self.window))
+
+    def _fit(self, samples):
+        rows, labels = zip(*samples)
+        tree = ReferenceTree(max_depth=self.params.tree_depth, min_leaf=MIN_LEAF)
+        self.tree = tree.fit(rows, labels, self.numeric_mask).to_dict()
+
+    def predict(self, features):
+        node = self.tree
+        while node["kind"] != "leaf":
+            value = float(features[node["feature"]])
+            left = value <= node["threshold"] if node["kind"] == "num" else value == node["threshold"]
+            node = node["left"] if left else node["right"]
+        return node["prediction"]
+
+
 def _is_decimal(text):
     try:
         float(text)
@@ -572,10 +638,11 @@ def reference_run_stream(
 
     Encodes each prefix from scratch with ``codec``, a ``TextCodec`` of the
     replayed log. Returns the series keyed by (bucket, metric), the number
-    of labels and the models, trained one labeled sample at a time.
+    of labels and the models, trained one labeled sample at a time; the
+    window-retrain models are ``ReferenceWindowRetrain``.
     """
     schema = schema if schema is not None else AttributeSchema()
-    model_type = model_class(policy)
+    model_type = ReferenceWindowRetrain if policy == "window-retrain" else model_class(policy)
     models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
     windows = {k: EvalWindow(k, eval_window) for k in buckets.buckets()}
     series = {

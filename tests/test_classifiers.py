@@ -5,7 +5,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stability_meter.classifiers import (
@@ -17,6 +17,7 @@ from stability_meter.classifiers import (
     StaticModel,
     UpdatePolicy,
     WindowRetrainModel,
+    _deciles,
     fit_windows,
 )
 from stability_meter.errors import NotReadyError, SettingError
@@ -25,7 +26,7 @@ from stability_meter.event_model import REQUIRED_COLUMNS
 from stability_meter.prefixing import AttributeSchema, BucketConfig, encode
 from stability_meter.synthgen import DriftLogSpec
 
-from oracles import ReferenceTree, nb_posterior_scores
+from oracles import ReferenceTree, ReferenceWindowRetrain, nb_posterior_scores
 from parsed_logs import parsed_log
 from tree_counts import count_trees
 
@@ -138,6 +139,32 @@ def test_nb_numeric_features_use_grace_deciles():
             grace, probe, bins=bins, numeric_mask=[False, True]
         )
         assert model.predict(probe) == int(scores[1] > scores[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 2.5, -1e308, 1e308])),
+        min_size=1,
+        max_size=60,
+    )
+)
+@example([-0.0])
+@example([7.0])
+@example([-1e308, 1e308])
+def test_decile_edges_are_the_bits_of_np_quantile(values):
+    # np.quantile partitions its input, which may swap a tied 0.0 and -0.0,
+    # so only the sign of a zero edge may differ. Adding 0.0 makes every zero
+    # +0.0; the bins compare edges with ``<``, to which both zeros are equal.
+    values = sorted(values)
+    with np.errstate(all="ignore"):  # b - a may overflow, in both
+        want = np.quantile(values, [q / 10 for q in range(1, 10)])
+    got = np.array(_deciles(values))
+    assert np.array_equal((got + 0.0).view(np.int64), (want + 0.0).view(np.int64)), (got, want)
+
+
+def test_no_values_have_no_decile_edges():
+    assert _deciles([]) == []
 
 
 def test_models_reject_samples_of_the_wrong_width():
@@ -622,8 +649,8 @@ def test_window_retrain_fits_once_per_block_that_passes_a_cadence_point(retrain_
 )
 def test_trees_fit_ahead_leave_the_state_that_learning_leaves(retrain_every, train_window, sizes):
     # A run fits a window-retrain model's trees ahead, in batches, and counts
-    # its labeled rows without writing them; at the end it writes the rows
-    # the window still holds.
+    # its labeled rows without holding them; at the end it gathers the rows
+    # of the window.
     mask, rows, labels = _cached_samples(("amount", "channel"), seed=5)
     params = LearnerParams(train_window=train_window, retrain_every=retrain_every)
     learned, ahead = WindowRetrainModel(3, mask, params), WindowRetrainModel(3, mask, params)
@@ -647,13 +674,48 @@ def test_trees_fit_ahead_leave_the_state_that_learning_leaves(retrain_every, tra
             assert _model_state(ahead) == _model_state(learned)
             start = stop
         assert next(trees, None) is None
-    # Each block that passes a cadence point builds one tree through each entry.
+    # Each block that passes a cadence point builds one tree for each model.
     assert len(fitted) == 2 * passing
     ahead.fill(gather)
     assert (ahead._seen, ahead._pending, len(ahead._labels)) == (learned._seen, learned._pending, len(learned._labels))
-    filled = min(learned._seen, train_window)  # the slots the window has written
+    filled = min(learned._seen, train_window)  # the rows the window holds
     assert np.array_equal(ahead._rows[:filled], learned._rows[:filled])
     assert np.array_equal(ahead._labels[:filled], learned._labels[:filled])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    retrain_every=st.integers(1, 9),
+    train_window=st.integers(1, 40),
+    grace_sizes=st.lists(st.integers(0, 45), max_size=3),
+    sizes=st.lists(st.integers(0, 45), min_size=1, max_size=8),
+)
+def test_window_retrain_learns_as_the_reference_learns(retrain_every, train_window, grace_sizes, sizes):
+    # Blocks of any size, empty ones and ones longer than the window
+    # included, before and after grace.
+    mask, rows, labels = _cached_samples(("amount", "channel"), seed=5)
+    params = LearnerParams(train_window=train_window, retrain_every=retrain_every)
+    model, reference = WindowRetrainModel(3, mask, params), ReferenceWindowRetrain(3, mask, params)
+
+    def assert_same(after):
+        assert model.version == reference.version, after
+        assert model.labels_until_change() == reference.labels_until_change(), after
+        assert (model._tree.to_dict() if model.is_ready else None) == reference.tree, after
+        assert model._rows.tolist() == [list(row) for row, _ in reference.window], after
+        assert model._labels.tolist() == [label for _, label in reference.window], after
+
+    start = 0
+    for grace_done, block_sizes in ((False, grace_sizes), (True, sizes)):
+        if grace_done:
+            model.finish_grace()
+            reference.finish_grace()
+            assert_same("grace")
+        for size in block_sizes:
+            stop = min(start + size, len(rows))
+            model.learn(rows[start:stop], labels[start:stop])
+            reference.learn(rows[start:stop].tolist(), labels[start:stop].tolist())
+            assert_same(f"rows {start}:{stop}")
+            start = stop
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,18 @@ def test_rank_with_a_malformed_meta_file_is_a_single_line_config_error(tmp_path,
     assert not (tmp_path / "ranking.json").exists()
 
 
+def test_rank_rejects_a_repeated_config_name(tmp_path, capsys):
+    meta = tmp_path / "dup.json"
+    meta.write_text(json.dumps([
+        {**_GOOD_ENTRY, "name": "a"}, {**_GOOD_ENTRY, "name": "a", "drops": 9}, {**_GOOD_ENTRY, "name": "b"},
+    ]))
+    code, stdout, stderr = _run_cli(["rank", "--meta", str(meta), "--scenario", "hf-hr"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"stability-meter: config error: {meta}: config name 'a' appears twice\n"
+    assert not (tmp_path / "ranking.json").exists()
+
+
 def test_missing_log_is_a_single_line_io_error(tmp_path, capsys):
     code, _, stderr = _run_cli(
         ["run", "--log", str(tmp_path / "nope.csv")], capsys
@@ -712,15 +724,7 @@ def test_rows_format_each_float_as_the_per_row_f_string_does(column):
             [("incremental", "channel"), ("window-retrain", "amount,channel"), ("static", "amount,channel")],
             id="categorical-or-trees",
         ),
-        pytest.param(
-            [("incremental", "amount,channel")],
-            id="incremental-numeric",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="IncrementalNaiveBayes.finish_grace bins numeric attributes with np.quantile, "
-                "which imports numpy.ma",
-            ),
-        ),
+        pytest.param([("incremental", "amount,channel")], id="incremental-numeric"),
     ],
 )
 def test_no_run_imports_numpy_ma(tmp_path, runs):

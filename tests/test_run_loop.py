@@ -5,9 +5,11 @@ as integers from the log's arrays, then serves each bucket's model from
 gathered rows and makes every series in one array pass;
 ``oracles.reference_run_stream`` over ``oracles.event_replay`` builds an
 ``Event`` per item, encodes each prefix from scratch with a text-keyed
-codec, trains the models one labeled sample at a time and computes each
-point's metrics from a window as its label arrives. Both must give the same
-series, ledger and models, on drawn, seeded and hand-made logs; the
+codec, trains the models one labeled sample at a time (window-retrain as
+``oracles.ReferenceWindowRetrain``) and computes each point's metrics from
+a window as its label arrives. Both must give the same series, ledger and
+models, a window-retrain model's held window included, on drawn, seeded
+and hand-made logs; the
 recording pass must also give the integers of ``oracles.reference_record``,
 which walks the replay event by event.
 """
@@ -61,6 +63,10 @@ def _assert_same_run(text, policy, attrs, grace, eval_window, eval_every, retrai
         assert (model.version, model.is_ready) == (reference.version, reference.is_ready), k
         if policy == "incremental":
             assert (model._class_counts, model._counts) == (reference._class_counts, reference._counts), k
+        elif policy == "window-retrain":
+            assert (model._tree.to_dict() if model.is_ready else None) == reference.tree, k
+            assert model._rows.tolist() == [list(row) for row, _ in reference.window], k
+            assert model._labels.tolist() == [label for _, label in reference.window], k
         elif model.is_ready:
             assert model._tree.to_dict() == reference._tree.to_dict(), k
     return ledger
