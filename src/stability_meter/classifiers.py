@@ -676,7 +676,8 @@ class WindowRetrainModel(_TreeModel):
 
             self.advance(stop - self._seen, self.fitted_trees(np.array([stop]), gather))
         self._seen = stop
-        self._rows, self._labels = rows[-self._train_window :], labels[-self._train_window :]
+        # copies, so a large block is not kept alive by a view of its tail
+        self._rows, self._labels = rows[-self._train_window :].copy(), labels[-self._train_window :].copy()
 
     def fitted_trees(self, reads: np.ndarray, gather) -> Iterator[DecisionTree]:
         """The trees of the cadence points ahead, fit in batches with :func:`fit_windows`, for :meth:`advance`.
@@ -726,16 +727,10 @@ class WindowRetrainModel(_TreeModel):
         """Hold the last ``train_window`` counted rows as the window; ``gather`` as for :meth:`fitted_trees`."""
         self._rows, self._labels = gather(np.arange(max(self._seen - self._train_window, 0), self._seen))
 
-    def retrain(self) -> None:
-        """Fit a fresh tree on the current window."""
-        if not len(self._labels):
-            raise NotReadyError(f"bucket-{self.bucket} training window is empty")
-        self._fit(self._rows, self._labels)
-
     def finish_grace(self) -> None:
         self._grace_done = True
         if self._seen:
-            self.retrain()
+            self._fit(self._rows, self._labels)
 
 
 class StaticModel(_TreeModel):

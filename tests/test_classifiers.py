@@ -491,27 +491,31 @@ def test_window_retrain_memory_never_exceeds_capacity():
         model.observe_label(features, label)
         assert len(model._rows) <= 50 and len(model._labels) <= 50
     assert model.is_ready
+    model.learn(np.zeros((500, 2)), np.zeros(500, dtype=np.int64))
+    # the held window owns its memory: no view keeps the 500-row block alive
+    assert model._rows.base is None and model._labels.base is None
+    assert len(model._rows) == 50
 
 
 def test_window_retrain_same_window_gives_identical_trees():
-    rng = np.random.default_rng(9)
-    model = WindowRetrainModel(
-        bucket=2, numeric_mask=(False, False), params=LearnerParams(train_window=100)
-    )
-    for features, label in _labeled_stream(60, rng):
-        model.observe_label(features, label)
-    model.retrain()
-    first = _tree_json(model)
-    version = model.version
-    model.retrain()
-    assert _tree_json(model) == first
-    assert model.version == version + 1
+    samples = list(_labeled_stream(60, np.random.default_rng(9)))
+    trees = []
+    for _ in range(2):
+        model = WindowRetrainModel(
+            bucket=2, numeric_mask=(False, False), params=LearnerParams(train_window=100)
+        )
+        for features, label in samples:
+            model.observe_label(features, label)
+        model.finish_grace()
+        assert model.version == 1
+        trees.append(_tree_json(model))
+    assert trees[0] == trees[1]
 
 
 def test_window_retrain_empty_window_is_not_ready():
     model = WindowRetrainModel(bucket=2, numeric_mask=(False,))
-    with pytest.raises(NotReadyError):
-        model.retrain()
+    model.finish_grace()
+    assert not model.is_ready and model.version == 0
     with pytest.raises(NotReadyError):
         model.predict((1,))
 
