@@ -46,7 +46,13 @@ from .synthgen import DriftLogSpec, generate, to_csv
 replay = None
 _series_csv = None
 
-_FLAGS = {"memory": "nb-memory", "window": "ma-window"}  # the library settings not named as their flags
+_FLAGS = {"memory": "nb-memory", "window": "ma-window", "n_cases": "cases"}  # the library settings not named as their flags
+
+
+def _named_by_flags(err: SettingError) -> ConfigError:
+    """``err``'s message with each setting named by its flag."""
+    flags = ("--" + _FLAGS.get(name, name).replace("_", "-") for name in err.settings)
+    return ConfigError(err.template.format(*flags))
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,7 @@ class RunConfig:
             self.learner_params()
             BucketConfig(self.k_min, self.k_min if self.k_max is None else self.k_max)
         except SettingError as err:
-            flags = ("--" + _FLAGS.get(name, name).replace("_", "-") for name in err.settings)
-            raise ConfigError(err.template.format(*flags)) from None
+            raise _named_by_flags(err) from None
 
     def learner_params(self) -> LearnerParams:
         return LearnerParams(
@@ -129,7 +134,7 @@ class SeriesReport:
 
     @property
     def avg_metric(self) -> float:
-        return sum(self.series.values) / len(self.series.values)
+        return sum(self.series.values.tolist()) / len(self.series)  # left to right; np.sum is pairwise
 
     def rows(self) -> list[str]:
         """Each point's ``value,ma,std,lb,ub,is_drop,drop_id`` CSV fields."""
@@ -214,7 +219,7 @@ def _performance_csv(reports: list[SeriesReport]) -> Iterator[str]:
         series = report.series
         key = f",{series.bucket},{series.metric},"
         yield "".join(
-            f"{label_index}{key}{row}\n" for label_index, row in zip(series.label_indices, report.rows())
+            f"{label_index}{key}{row}\n" for label_index, row in zip(series.label_indices.tolist(), report.rows())
         )
 
 
@@ -427,9 +432,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = DriftLogSpec(
-        n_cases=args.cases, drift_at=args.drift_at, seed=args.seed, noise=args.noise
-    )
+    try:
+        spec = DriftLogSpec(n_cases=args.cases, drift_at=args.drift_at, seed=args.seed, noise=args.noise)
+    except SettingError as err:
+        raise _named_by_flags(err) from None
     traces = generate(spec)
     _atomic_write(Path(args.out), (to_csv(traces),))
     events = sum(len(trace) for trace in traces)

@@ -38,7 +38,7 @@ points at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -76,18 +76,18 @@ def metrics_from_confusion(tp, fp, fn, tn) -> dict[str, np.ndarray]:
     return {"accuracy": (tp + tn) / total, "precision": precision, "recall": recall, "f1": f1}
 
 
-@dataclass
+@dataclass(eq=False)
 class PerformanceSeries:
     """Windowed metric values of one (bucket, metric) pair over time.
 
     Each point is stamped with the ordinal of the triggering label among all
-    labels received.
+    labels received. The metrics of one bucket share one ``label_indices`` array.
     """
 
     bucket: int
     metric: str
-    values: list[float] = field(default_factory=list)
-    label_indices: list[int] = field(default_factory=list)
+    values: np.ndarray
+    label_indices: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -161,7 +161,7 @@ def run_stream(
             *_serve_bucket(model, k, record, rows, grace, kept), points, eval_window, metrics
         )
         for metric in metrics:
-            series[(k, metric)] = PerformanceSeries(k, metric, values[metric], list(label_indices))
+            series[(k, metric)] = PerformanceSeries(k, metric, values[metric], label_indices)
     if kept:
         _write_ledger(ledger, record, kept)
     return RunResult(series=series, labels_seen=labels_seen, models=models)
@@ -351,7 +351,7 @@ def _write_ledger(ledger: list, record: _Record, kept: list) -> None:
 
 def _window_series(
     outcomes: np.ndarray, resolved_at: np.ndarray, points: np.ndarray, eval_window: int, metrics: Sequence[str]
-) -> tuple[dict[str, list[float]], list[int]]:
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """A bucket's metric values and label indices at the ``points`` its window is not empty.
 
     The window at label ``L`` holds the last ``eval_window`` of the bucket's
@@ -367,4 +367,4 @@ def _window_series(
     window = counts[seen] - counts[np.maximum(seen - eval_window, 0)]
     tn, fn, fp, tp = window.T
     values = metrics_from_confusion(tp, fp, fn, tn)
-    return {metric: values[metric].tolist() for metric in metrics}, points[kept].tolist()
+    return {metric: values[metric] for metric in metrics}, points[kept]

@@ -19,7 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
-from math import isfinite
 from pathlib import Path
 from typing import IO, Iterator, Union
 
@@ -32,7 +31,6 @@ REQUIRED_COLUMNS = ("case_id", "activity", "timestamp", "label")
 LogSource = Union[str, Path, IO[str]]
 
 # Timestamps are held as int64 milliseconds since the Unix epoch.
-_TIMESTAMP_RANGE = range(-(2**63), 2**63)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MILLISECOND = timedelta(milliseconds=1)
 # Cells of a numeric-looking column whose text is joined into one string.
@@ -183,11 +181,14 @@ class EventLog(Sequence):
 def _parse_timestamp(raw: str, row: int) -> int:
     """Normalize an integer or ISO-8601 timestamp to milliseconds.
 
-    An ISO moment's fraction of a millisecond is dropped toward the past,
-    computed exactly, with no float in between.
+    An integer is ASCII: an optional sign, then digits 0-9. An ISO moment's
+    fraction of a millisecond is dropped toward the past, computed exactly,
+    with no float in between.
     """
     text = raw.strip()
     try:
+        if not text.isascii() or "_" in text:  # int() alone takes other scripts' digits and "_" too
+            raise ValueError(text)
         value = int(text)
     except ValueError:
         try:
@@ -198,7 +199,7 @@ def _parse_timestamp(raw: str, row: int) -> int:
         if moment.tzinfo is None:
             moment = moment.replace(tzinfo=timezone.utc)
         value = (moment - _EPOCH) // _MILLISECOND
-    if value not in _TIMESTAMP_RANGE:
+    if not -(2**63) <= value < 2**63:  # int64; cheaper than a range() lookup
         raise LogFormatError(f"row {row}: timestamp out of range")
     return value
 
@@ -231,35 +232,34 @@ def _undecodable_line(path: str | Path) -> int:
 class _Cells:
     """One attribute column while the log is read.
 
-    While every non-empty cell so far is a decimal, the column holds float
-    values, an empty-cell mask, the non-finite cells as (event, text), and
-    the text of every cell, joined ``_TEXT_CHUNK`` cells at a time. Its first
-    other cell turns it categorical: the kept text becomes string ids, so
-    each earlier cell reads back as written.
+    While every non-empty cell so far is an ASCII decimal with no ``_``, the
+    column holds float values, an empty-cell mask and the text of every cell,
+    joined ``_TEXT_CHUNK`` cells at a time. Its first other cell turns it
+    categorical: the kept text becomes string ids, so each earlier cell reads
+    back as written.
     """
 
-    __slots__ = ("numbers", "empty", "non_finite", "chunks", "texts", "ids")
+    __slots__ = ("numbers", "empty", "chunks", "texts", "ids")
 
     def __init__(self) -> None:
         self.numbers = array("d")
         self.empty = bytearray()
-        self.non_finite: list[tuple[int, str]] = []
         self.chunks: list[str] = []
         self.texts: list[str] = []
         self.ids: array | None = None
 
-    def add(self, text: str, event: int, table: _StringTable) -> None:
-        """Append the stripped cell ``text`` of event number ``event``."""
+    def add(self, text: str, table: _StringTable) -> None:
+        """Append the stripped cell ``text`` of the next event."""
         if self.ids is None:
             if text:
                 try:
+                    if not text.isascii() or "_" in text:  # float() alone takes these texts too
+                        raise ValueError(text)
                     number = float(text)
                 except ValueError:
                     self._become_categorical(table)
                     self.ids.append(table[text])
                     return
-                if not isfinite(number):
-                    self.non_finite.append((event, text))
                 self.numbers.append(number)
                 self.empty.append(0)
             else:
@@ -278,7 +278,13 @@ class _Cells:
         for chunk in self.chunks:
             ids.extend(table[text] if text else 0 for text in chunk.split("\n"))
         ids.extend(table[text] if text else 0 for text in self.texts)
-        self.numbers = self.empty = self.non_finite = self.chunks = self.texts = None
+        self.numbers = self.empty = self.chunks = self.texts = None
+
+    def non_finite(self) -> list[tuple[int, str]]:
+        """(event, text) of each non-finite cell of the numeric column."""
+        events = np.flatnonzero(~np.isfinite(np.frombuffer(self.numbers, np.float64))).tolist()
+        texts = "\n".join([*self.chunks, *self.texts]).split("\n") if events else []
+        return [(event, texts[event]) for event in events]
 
     def finish(self, order: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The column and its empty-cell mask (None if categorical), events in ``order``.
@@ -290,7 +296,7 @@ class _Cells:
         else:
             column = np.frombuffer(self.numbers, np.float64)[order]
             mask = np.frombuffer(self.empty, bool)[order]
-        self.numbers = self.empty = self.non_finite = self.chunks = self.texts = self.ids = None
+        self.numbers = self.empty = self.chunks = self.texts = self.ids = None
         return column, mask
 
 
@@ -389,13 +395,12 @@ def _read_log(reader) -> EventLog:
                 labels[case] = label
             elif seen != label:
                 labels[case] = -1
-        event = len(rows)
         cases.append(case)
         activities.append(table[activity])
         timestamps.append(timestamp)
         rows.append(row)
         for at, cells_of in attributes:
-            cells_of.add(cells[at].strip(), event, table)
+            cells_of.add(cells[at].strip(), table)
     if not case_ids:
         raise EmptyLogError("log contains no events")
 
@@ -407,7 +412,7 @@ def _read_log(reader) -> EventLog:
             (cases[event], timestamps[event], rows[event], index, text)
             for index, (_, cells_of) in enumerate(attributes)
             if cells_of.ids is None
-            for event, text in cells_of.non_finite
+            for event, text in cells_of.non_finite()
         ),
         default=None,
     )

@@ -73,9 +73,6 @@ class AttributeSchema:
             numeric=tuple(bool(kinds.get(name, False)) for name in names),
         )
 
-    def width(self, k: int) -> int:
-        return k * (1 + len(self.names))
-
     def feature_mask(self, k: int) -> tuple[bool, ...]:
         """Per-feature flag: True where the slot holds a raw numeric value."""
         mask = [False] * k

@@ -193,21 +193,33 @@ def _measures(stats: MovingStats, drops: list[SignificantDrop]) -> MetaMeasures:
 class SeriesAnnotation:
     """Per-point annotation of one series as columns, plus its measures.
 
-    ``value``, ``ma``, ``std``, ``lb`` and ``ub`` hold one float per point;
-    ``drop_id[i]`` is the 1-based number of the drop containing point i, or
-    0 when point i is not a drop point. ``len()`` is the point count.
+    ``value``, ``ma`` and ``std`` hold one float per point; ``lb``/``ub``
+    (``ma -/+ std``) and ``drop_id`` (each point's 1-based drop number in
+    ``measures``, else 0) are computed on access. ``len()`` is the point count.
     """
 
     value: np.ndarray
     ma: np.ndarray
     std: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    drop_id: np.ndarray
     measures: MetaMeasures
 
     def __len__(self) -> int:
         return len(self.value)
+
+    @property
+    def lb(self) -> np.ndarray:
+        return self.ma - self.std
+
+    @property
+    def ub(self) -> np.ndarray:
+        return self.ma + self.std
+
+    @property
+    def drop_id(self) -> np.ndarray:
+        drop_id = np.zeros(len(self.value), dtype=np.int64)
+        for number, drop in enumerate(self.measures.drops, start=1):
+            drop_id[drop.start : drop.end + 1] = number
+        return drop_id
 
     @property
     def is_drop(self) -> np.ndarray:
@@ -218,19 +230,7 @@ def annotate_series(points: Sequence[float], window: int) -> SeriesAnnotation:
     """Moving statistics, drops and meta-measures of a series in one pass."""
     series = np.asarray(points, dtype=float)
     stats = moving_stats(series, window)
-    drops = detect_drops(series, stats)
-    drop_id = np.zeros(len(series), dtype=np.int64)
-    for number, drop in enumerate(drops, start=1):
-        drop_id[drop.start : drop.end + 1] = number
-    return SeriesAnnotation(
-        value=series,
-        ma=stats.ma,
-        std=stats.phi,
-        lb=stats.lb,
-        ub=stats.ub,
-        drop_id=drop_id,
-        measures=_measures(stats, drops),
-    )
+    return SeriesAnnotation(series, stats.ma, stats.phi, _measures(stats, detect_drops(series, stats)))
 
 
 def meta_measures(

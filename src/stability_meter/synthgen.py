@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from io import StringIO
 
-from .errors import ConfigError, require_at_least
+from .errors import SettingError, require_at_least
 from .event_model import Event, Trace
 
 START_ACTIVITY = "submit_request"
@@ -68,11 +68,9 @@ class DriftLogSpec:
     def __post_init__(self) -> None:
         require_at_least(1, n_cases=self.n_cases)
         if not 1 <= self.drift_at <= self.n_cases:
-            raise ConfigError(
-                f"drift_at must be in [1, {self.n_cases}], got {self.drift_at}"
-            )
+            raise SettingError(f"{{}} must be in [1, {self.n_cases}], got {self.drift_at}", "drift_at")
         if not 0.0 <= self.noise < 0.5:
-            raise ConfigError(f"noise must be in [0, 0.5), got {self.noise}")
+            raise SettingError(f"{{}} must be in [0, 0.5), got {self.noise}", "noise")
 
 
 def case_regime(spec: DriftLogSpec, index: int) -> int:

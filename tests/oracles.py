@@ -388,6 +388,9 @@ class ReferenceWindowRetrain:
 
 
 def _is_decimal(text):
+    """Whether a stripped cell is numeric: ASCII text with no ``_`` that ``float()`` reads."""
+    if not text.isascii() or "_" in text:
+        return False
     try:
         float(text)
         return True
@@ -428,7 +431,7 @@ def dict_reader_parse_log(source):
             if value is None or value.strip() == "":
                 continue
             attrs[name] = value.strip()
-            if not _is_decimal(value):
+            if not _is_decimal(attrs[name]):
                 numeric[name] = False
         rows.append((case_id, activity, timestamp, label, attrs, row))
     if not rows:
@@ -646,7 +649,7 @@ def reference_run_stream(
     models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
     windows = {k: EvalWindow(k, eval_window) for k in buckets.buckets()}
     series = {
-        (k, metric): PerformanceSeries(bucket=k, metric=metric)
+        (k, metric): PerformanceSeries(bucket=k, metric=metric, values=[], label_indices=[])
         for k in buckets.buckets()
         for metric in metrics
     }

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from stability_meter.classifiers import LearnerParams
 from stability_meter.cli import RunConfig, SeriesReport, _config_from_args, build_parser, main
 from stability_meter.evaluation import PerformanceSeries
 from stability_meter.event_model import parse_log
-from stability_meter.stability import annotate_series
+from stability_meter.stability import SeriesAnnotation, SignificantDrop, annotate_series
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
@@ -51,6 +52,24 @@ def test_synth_writes_a_log(tmp_path, capsys):
     assert "30 cases" in stdout
     rows = list(csv.DictReader(out.open()))
     assert {row["case_id"] for row in rows} == {f"case_{i:05d}" for i in range(1, 31)}
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cases", "0"], "--cases must be >= 1, got 0"),
+        (["--cases", "10", "--drift-at", "0"], "--drift-at must be in [1, 10], got 0"),
+        (["--cases", "10", "--drift-at", "11"], "--drift-at must be in [1, 10], got 11"),
+        (["--noise", "0.5"], "--noise must be in [0, 0.5), got 0.5"),
+        (["--noise", "-0.1"], "--noise must be in [0, 0.5), got -0.1"),
+    ],
+)
+def test_bad_synth_setting_names_its_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "drift.csv"
+    code, stdout, stderr = _run_cli(["synth", *flags, "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"stability-meter: config error: {message}\n"
+    assert not out.exists()
 
 
 def test_run_smoke_produces_all_artifacts(small_log, tmp_path, capsys):
@@ -708,13 +727,51 @@ _FLOAT_COLUMNS = {
 @pytest.mark.parametrize("column", _FLOAT_COLUMNS.values(), ids=_FLOAT_COLUMNS.keys())
 def test_rows_format_each_float_as_the_per_row_f_string_does(column):
     values = np.array(column)
+    annotation = annotate_series([0.5, 0.7, 0.2, 0.9, 0.1, 0.6], 3)
+    drops = (SignificantDrop(1, 2, (0.1, 0.2)), SignificantDrop(4, 4, (0.3,)))
     annotation = replace(
-        annotate_series([0.5, 0.7, 0.2, 0.9, 0.1, 0.6], 3),
-        value=values, ma=values[::-1], std=np.roll(values, 2), lb=-values, ub=values * 3,
-        drop_id=np.array([0, 1, 1, 0, 2, 0]),
+        annotation, value=values, ma=values[::-1], std=np.roll(values, 2),
+        measures=replace(annotation.measures, drops=drops),
     )
-    report = SeriesReport(PerformanceSeries(2, "f1", column, list(range(6))), annotation, annotation.measures)
+    assert annotation.drop_id.tolist() == [0, 1, 1, 0, 2, 0]
+    report = SeriesReport(PerformanceSeries(2, "f1", values, np.arange(6)), annotation, annotation.measures)
     assert report.rows() == fstring_rows(annotation)
+
+
+def test_a_run_holds_each_series_once(small_log, tmp_path):
+    config = RunConfig(log=str(small_log), grace=20, eval_window=10, out_dir=str(tmp_path / "out"))
+    reports = cli.execute_run(config, print_summary=False)
+    assert reports
+    assert [field.name for field in fields(SeriesAnnotation)] == ["value", "ma", "std", "measures"]
+    shared = {}
+    for report in reports:
+        series = report.series
+        assert (series.values.dtype, series.label_indices.dtype) == (np.float64, np.int64)
+        assert np.shares_memory(report.annotation.value, series.values)
+        assert shared.setdefault(series.bucket, series.label_indices) is series.label_indices
+    assert len(shared) > 1
+
+
+def test_run_reports_retain_few_bytes_per_point(tmp_path):
+    # value, ma and std take 8 B a point each, and a bucket's 8 B label index
+    # is shared by its four metrics; drop magnitudes add the rest. Float lists
+    # of the series and stored bounds and drop ids held about 110 B a point.
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=0))))
+    log = parse_log(str(log_path))
+    config = RunConfig(log=str(log_path), model="static", out_dir=str(tmp_path / "out"))
+    cli.execute_run(config, print_summary=False, log=log)  # first-run caches are not the reports'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reports = cli.execute_run(config, print_summary=False, log=log)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    points = sum(len(report.series) for report in reports)
+    assert points > 5000
+    assert held / points < 75
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import calendar
 import random
+import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from io import StringIO
@@ -185,6 +186,55 @@ def test_non_finite_numeric_value_is_rejected_with_row_and_column(cell):
             "a,x,1,,10.5\n"
             f"a,y,2,1,{cell}\n"
         )
+
+
+@pytest.mark.parametrize("stamp", ["1_000", "\u0663\u0660\u0660\u0660", "\uff11\uff12", "+\u0661", "-1_0"])
+def test_an_integer_timestamp_is_ascii_digits_only(stamp):
+    # int() reads each of these; as timestamps they are neither integers nor ISO moments.
+    with pytest.raises(LogFormatError, match=re.escape(f"row 2: cannot parse timestamp {stamp!r}")):
+        _parse(f"case_id,activity,timestamp,label\na,x,{stamp},1\n")
+
+
+@pytest.mark.parametrize("stamp, millis", [("+12", 12), ("-5", -5), (" 007 ", 7)])
+def test_a_signed_ascii_integer_timestamp_is_milliseconds(stamp, millis):
+    log = _parse(f"case_id,activity,timestamp,label\na,x,{stamp},1\n")
+    assert log.timestamp.tolist() == [millis]
+
+
+@pytest.mark.parametrize("cell", ["10_20", "\u0663\u0660\u0660\u0660", "\uff11\uff12", "1_0.5", "\u0661e3"])
+def test_a_cell_float_reads_only_through_non_ascii_digits_or_underscores_is_categorical(cell):
+    log = _parse(
+        "case_id,activity,timestamp,label,code\n"
+        "a,x,1000,,7\n"
+        f"a,y,3000,1,{cell}\n"
+    )
+    assert log.kinds() == {"code": False}
+    assert [event.attribute("code") for event in log[0].events] == ["7", cell]
+
+
+def test_the_rows_with_underscores_and_arabic_indic_digits_are_rejected_at_the_timestamp():
+    text = "case_id,activity,timestamp,label,code\na,x,1_000,,10_20\na,y,\u0663\u0660\u0660\u0660,1,7\n"
+    with pytest.raises(LogFormatError, match="row 2: cannot parse timestamp '1_000'"):
+        _parse(text)
+    log = _parse(text.replace("1_000", "1000").replace("\u0663\u0660\u0660\u0660", "3000"))
+    assert log.timestamp.tolist() == [1000, 3000]
+    assert log.kinds() == {"code": False}
+    assert [event.attribute("code") for event in log[0].events] == ["10_20", "7"]
+
+
+@pytest.mark.parametrize("cell, number", [("1e3", 1000.0), ("+.5", 0.5), (" -2 ", -2.0), ("1E-2", 0.01)])
+def test_an_ascii_decimal_cell_stays_numeric(cell, number):
+    log = _parse(f"case_id,activity,timestamp,label,amount\na,x,1,1,{cell}\n")
+    assert log.kinds() == {"amount": True}
+    assert log[0].events[0].attribute("amount") == number
+
+
+def test_a_non_finite_cell_after_many_blank_and_numeric_cells_is_reported_with_its_row():
+    # Beyond the first cells whose text the reader joins into one string.
+    rows = [f"c{i},x,{i},1,{'' if i % 7 == 0 else i}" for i in range(3000)]
+    rows[2500] = "c2500,x,2500,1,-inf"
+    with pytest.raises(LogValueError, match="^row 2502: numeric column 'amount' has non-finite value '-inf'$"):
+        _parse("case_id,activity,timestamp,label,amount\n" + "\n".join(rows) + "\n")
 
 
 def test_nan_in_a_categorical_column_is_a_plain_string():

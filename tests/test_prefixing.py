@@ -238,7 +238,7 @@ def test_a_column_the_schema_contradicts_reads_zero():
 
 def test_feature_width_is_a_function_of_k_and_schema():
     schema = AttributeSchema(names=("x", "y"), numeric=(True, False))
-    assert schema.width(3) == 9
+    assert len(schema.feature_mask(3)) == 9
     assert schema.feature_mask(2) == (False, False, True, False, True, False)
 
 

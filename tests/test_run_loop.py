@@ -53,7 +53,7 @@ def _assert_same_run(text, policy, attrs, grace, eval_window, eval_every, retrai
     assert result.labels_seen == labels_seen
     assert result.series.keys() == want.keys()
     for key, series in result.series.items():
-        assert series.label_indices == want[key].label_indices, key
+        assert series.label_indices.tolist() == want[key].label_indices, key
         assert np.array_equal(
             np.array(series.values).view(np.int64), np.array(want[key].values).view(np.int64)
         ), key
