@@ -35,7 +35,6 @@ from .evaluation import (
 from .event_model import Event, EventLog, Trace, parse_log
 from .prefixing import (
     MISSING_CODE,
-    AttributeSchema,
     BucketConfig,
     default_k_max,
     encode,

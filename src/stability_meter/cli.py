@@ -38,7 +38,7 @@ from .errors import (
 )
 from .evaluation import METRICS, PerformanceSeries, check_run_settings, run_stream
 from .event_model import EventLog, parse_log
-from .prefixing import AttributeSchema, BucketConfig, default_k_max
+from .prefixing import BucketConfig, check_attrs, default_k_max
 from .stability import MetaMeasures, SeriesAnnotation, annotate_series, check_window, meta_measures
 from .synthgen import DriftLogSpec, generate, to_csv
 
@@ -80,10 +80,8 @@ class RunConfig:
         # The library's own checks, run before any log is read, each setting named
         # by its flag (moving_stats checks its window only once it has a series).
         model_class(self.model)
-        repeated = next((name for at, name in enumerate(self.attrs) if name in self.attrs[:at]), None)
-        if repeated is not None:
-            raise ConfigError(f"--attrs names {repeated!r} twice")
         try:
+            check_attrs(self.attrs)
             check_window(self.ma_window)
             check_run_settings(self.grace, self.eval_window, self.eval_every)
             self.learner_params()
@@ -163,9 +161,10 @@ def execute_run(
     """
     if log is None:
         log = parse_log(config.log)
-    unknown = next((name for name in config.attrs if name not in log.names), None)
-    if unknown is not None:
-        raise ConfigError(f"--attrs names {unknown!r}, which is not an attribute column of the log")
+    try:
+        check_attrs(config.attrs, log)
+    except SettingError as err:
+        raise _named_by_flags(err) from None
     auto = config.k_max is None
     k_max = default_k_max(log) if auto else config.k_max
     if auto and k_max < config.k_min:
@@ -174,7 +173,6 @@ def execute_run(
             f"--k-min {config.k_min}; pass an explicit --k-max >= {config.k_min}"
         )
     buckets = BucketConfig(k_min=config.k_min, k_max=k_max)
-    schema = AttributeSchema.from_traces(config.attrs, log)
     result = run_stream(
         log,
         config.model,
@@ -183,7 +181,7 @@ def execute_run(
         eval_window=config.eval_window,
         metrics=config.metrics,
         eval_every=config.eval_every,
-        schema=schema,
+        attrs=config.attrs,
         params=config.learner_params(),
     )
     del log  # the analysis and the output need only the result (unless the caller keeps the log)

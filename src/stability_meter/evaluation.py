@@ -17,9 +17,8 @@ case and stream index; per issued prediction, its case, bucket and stream
 index. Whether a bucket's model is ready to predict follows from label
 counts alone (each model's ``labels_to_ready``), so no model is trained in
 this pass. A category's code is its string id in the log (see
-:mod:`~.prefixing`), so no pass numbers the categories. A schema that
-contradicts a column holding a value is rejected before any model learns
-(:func:`~.prefixing.check_schema`).
+:mod:`~.prefixing`), so no pass numbers the categories. A bucket longer
+than the log's longest case gets no model: no prefix reaches it.
 
 The evaluation pass serves one bucket at a time. A model changes only when
 it learns, so the bucket's labels, in label order, split where its model
@@ -46,7 +45,7 @@ import numpy as np
 from .classifiers import LearnerParams, OutcomeModel, UpdatePolicy, model_class
 from .errors import ConfigError, require_at_least
 from .event_model import EventLog
-from .prefixing import AttributeSchema, BucketConfig, FeatureRows, check_schema
+from .prefixing import BucketConfig, FeatureRows, check_attrs, feature_mask
 from .prefixing import encode  # noqa: F401  -- the batch encoder; only the tracer reads this name (ROADMAP item 6)
 
 METRICS = ("accuracy", "precision", "recall", "f1")
@@ -127,14 +126,17 @@ def run_stream(
     eval_window: int = 100,
     metrics: Sequence[str] = METRICS,
     eval_every: int = 1,
-    schema: AttributeSchema | None = None,
+    attrs: Sequence[str] = (),
     params: LearnerParams = LearnerParams(),
     ledger: list | None = None,
 ) -> RunResult:
     """Run the events of a parsed log, in stream order, through one ``policy`` model per bucket.
 
-    ``log`` comes from :func:`~.event_model.parse_log`. Returns the
-    per-(bucket, metric) series and the trained models. When ``ledger`` is
+    ``log`` comes from :func:`~.event_model.parse_log`. ``attrs`` names the
+    attribute columns encoded after the activities, each as the kind the
+    log holds (:meth:`~.event_model.EventLog.kinds`: a column empty on every
+    row is categorical). Returns the per-(bucket, metric) series and the
+    trained models of the buckets up to the longest case. When ``ledger`` is
     a list, each resolved prediction/label pair is appended to it as a
     :class:`ResolvedPair` (the raw material an offline recomputation can be
     checked against); by default none is kept.
@@ -143,14 +145,16 @@ def run_stream(
     for metric in metrics:
         if metric not in METRICS:
             raise ConfigError(f"unknown metric {metric!r}")
-    schema = schema if schema is not None else AttributeSchema()
+    check_attrs(attrs, log)
+    kinds = log.kinds() if attrs else {}
+    numeric = tuple(kinds.get(name, False) for name in attrs)
 
     model_type = model_class(policy)
-    models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
+    reached = range(buckets.k_min, min(buckets.k_max, int(log.lengths().max())) + 1)
+    models = {k: model_type(k, feature_mask(numeric, k), params) for k in reached}
 
-    check_schema(log, schema)
-    record = _Record.of(log, model_type, buckets, grace, params)
-    rows = FeatureRows(log, schema)
+    record = _Record.of(log, model_type, reached, grace, params)
+    rows = FeatureRows(log, attrs)
     labels_seen = len(record.labelled)
     kept = [] if ledger is not None else None  # per bucket: what the ledger needs
     # The labels after grace at which the series take a point.
@@ -190,8 +194,8 @@ class _Record:
     issued_at: np.ndarray
 
     @classmethod
-    def of(cls, log: EventLog, model_type, buckets: BucketConfig, grace: int, params: LearnerParams) -> "_Record":
-        """Record the log's labels and the predictions the protocol issues, from its arrays.
+    def of(cls, log: EventLog, model_type, buckets: range, grace: int, params: LearnerParams) -> "_Record":
+        """Record the log's labels and the predictions the protocol issues to ``buckets``, from its arrays.
 
         The stream is ``log.order``, and a case's label comes with its last
         event. A bucket is ready once grace is over and its model's
@@ -203,7 +207,7 @@ class _Record:
         bounds, order = log.bounds, log.order
         # The narrowest integer columns that hold a case, a bucket and a stream index.
         index = np.int32 if len(order) < 2**31 else np.int64
-        k_max = buckets.k_max
+        k_max = buckets.stop - 1
         ends = np.zeros(len(order), bool)
         ends[bounds[1:] - 1] = True
         labelled_at = np.flatnonzero(ends[order]).astype(index) + 1
@@ -216,7 +220,7 @@ class _Record:
         ready_after = np.full(k_max + 2, len(order))
         if len(labelled) >= grace:
             later = label_lengths[grace:]
-            for k in buckets.buckets():
+            for k in buckets:
                 need = model_type.labels_to_ready(int(np.count_nonzero(label_lengths[:grace] >= k)), params)
                 if need == 0:
                     ready_after[k] = labelled_at[grace - 1]

@@ -2,13 +2,14 @@
 
 Each completed case yields one prefix per length k in [k_min, min(k_max, N)].
 A prefix is encoded as the sequence of its activity codes followed, position
-by position, by the declared attribute values, so every row of bucket k has
-the same width. A category's code is its id in the log's string table, which
-activities and categorical values share: texts are numbered by their first
-appearance in the file (the earlier cells of a column that reads as numbers
-until a later text are numbered at that text), and an empty cell is the
-missing code 0. :func:`encode`, the one encoder, gathers the rows of the
-``k``-prefixes of many cases at once from the log's columns.
+by position, by the values of the named attributes, whose kinds the parsed
+log gives, so every row of bucket k has the same width. A category's code is
+its id in the log's string table, which activities and categorical values
+share: texts are numbered by their first appearance in the file (the earlier
+cells of a column that reads as numbers until a later text are numbered at
+that text), and an empty cell is the missing code 0. :func:`encode`, the one
+encoder, gathers the rows of the ``k``-prefixes of many cases at once from
+the log's columns.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SettingError, require_at_least
+from .errors import SettingError, require_at_least
 from .event_model import EventLog
 
 # Categorical code reserved for values absent from an event: the string id of an empty cell.
@@ -41,44 +42,27 @@ class BucketConfig:
         return range(self.k_min, self.k_max + 1)
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
-    """Which event attributes participate in encoding, and their kinds.
+def check_attrs(names: Sequence[str], log: EventLog | None = None) -> None:
+    """Raise a :class:`SettingError` for the first name of ``names`` given twice.
 
-    ``numeric`` is parallel to ``names``; numeric attributes pass through as
-    floats, categorical ones as their codes in the log's string table.
+    With ``log``, a name that is not an attribute column of it is rejected
+    too. ``names`` are the event attributes a run encodes; the log's columns
+    give their kinds (:meth:`~.event_model.EventLog.kinds`).
     """
+    for at, name in enumerate(names):
+        quoted = repr(name).replace("{", "{{").replace("}", "}}")  # a template, formatted with the setting's name
+        if name in names[:at]:
+            raise SettingError(f"{{}} names {quoted} twice", "attrs")
+        if log is not None and name not in log.names:
+            raise SettingError(f"{{}} names {quoted}, which is not an attribute column of the log", "attrs")
 
-    names: tuple[str, ...] = ()
-    numeric: tuple[bool, ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.numeric):
-            raise ConfigError("attribute schema names/numeric flags must align")
+def feature_mask(numeric: tuple[bool, ...], k: int) -> tuple[bool, ...]:
+    """Per feature of a ``k``-prefix row: True where it holds a raw numeric value.
 
-    @classmethod
-    def from_traces(cls, names: Sequence[str], log: EventLog) -> "AttributeSchema":
-        """Build a schema for ``names`` with the column kinds of a parsed log.
-
-        ``log`` comes from :func:`parse_log`, whose sniffing decides each
-        column's kind. A name never observed in the log, or whose cells are
-        all empty, is treated as categorical (it will always encode to the
-        missing code).
-        """
-        if not names:
-            return cls()
-        kinds = log.kinds()
-        return cls(
-            names=tuple(names),
-            numeric=tuple(bool(kinds.get(name, False)) for name in names),
-        )
-
-    def feature_mask(self, k: int) -> tuple[bool, ...]:
-        """Per-feature flag: True where the slot holds a raw numeric value."""
-        mask = [False] * k
-        for _ in range(k):
-            mask.extend(self.numeric)
-        return tuple(mask)
+    ``numeric`` flags each encoded attribute's kind, in encoding order.
+    """
+    return (False,) * k + numeric * k
 
 
 def default_k_max(log: EventLog) -> int:
@@ -93,60 +77,35 @@ def default_k_max(log: EventLog) -> int:
 GATHER = 128  # cases whose feature rows are gathered at once
 
 
-def attribute_columns(log: EventLog, schema: AttributeSchema) -> list[np.ndarray | None]:
-    """Per schema attribute, its log column, or None when the log lacks it or holds the other kind."""
-    columns = []
-    for name, numeric in zip(schema.names, schema.numeric):
-        at = log.names.index(name) if name in log.names else None
-        held = at is not None and (log.missing[at] is not None) == numeric
-        columns.append(log.columns[at] if held else None)
-    return columns
-
-
-def check_schema(log: EventLog, schema: AttributeSchema) -> None:
-    """Raise ``ConfigError`` when the schema contradicts a column of ``log`` that holds a value.
-
-    A schema contradicts a column when it calls an attribute numeric where
-    the log holds text, or categorical where it holds numbers. Of several
-    such columns, the error names the schema's first.
-    """
-    kinds = log.kinds()
-    for name, numeric in zip(schema.names, schema.numeric):
-        if kinds.get(name, numeric) != numeric:
-            held, declared = ("text", "numeric") if numeric else ("numbers", "categorical")
-            raise ConfigError(f"attribute {name!r} holds {held} in the log; the schema declares it {declared}")
-
-
-def encode(log: EventLog, cases: np.ndarray, k: int, schema: AttributeSchema) -> np.ndarray:
+def encode(log: EventLog, cases: np.ndarray, k: int, attrs: Sequence[str]) -> np.ndarray:
     """The feature rows of the ``k``-prefixes of ``cases``, one per case.
 
-    ``cases`` are indices of cases of ``log`` with at least ``k`` events. A
-    row is the prefix's activity codes at positions 1..k followed, event by
-    event, by the schema's attribute values: numeric ones as stored (0.0
-    when empty), categorical ones as codes. A name the log lacks, or a
-    column the schema contradicts, reads 0.
+    ``cases`` are indices of cases of ``log`` with at least ``k`` events, and
+    ``attrs`` names attribute columns of ``log``. A row is the prefix's
+    activity codes at positions 1..k followed, event by event, by the named
+    attributes' values: numeric ones as stored (0.0 when empty), categorical
+    ones as codes.
     """
     events = log.bounds[cases][:, None] + np.arange(k)
-    width = len(schema.names)
-    rows = np.zeros((len(events), k * (1 + width)))
+    width = len(attrs)
+    rows = np.empty((len(events), k * (1 + width)))
     rows[:, :k] = log.activity[events]
-    for at, column in enumerate(attribute_columns(log, schema)):
-        if column is not None:
-            rows[:, k + at :: width] = column[events]
+    for at, name in enumerate(attrs):
+        rows[:, k + at :: width] = log.columns[log.names.index(name)][events]
     return rows
 
 
 class FeatureRows:
     """The feature rows and labels of a log's cases; :meth:`blocks` gathers rows with :func:`encode`."""
 
-    def __init__(self, log: EventLog, schema: AttributeSchema) -> None:
+    def __init__(self, log: EventLog, attrs: Sequence[str]) -> None:
         self.log = log
-        self.schema = schema
+        self.attrs = attrs
         self.labels = np.array(log.labels, dtype=np.int64)
 
     def gather(self, cases: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows and labels of ``cases``, gathered at once."""
-        return encode(self.log, cases, k, self.schema), self.labels[cases]
+        return encode(self.log, cases, k, self.attrs), self.labels[cases]
 
     def blocks(self, cases: np.ndarray, k: int):
         """A taker of the next rows (and labels) of ``cases``, gathered ``GATHER`` at a time."""

@@ -49,7 +49,7 @@ from stability_meter.event_model import (
     _parse_label,
     _parse_timestamp,
 )
-from stability_meter.prefixing import MISSING_CODE, AttributeSchema
+from stability_meter.prefixing import MISSING_CODE
 from stability_meter.stability import MovingStats
 
 
@@ -537,7 +537,8 @@ class TextCodec:
     before each attribute column's stripped cell. A column that reads as
     numbers holds no code until its first other text; then its earlier cells
     are coded in row order, just before that text. An empty cell is never
-    coded.
+    coded. ``numeric`` maps each attribute column to its kind: numeric when
+    it reads as numbers to the end and holds at least one.
     """
 
     def __init__(self, text):
@@ -558,6 +559,7 @@ class TextCodec:
                     for cell in earlier + [value]:
                         self._add(cell)
                     numeric_texts[name] = None
+        self.numeric = {name: texts is not None and any(texts) for name, texts in numeric_texts.items()}
 
     def _add(self, text):
         if text and text not in self._codes:
@@ -571,12 +573,16 @@ class TextCodec:
         return list(self._codes)
 
 
-def scratch_encode(prefix, schema, codec):
-    """The feature tuple of a prefix's index-based encoding, coding every event from scratch."""
+def scratch_encode(prefix, attrs, codec):
+    """The feature tuple of a prefix's index-based encoding, coding every event from scratch.
+
+    ``attrs`` names the encoded attributes; ``codec`` gives their kinds.
+    """
     features = [codec.code(event.activity) for event in prefix.events]
     for event in prefix.events:
         attributes = attribute_map(event)
-        for name, is_numeric in zip(schema.names, schema.numeric):
+        for name in attrs:
+            is_numeric = codec.numeric[name]
             value = attributes.get(name)
             if value is None:
                 features.append(0.0 if is_numeric else MISSING_CODE)
@@ -635,18 +641,19 @@ class EvalWindow:
 
 def reference_run_stream(
     stream, codec, policy, buckets, grace=200, eval_window=100, metrics=METRICS, eval_every=1,
-    schema=None, params=LearnerParams(), ledger=None,
+    attrs=(), params=LearnerParams(), ledger=None,
 ):
     """The run loop over :class:`EventItem`s: a window per bucket, metrics per label.
 
     Encodes each prefix from scratch with ``codec``, a ``TextCodec`` of the
     replayed log. Returns the series keyed by (bucket, metric), the number
     of labels and the models, trained one labeled sample at a time; the
-    window-retrain models are ``ReferenceWindowRetrain``.
+    window-retrain models are ``ReferenceWindowRetrain``. Each attribute of
+    ``attrs`` is numeric or categorical as ``codec`` reads its column.
     """
-    schema = schema if schema is not None else AttributeSchema()
     model_type = ReferenceWindowRetrain if policy == "window-retrain" else model_class(policy)
-    models = {k: model_type(k, schema.feature_mask(k), params) for k in buckets.buckets()}
+    numeric = [codec.numeric[name] for name in attrs]
+    models = {k: model_type(k, [False] * k + numeric * k, params) for k in buckets.buckets()}
     windows = {k: EvalWindow(k, eval_window) for k in buckets.buckets()}
     series = {
         (k, metric): PerformanceSeries(bucket=k, metric=metric, values=[], label_indices=[])
@@ -667,7 +674,7 @@ def reference_run_stream(
         if grace_done and buckets.k_min <= k <= buckets.k_max:
             model = models[k]
             if model.is_ready:
-                features = scratch_encode(Prefix(case_id, k, tuple(events)), schema, codec)
+                features = scratch_encode(Prefix(case_id, k, tuple(events)), attrs, codec)
                 pending.setdefault(case_id, []).append(
                     (k, model.predict(features), model.version, stream_index)
                 )
@@ -687,7 +694,7 @@ def reference_run_stream(
                 )
         for train_k in range(buckets.k_min, min(buckets.k_max, k) + 1):
             prefix = Prefix(case_id, train_k, tuple(events[:train_k]))
-            models[train_k].observe_label(scratch_encode(prefix, schema, codec), label)
+            models[train_k].observe_label(scratch_encode(prefix, attrs, codec), label)
         del open_cases[case_id]
 
         if not grace_done:

@@ -18,7 +18,7 @@ from pathlib import Path
 from stability_meter.cli import RunConfig
 from stability_meter.evaluation import run_stream
 from stability_meter.event_model import parse_log
-from stability_meter.prefixing import AttributeSchema, BucketConfig, default_k_max
+from stability_meter.prefixing import BucketConfig, default_k_max
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +56,7 @@ def _untraced_predictions(log, model):
     run_stream(
         traces, config.model, BucketConfig(config.k_min, default_k_max(traces)),
         grace=config.grace, eval_window=config.eval_window,
-        schema=AttributeSchema.from_traces(config.attrs, traces),
+        attrs=config.attrs,
         params=config.learner_params(), ledger=ledger,
     )
     return len(ledger)

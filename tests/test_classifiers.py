@@ -23,7 +23,7 @@ from stability_meter.classifiers import (
 from stability_meter.errors import NotReadyError, SettingError
 from stability_meter.evaluation import run_stream
 from stability_meter.event_model import REQUIRED_COLUMNS
-from stability_meter.prefixing import AttributeSchema, BucketConfig, encode
+from stability_meter.prefixing import BucketConfig, encode, feature_mask
 from stability_meter.synthgen import DriftLogSpec
 
 from oracles import ReferenceTree, ReferenceWindowRetrain, nb_posterior_scores
@@ -541,10 +541,10 @@ def test_window_retrain_cadence_throttles_retraining():
 def _synth_samples(attrs, seed, k=3, cases=320):
     """The feature mask, rows and labels of the k-prefixes of a seeded synth log, one per case of length >= k."""
     log = parsed_log(DriftLogSpec(n_cases=cases, drift_at=cases // 2, seed=seed))
-    schema = AttributeSchema.from_traces(attrs, log)
+    numeric = tuple(log.kinds()[name] for name in attrs)
     long_enough = np.flatnonzero(log.lengths() >= k)
-    rows = encode(log, long_enough, k, schema)
-    return schema.feature_mask(k), rows, np.array(log.labels)[long_enough]
+    rows = encode(log, long_enough, k, attrs)
+    return feature_mask(numeric, k), rows, np.array(log.labels)[long_enough]
 
 
 @pytest.mark.parametrize("attrs", [(), ("amount", "channel")])
@@ -777,9 +777,12 @@ def test_static_predict_before_training_raises():
 )
 def test_framework_builds_one_model_per_bucket(policy, kind):
     buckets = BucketConfig(k_min=2, k_max=5)
-    schema = AttributeSchema(names=("amount",), numeric=(True,))
-    log = parsed_log([("a", "x", 1, None, 2.5), ("a", "y", 2, 1, 3)], REQUIRED_COLUMNS + ("amount",))
-    models = run_stream(log, policy, buckets, schema=schema).models
+    # One case of five events reaches every bucket.
+    log = parsed_log(
+        [("a", activity, at, 1 if at == 5 else None, 2.5 * at) for at, activity in enumerate("xyzxy", start=1)],
+        REQUIRED_COLUMNS + ("amount",),
+    )
+    models = run_stream(log, policy, buckets, attrs=("amount",)).models
     assert sorted(models) == [2, 3, 4, 5]
     assert all(isinstance(model, kind) for model in models.values())
     assert all(model.policy is UpdatePolicy(policy) for model in models.values())

@@ -226,6 +226,31 @@ def test_auto_k_max_resolves_to_the_median_case_length(tmp_path, capsys):
     assert "k_max=12 (auto)" in stdout
 
 
+@pytest.mark.parametrize("model", ["incremental", "static"])
+def test_a_k_max_above_the_longest_case_costs_no_memory(tmp_path, capsys, model):
+    # No prefix reaches a bucket longer than the longest case, so it gets no
+    # model: --k-max 3000 writes the performance.csv of --k-max at the
+    # longest case, within a MiB of its peak memory, and records 3000.
+    log = tmp_path / "log.csv"
+    log.write_text(to_csv(generate(DriftLogSpec(n_cases=120, drift_at=60, seed=1))))
+    longest = int(parse_log(log).lengths().max())
+    peaks = {}
+    for k_max in (3000, longest):
+        argv = ["run", "--log", str(log), "--model", model, "--grace", "30", "--eval-window", "20",
+                "--k-max", str(k_max), "--out", str(tmp_path / str(k_max))]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[k_max] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    csv_3000, csv_longest = ((tmp_path / str(k_max) / "performance.csv").read_bytes() for k_max in (3000, longest))
+    assert csv_3000 == csv_longest
+    assert json.loads((tmp_path / "3000" / "meta.json").read_text())["configuration"]["k_max"] == 3000
+    assert peaks[3000] < peaks[longest] + 2**20, peaks
+
+
 def test_compare_emits_rows_per_config_and_rankings(small_log, tmp_path, capsys):
     out = tmp_path / "cmp"
     code, stdout, _ = _run_cli(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError, StabilityMeterError
 from stability_meter.event_model import Event, EventLog, Trace, parse_log
-from stability_meter.prefixing import AttributeSchema, encode
+from stability_meter.prefixing import encode
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs
@@ -508,8 +508,7 @@ def test_blank_numeric_cells_are_missing_in_the_view_and_encode_as_zero():
     log = _parse(HAND_LOGS["blank numeric cells"])
     assert log.kinds() == {"amount": True}
     assert [event.attribute("amount") for event in log[0].events] == [None, None, None]
-    schema = AttributeSchema.from_traces(["amount"], log)
-    assert encode(log, [0], 3, schema)[0, 3:].tolist() == [0.0, 0.0, 0.0]
+    assert encode(log, [0], 3, ["amount"])[0, 3:].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_a_numeric_looking_column_turned_categorical_keeps_its_cells_as_written():

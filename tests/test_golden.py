@@ -3,7 +3,9 @@
 Each configuration replays a small seeded ``synth`` log through ``run`` and
 hashes ``performance.csv`` and ``meta.json``, the only files it writes. A
 change that alters any output on purpose must say so and re-record these
-digests; a speed-up that moves a last float bit fails here.
+digests; a speed-up that moves a last float bit fails here. ``compare`` and
+``rank`` are pinned the same way: every file ``compare --out`` writes, and
+the ``ranking.json`` that ``rank --meta compare.json`` writes per scenario.
 
 ``meta.json`` records the ``--log`` argument, so the run uses a relative log
 name inside the temporary directory.
@@ -86,11 +88,15 @@ def _digests(out):
     }
 
 
-def _run(name, tmp_path, monkeypatch, capsys):
+def _write_log(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "log.csv").write_text(
         to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))
     )
+
+
+def _run(name, tmp_path, monkeypatch, capsys):
+    _write_log(tmp_path, monkeypatch)
     assert main(["run", "--log", "log.csv", "--out", "out", *_BASE, *CONFIGS[name]]) == 0
     capsys.readouterr()
 
@@ -110,3 +116,43 @@ def test_window_retrain_every_1_fits_once_per_learned_block(tmp_path, monkeypatc
     trees = count_trees(monkeypatch)
     _run("window-retrain-every-1", tmp_path, monkeypatch, capsys)
     assert len(trees) == 1354
+
+
+# All three update policies, with both attribute kinds and window-retrain trees.
+COMPARE = ["--retrain-every", "8", "--attrs", "amount,channel", "--eval-every", "5"]
+
+GOLDEN_COMPARE = {
+    "compare.json": "aa9bdeec2df80d7732f63eeb52a6de3c4762352ff425d8213605cb4a44e60b57",
+    "incremental/performance.csv": "28cf7ca8f5a57991dcce986c1a0b012ffcfdb4bd8ab552adb18e9e3ffd23d3f4",
+    "incremental/meta.json": "bcdd87c872780c63e4b17271a38a34869a8edba43104f4c3b13725f27a1695c2",
+    "static/performance.csv": "ebe20410a3b3dc38e661002930b1c54cff47643bde08d09bec7647f55969e1d8",
+    "static/meta.json": "406762055828fe35fc7261cbd23871077dde5d072956ad735a06d2e1432f085b",
+    "window-retrain/performance.csv": "18d4279b333be2b0549db31abce24ce91d9f8ab6f7262b068af4c7f759813cda",
+    "window-retrain/meta.json": "9e32b2538c10564d4fb4a220054b17b702affb62c5d2ece5c09d9f89fc9dfdd5",
+}
+
+# Each scenario ranks the three policies in another order.
+GOLDEN_RANK = {
+    "hf-hr": "67ff34888caec27a273243c91255a0f0e7bbe777963e25817a0df557fa1bbad3",
+    "hf-lr": "8d085f3c1cc871800e7eb8d12152f66f64ba2871b0e6fcb932ab9b502621561c",
+    "lf-hr": "392156d43a3d358229aa222bb8bcd658645165f4ae1609e1402d435ee2c8b144",
+}
+
+
+def test_compare_outputs_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    _write_log(tmp_path, monkeypatch)
+    assert main(["compare", "--log", "log.csv", "--out", "out", *_BASE, *COMPARE]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert sorted(path.name for path in out.iterdir()) == ["compare.json", "incremental", "static", "window-retrain"]
+    digests = {"compare.json": _sha256(out / "compare.json")}
+    for model in ("incremental", "static", "window-retrain"):
+        digests.update({f"{model}/{name}": digest for name, digest in _digests(out / model).items()})
+    assert digests == GOLDEN_COMPARE
+
+    for scenario in sorted(GOLDEN_RANK):
+        ranked = tmp_path / scenario
+        assert main(["rank", "--meta", "out/compare.json", "--scenario", scenario, "--out", scenario]) == 0
+        capsys.readouterr()
+        assert [path.name for path in ranked.iterdir()] == ["ranking.json"]
+        assert _sha256(ranked / "ranking.json") == GOLDEN_RANK[scenario], scenario

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 from stability_meter.errors import ConfigError, StabilityMeterError
+from stability_meter.evaluation import run_stream
 from stability_meter.event_model import Event, Trace, parse_log
 from stability_meter.prefixing import (
     MISSING_CODE,
-    AttributeSchema,
     BucketConfig,
+    check_attrs,
     default_k_max,
     encode,
+    feature_mask,
 )
 
 from log_strategies import csv_logs
@@ -66,9 +68,9 @@ def _one_case_csv(activities, attrs=None, case_id="c"):
     )
 
 
-def _encode(log, cases, k, schema):
+def _encode(log, cases, k, attrs):
     """``encode``'s rows of the ``k``-prefixes of ``cases`` as tuples."""
-    return [tuple(row) for row in encode(log, np.array(cases), k, schema).tolist()]
+    return [tuple(row) for row in encode(log, np.array(cases), k, attrs).tolist()]
 
 
 def _code(log, text):
@@ -125,26 +127,24 @@ def test_short_trace_yields_no_prefixes():
 
 def test_encode_activities_only():
     log = _one_case_log(["A", "B"])
-    (row,) = _encode(log, [0], 2, AttributeSchema())
+    (row,) = _encode(log, [0], 2, ())
     assert row == (_code(log, "A"), _code(log, "B")) == (1, 2)
 
 
 def test_encode_appends_attributes_per_position():
     log = _one_case_log(["A", "B"], attrs=[{"amount": 10.0}, {"amount": 20.0}])
-    schema = AttributeSchema(names=("amount",), numeric=(True,))
-    assert _encode(log, [0], 2, schema) == [(_code(log, "A"), _code(log, "B"), 10.0, 20.0)]
+    assert _encode(log, [0], 2, ("amount",)) == [(_code(log, "A"), _code(log, "B"), 10.0, 20.0)]
 
 
 def test_encode_missing_attribute_uses_reserved_code():
     log = _one_case_log(["A", "B"], attrs=[{"channel": "web"}, {}])
-    schema = AttributeSchema(names=("channel",), numeric=(False,))
-    (row,) = _encode(log, [0], 2, schema)
+    (row,) = _encode(log, [0], 2, ("channel",))
     assert row[-1] == MISSING_CODE
     assert row[-2] == _code(log, "web")
 
 
 def test_encode_looks_attributes_up_by_name():
-    # the schema names its attributes in its own order, and one the log lacks
+    # the names come in another order than the log's columns
     attrs = [
         {"amount": 1.5, "channel": "web"},
         {"channel": "phone", "amount": 4.0, "extra": "x"},
@@ -153,15 +153,15 @@ def test_encode_looks_attributes_up_by_name():
     ]
     text = _one_case_csv(["A", "B", "C", "D"], attrs=attrs)
     log = parse_log(StringIO(text))
-    schema = AttributeSchema(names=("channel", "ghost", "amount"), numeric=(False, False, True))
+    names = ("channel", "amount")
     events = log[0].events
-    want = [scratch_encode(Prefix("c", k, tuple(events[:k])), schema, TextCodec(text)) for k in range(1, 5)]
-    assert [_encode(log, [0], k, schema)[0] for k in range(1, 5)] == want
+    want = [scratch_encode(Prefix("c", k, tuple(events[:k])), names, TextCodec(text)) for k in range(1, 5)]
+    assert [_encode(log, [0], k, names)[0] for k in range(1, 5)] == want
     assert want[-1][4:] == (
-        _code(log, "web"), MISSING_CODE, 1.5,
-        _code(log, "phone"), MISSING_CODE, 4.0,
-        MISSING_CODE, MISSING_CODE, 0.0,
-        MISSING_CODE, MISSING_CODE, 0.0,
+        _code(log, "web"), 1.5,
+        _code(log, "phone"), 4.0,
+        MISSING_CODE, 0.0,
+        MISSING_CODE, 0.0,
     )
 
 
@@ -172,9 +172,8 @@ def test_codes_number_texts_by_first_appearance_in_the_file():
         [("c", "A", 3, None, "web"), ("c", "B", 4, 1, None), ("c", "C", 1, None, "x")],
         columns=_COLUMNS[:4] + ("channel",),
     )
-    schema = AttributeSchema(names=("channel",), numeric=(False,))
     assert log.strings[1:] == ["A", "web", "B", "C", "x"]
-    assert _encode(log, [0], 3, schema) == [(4, 1, 3, 5, 2, MISSING_CODE)]
+    assert _encode(log, [0], 3, ("channel",)) == [(4, 1, 3, 5, 2, MISSING_CODE)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -194,23 +193,21 @@ def test_a_column_empty_on_every_row_is_categorical_and_missing():
     log = parse_log(
         StringIO("case_id,activity,timestamp,label,note,amount\na,x,1,,,2\na,y,2,1, ,3\n")
     )
-    schema = AttributeSchema.from_traces(["note", "amount"], log)
-    assert schema.numeric == (False, True)
-    (row,) = _encode(log, [0], 2, schema)
+    assert log.kinds() == {"amount": True}
+    (row,) = _encode(log, [0], 2, ("note", "amount"))
     assert row[2:] == (MISSING_CODE, 2.0, MISSING_CODE, 3.0)
 
 
 def test_codes_are_stable_across_cases():
     log = parsed_log([("c1", "A", 1, None), ("c1", "B", 2, 1), ("c2", "B", 3, None), ("c2", "A", 4, 0)])
-    one, two = _encode(log, [0, 1], 2, AttributeSchema())
+    one, two = _encode(log, [0, 1], 2, ())
     assert one == (two[1], two[0])
     assert sorted(one) == [1, 2]
 
 
 def test_activities_and_categories_with_one_text_share_a_code():
     log = _one_case_log(["web", "B"], attrs=[{"channel": "B"}, {"channel": "web"}])
-    schema = AttributeSchema(names=("channel",), numeric=(False,))
-    assert _encode(log, [0], 2, schema) == [(1, 2, 2, 1)]
+    assert _encode(log, [0], 2, ("channel",)) == [(1, 2, 2, 1)]
 
 
 def test_identical_prefix_content_encodes_identically():
@@ -218,47 +215,51 @@ def test_identical_prefix_content_encodes_identically():
         [("c1", "A", 1, None, 1.0), ("c2", "A", 2, None, 1.0), ("c1", "B", 3, 1, 2.0), ("c2", "B", 4, 1, 2.0)],
         columns=("case_id", "activity", "timestamp", "label", "amount"),
     )
-    schema = AttributeSchema(names=("amount",), numeric=(True,))
-    one, two = _encode(log, [0, 1], 2, schema)
+    one, two = _encode(log, [0, 1], 2, ("amount",))
     assert one == two
 
 
-def test_a_column_the_schema_contradicts_reads_zero():
-    # run_stream rejects such a schema once any case holds a value there
-    # (test_run_loop); the encoder itself reads the column as empty.
-    log = parsed_log(
-        [("a", "x", 1, 1, None, None), ("b", "x", 2, None, 2.5, "web"), ("b", "y", 3, 0, None, None)],
-        columns=_COLUMNS[:6],
-    )
-    schema = AttributeSchema(names=("amount", "channel"), numeric=(False, True))
-    assert _encode(log, [0, 1], 1, schema) == [(1, MISSING_CODE, 0.0), (1, MISSING_CODE, 0.0)]
-    (row,) = _encode(log, [1], 2, schema)
-    assert row[2:] == (MISSING_CODE, 0.0, MISSING_CODE, 0.0)
-
-
 def test_feature_width_is_a_function_of_k_and_schema():
-    schema = AttributeSchema(names=("x", "y"), numeric=(True, False))
-    assert len(schema.feature_mask(3)) == 9
-    assert schema.feature_mask(2) == (False, False, True, False, True, False)
+    # the schema is the attribute kinds, in encoding order
+    assert len(feature_mask((True, False), 3)) == 9
+    assert feature_mask((True, False), 2) == (False, False, True, False, True, False)
+    assert feature_mask((), 3) == (False, False, False)
+
+
+def test_check_attrs_names_the_first_repeated_or_unknown_name():
+    log = parse_log(StringIO("case_id,activity,timestamp,label,amount,channel\na,x,1,1,5.5,web\n"))
+    check_attrs(("channel", "amount"), log)
+    check_attrs(("ghost", "x"))  # without a log, only repetition is checked
+    with pytest.raises(ConfigError, match="^attrs names 'ghost' twice$"):
+        check_attrs(("amount", "ghost", "ghost"))
+    with pytest.raises(ConfigError, match="^attrs names 'ghost', which is not an attribute column of the log$"):
+        check_attrs(("amount", "ghost", "amount"), log)
+    with pytest.raises(ConfigError, match="^attrs names 'label', which is not an attribute column of the log$"):
+        check_attrs(("label",), log)
+    with pytest.raises(ConfigError) as raised:
+        check_attrs(("{x}", "{x}"))
+    assert raised.value.template.format("--attrs") == "--attrs names '{x}' twice"
 
 
 def test_schema_from_traces_sniffs_kinds():
-    log = (
-        "case_id,activity,timestamp,label,amount,channel\n"
-        "a,x,1,,5.5,web\n"
-        "a,y,2,1,6.5,phone\n"
+    # run_stream encodes each named attribute as the kind the log holds;
+    # note is empty on every row, so it is categorical.
+    log = parse_log(
+        StringIO("case_id,activity,timestamp,label,amount,channel,note\na,x,1,,5.5,web,\na,y,2,1,6.5,phone, \n")
     )
-    traces = parse_log(StringIO(log))
-    schema = AttributeSchema.from_traces(["amount", "channel", "ghost"], traces)
-    assert schema.numeric == (True, False, False)
+    models = run_stream(log, "static", BucketConfig(2, 2), grace=1, attrs=("channel", "note", "amount")).models
+    assert models[2]._mask == feature_mask((False, False, True), 2)
 
 
-def test_schema_without_attributes_does_not_read_the_traces():
-    class Unreadable:
-        def __iter__(self):
-            raise AssertionError("traces were read")
+def test_schema_without_attributes_does_not_read_the_traces(monkeypatch):
+    # without names, run_stream scans no column for its kind
+    log = parse_log(StringIO("case_id,activity,timestamp,label,amount\na,x,1,,1.5\na,y,2,1,\n"))
 
-    assert AttributeSchema.from_traces((), Unreadable()) == AttributeSchema()
+    def kinds():
+        raise AssertionError("the columns were scanned")
+
+    monkeypatch.setattr(log, "kinds", kinds)
+    assert run_stream(log, "static", BucketConfig(2, 2), grace=1).labels_seen == 1
 
 
 def test_bucket_population_matches_case_lengths():
@@ -278,22 +279,20 @@ def test_bucket_population_matches_case_lengths():
 @pytest.mark.parametrize("seed", [3, 8])
 @pytest.mark.parametrize("attrs", [(), ("amount", "channel")], ids=["activities", "attributes"])
 def test_encode_matches_the_scratch_encoder_on_every_prefix_length(attrs, seed):
-    # Shuffled rows and blank cells; schema names in another order than the
-    # log's columns, and one the log lacks.
+    # Shuffled rows and blank cells; names in another order than the log's columns.
     text = shuffled_blanked_csv(seed, n_cases=60)
     log = parse_log(StringIO(text))
-    names = tuple(reversed(attrs)) + ("ghost",) if attrs else ()
-    schema = AttributeSchema.from_traces(names, log)
-    assert schema.numeric == ((False, True, False) if attrs else ())
+    names = tuple(reversed(attrs))
     lengths = log.lengths()
     scratch = TextCodec(text)
+    assert [scratch.numeric[name] for name in names] == [log.kinds()[name] for name in names]
     want = {
         k: [
-            scratch_encode(Prefix(trace.case_id, k, tuple(trace.events[:k])), schema, scratch)
+            scratch_encode(Prefix(trace.case_id, k, tuple(trace.events[:k])), names, scratch)
             for trace in log
             if len(trace) >= k
         ]
         for k in range(1, int(lengths.max()) + 1)
     }
     for k, rows in want.items():
-        assert _encode(log, np.flatnonzero(lengths >= k), k, schema) == rows, k
+        assert _encode(log, np.flatnonzero(lengths >= k), k, names) == rows, k

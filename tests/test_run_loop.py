@@ -25,10 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stability_meter.classifiers import LearnerParams, model_class
-from stability_meter.errors import ConfigError, StabilityMeterError
+from stability_meter.errors import SettingError, StabilityMeterError
 from stability_meter.evaluation import METRICS, _Record, metrics_from_confusion, run_stream
 from stability_meter.event_model import parse_log
-from stability_meter.prefixing import AttributeSchema, BucketConfig, default_k_max
+from stability_meter.prefixing import BucketConfig, default_k_max
 from stability_meter.synthgen import DriftLogSpec, generate, to_csv
 
 from log_strategies import csv_logs, many_case_logs
@@ -41,17 +41,20 @@ ATTRS = ((), ("amount", "channel"))
 
 def _assert_same_run(text, policy, attrs, grace, eval_window, eval_every, retrain_every):
     log = parse_log(io.StringIO(text))
-    schema = AttributeSchema.from_traces(attrs, log)
+    attrs = tuple(name for name in attrs if name in log.names)  # drawn logs may lack a column
     buckets = BucketConfig(2, max(2, default_k_max(log)))
     params = LearnerParams(train_window=30, retrain_every=retrain_every, memory=40)
-    options = dict(grace=grace, eval_window=eval_window, eval_every=eval_every, schema=schema, params=params)
+    options = dict(grace=grace, eval_window=eval_window, eval_every=eval_every, attrs=attrs, params=params)
     ledger, want_ledger = [], []
     result = run_stream(log, policy, buckets, ledger=ledger, **options)
     want, labels_seen, want_models = reference_run_stream(
         event_replay(log), TextCodec(text), policy, buckets, ledger=want_ledger, **options
     )
     assert result.labels_seen == labels_seen
-    assert result.series.keys() == want.keys()
+    # A bucket longer than every case gets no model and so no series, where the reference's stays empty.
+    longest = int(log.lengths().max())
+    assert all(not series.values for (k, _), series in want.items() if k > longest)
+    assert list(result.series) == [key for key in want if key[0] <= longest]
     for key, series in result.series.items():
         assert series.label_indices.tolist() == want[key].label_indices, key
         assert np.array_equal(
@@ -177,7 +180,7 @@ def _assert_same_record(text, policy, grace, retrain_every, k_min):
     buckets = BucketConfig(k_min, max(k_min, default_k_max(log)))
     model_type, params = model_class(policy), LearnerParams(retrain_every=retrain_every)
     grace = GRACE[grace](len(log))
-    record = _Record.of(log, model_type, buckets, grace, params)
+    record = _Record.of(log, model_type, buckets.buckets(), grace, params)
     for name, want in reference_record(log, model_type, buckets, grace, params).items():
         assert getattr(record, name).tolist() == want, name
 
@@ -205,34 +208,21 @@ def test_recording_pass_matches_the_replay_walk_on_fixed_logs(text, k_min, polic
     _assert_same_record(text, policy, grace, retrain_every, k_min)
 
 
-_CONTRADICTED = AttributeSchema(names=("amount", "channel"), numeric=(False, True))
-
-
 @pytest.mark.parametrize(
-    "rows, error",
+    "attrs, message",
     [
-        # Case a, first in the stream, holds text in channel only; case b
-        # holds a number in amount, the schema's first contradicted column.
-        (["a,x,1,,,web", "b,x,2,,2.5,", "a,y,3,1,,", "b,y,4,0,,"], "'amount' holds numbers"),
-        # Case a holds values in both columns: the schema's first is named.
-        (["a,x,1,,1.5,web", "a,y,2,1,,"], "'amount' holds numbers"),
-        # Only case c, shorter than every bucket, holds values.
-        (["a,x,1,,,", "c,x,2,0,1.5,web", "a,y,3,1,,"], "'amount' holds numbers"),
-        # Only the schema's second column holds a value.
-        (["a,x,1,,,web", "a,y,2,1,,"], "'channel' holds text"),
-        # Both columns are empty on every row: nothing contradicts the schema.
-        (["a,x,1,,,", "a,y,2,1,,"], None),
+        (("amount", "channel", "amount"), "attrs names 'amount' twice"),
+        (("amount", "ghost"), "attrs names 'ghost', which is not an attribute column of the log"),
+        (("timestamp",), "attrs names 'timestamp', which is not an attribute column of the log"),
     ],
-    ids=["any-case", "first-attribute", "short-case", "second-attribute", "empty-columns"],
+    ids=["repeated", "unknown", "required column"],
 )
-def test_run_stream_rejects_a_contradicting_schema_when_any_case_holds_a_value(rows, error):
-    log = parse_log(io.StringIO("\n".join(["case_id,activity,timestamp,label,amount,channel", *rows]) + "\n"))
-    options = dict(grace=1, schema=_CONTRADICTED)
-    if error is None:
-        assert run_stream(log, "static", BucketConfig(2, 2), **options).labels_seen == 1
-    else:
-        with pytest.raises(ConfigError, match=f"{error} in the log; the schema declares it"):
-            run_stream(log, "static", BucketConfig(2, 2), **options)
+def test_run_stream_rejects_a_repeated_or_unknown_attribute_name(attrs, message):
+    log = parse_log(io.StringIO("case_id,activity,timestamp,label,amount,channel\na,x,1,,1.5,web\na,y,2,1,,\n"))
+    with pytest.raises(SettingError) as raised:
+        run_stream(log, "static", BucketConfig(2, 2), grace=1, attrs=attrs)
+    assert raised.value.settings == ("attrs",)
+    assert str(raised.value) == message
 
 
 def test_equal_gain_categories_split_on_the_one_first_in_the_file():
@@ -252,8 +242,7 @@ def test_equal_gain_categories_split_on_the_one_first_in_the_file():
     rows = rows[2 * last_c : 2 * last_c + 2] + rows[: 2 * last_c] + rows[2 * last_c + 2 :]
     log = parse_log(io.StringIO("\n".join(["case_id,activity,timestamp,label,channel", *rows]) + "\n"))
     assert log.strings.index("c") < log.strings.index("b")
-    schema = AttributeSchema.from_traces(("channel",), log)
-    result = run_stream(log, "static", BucketConfig(2, 2), grace=len(channels), schema=schema)
+    result = run_stream(log, "static", BucketConfig(2, 2), grace=len(channels), attrs=("channel",))
     root = result.models[2]._tree.to_dict()
     assert (root["kind"], root["feature"], root["threshold"]) == ("cat", 2, log.strings.index("c"))
 
@@ -278,13 +267,12 @@ def _run_peak_per_event(log, policy="static", attrs=(), params=LearnerParams(), 
 
     ``held(log)``, when given, is made before the run and kept until it ends.
     """
-    schema = AttributeSchema.from_traces(attrs, log)
     tracemalloc.start()
     try:
         kept = held(log) if held else None
         run_stream(
             log, policy, BucketConfig(2, default_k_max(log)),
-            grace=50, eval_window=20, eval_every=100, metrics=("f1",), schema=schema, params=params,
+            grace=50, eval_window=20, eval_every=100, metrics=("f1",), attrs=attrs, params=params,
         )
         peak = tracemalloc.get_traced_memory()[1]
         del kept
