@@ -36,7 +36,7 @@ from .errors import (
     SettingError,
     StabilityMeterError,
 )
-from .evaluation import METRICS, PerformanceSeries, check_run_settings, run_stream
+from .evaluation import METRICS, PerformanceSeries, RunResult, check_run_settings, run_stream
 from .event_model import EventLog, parse_log
 from .prefixing import BucketConfig, check_attrs, default_k_max
 from .stability import MetaMeasures, SeriesAnnotation, annotate_series, check_window, meta_measures
@@ -157,7 +157,9 @@ def execute_run(
 ) -> list[SeriesReport]:
     """Run one configuration end to end and write its artifacts.
 
-    ``log`` is ``config.log`` already parsed; without it the run parses the file.
+    ``log`` is ``config.log`` already parsed; without it the run parses the
+    file. With ``print_summary``, the run prints its summary table, and a
+    warning that names the flag when a flag left nothing to evaluate.
     """
     if log is None:
         log = parse_log(config.log)
@@ -184,13 +186,10 @@ def execute_run(
         attrs=config.attrs,
         params=config.learner_params(),
     )
+    why = _why_nothing(config, result, log) if print_summary else None
+    if why:
+        print(f"stability-meter: warning: {why}; nothing was evaluated", file=sys.stderr)
     del log  # the analysis and the output need only the result (unless the caller keeps the log)
-    if config.grace >= result.labels_seen:
-        print(
-            f"stability-meter: warning: --grace {config.grace} covers all "
-            f"{result.labels_seen} labels; nothing was evaluated",
-            file=sys.stderr,
-        )
 
     # run_stream keys its series by bucket, then metric in config.metrics order.
     reports = []
@@ -207,6 +206,19 @@ def execute_run(
     if print_summary:
         _print_summary(config, buckets, auto, result.labels_seen, reports)
     return reports
+
+
+def _why_nothing(config: RunConfig, result: RunResult, log: EventLog) -> str | None:
+    """The flag that left every series without a point, and why; None if none of them did."""
+    labels = result.labels_seen
+    if config.grace >= labels:
+        return f"--grace {config.grace} covers all {labels} labels"
+    if not result.models:
+        return f"--k-min {config.k_min} is above the longest case ({int(log.lengths().max())} events)"
+    if config.grace + config.eval_every > labels:
+        after = labels - config.grace
+        return f"--eval-every {config.eval_every} puts no evaluation point in the {after} labels after --grace"
+    return None
 
 
 def _performance_csv(reports: list[SeriesReport]) -> Iterator[str]:

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from stability_meter.classifiers import (
     FIT_CELLS,
     MIN_LEAF,
+    MODELS,
     DecisionTree,
     IncrementalNaiveBayes,
     LearnerParams,
     StaticModel,
     UpdatePolicy,
     WindowRetrainModel,
+    _BOUNDARY_ROWS,
     _deciles,
     fit_windows,
 )
@@ -28,7 +30,7 @@ from stability_meter.synthgen import DriftLogSpec
 
 from oracles import ReferenceTree, ReferenceWindowRetrain, nb_posterior_scores
 from parsed_logs import parsed_log
-from tree_counts import count_trees
+from tree_counts import count_scored, count_trees
 
 
 @pytest.mark.parametrize("field", ["tree_depth", "train_window", "retrain_every", "memory"])
@@ -174,6 +176,19 @@ def test_models_reject_samples_of_the_wrong_width():
     static = StaticModel(bucket=3, numeric_mask=(False, False, False))
     with pytest.raises(ValueError, match="schema mismatch"):
         static.observe_label((1, 2), 0)
+
+
+@pytest.mark.parametrize("policy", list(UpdatePolicy))
+@pytest.mark.parametrize("row", [(1.0,), (1.0, 0.0, 2.0, 5.0)])
+def test_trained_models_reject_a_row_of_the_wrong_width(policy, row):
+    # A tree model raised a bare IndexError on a short row and labelled a long one.
+    model = MODELS[policy](bucket=2, numeric_mask=(False, True, False))
+    model.learn(np.array([(float(at % 2), float(at), 1.0) for at in range(12)]), np.arange(12) % 2)
+    model.finish_grace()
+    model.predict((1.0, 3.0, 1.0))
+    message = rf"^bucket-2 model expects 3 features, row has {len(row)} \(encoding schema mismatch\)$"
+    with pytest.raises(ValueError, match=message):
+        model.predict(row)
 
 
 def test_nb_version_counts_updates():
@@ -413,7 +428,18 @@ def _window_batches(draw):
         else:
             value = st.sampled_from(draw(st.lists(st.sampled_from([-7.0, -1.0, 0.0, 2.0, 5.0, 40.0]), min_size=1)))
         columns.append(draw(st.lists(value, min_size=n, max_size=n)))
-    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    numeric_columns = [column for column, numeric in zip(columns, mask) if numeric]
+    if numeric_columns and draw(st.booleans()):
+        # A noisy threshold function of one numeric column: long runs of one
+        # label, some reaching the min_leaf edges, and tied values that flips
+        # give both labels.
+        column = np.array(draw(st.sampled_from(numeric_columns)))
+        at = draw(st.one_of(st.integers(0, min(7, n - 1)), st.integers(max(0, n - 8), n - 1), st.integers(0, n - 1)))
+        flips = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        above = (column > np.sort(column)[at]) ^ draw(st.booleans())
+        labels = [int(high ^ (row in flips)) for row, high in enumerate(above.tolist())]
+    else:
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     layout = draw(st.sampled_from(["overlapping", "disjoint", "short"]))
     if layout == "overlapping":
         # Cadence-point windows: the first ones are shorter than the window length.
@@ -438,8 +464,10 @@ def test_fit_windows_grows_the_reference_tree_of_each_window(batch, max_depth, m
         trees = fit_windows(rows, labels, windows, mask, max_depth, min_leaf)
         assert len(trees) == len(windows)
         for (start, stop), tree in zip(windows, trees):
-            reference = ReferenceTree(max_depth, min_leaf).fit(rows[start:stop], labels[start:stop], mask)
-            assert _nan_equal(tree.to_dict()) == _nan_equal(reference.to_dict()), (start, stop)
+            window = rows[start:stop], labels[start:stop], mask
+            reference = _nan_equal(ReferenceTree(max_depth, min_leaf).fit(*window).to_dict())
+            assert _nan_equal(tree.to_dict()) == reference, (start, stop)
+            assert _nan_equal(DecisionTree(max_depth, min_leaf).fit(*window).to_dict()) == reference, (start, stop)
 
 
 def _nan_equal(tree: dict) -> dict:
@@ -448,6 +476,68 @@ def _nan_equal(tree: dict) -> dict:
         return tree
     threshold = "nan" if np.isnan(tree["threshold"]) else tree["threshold"]
     return {**tree, "threshold": threshold, "left": _nan_equal(tree["left"]), "right": _nan_equal(tree["right"])}
+
+
+def _segments(calls):
+    """The candidate count of each (node, feature) segment of each numeric search in ``calls``.
+
+    Within a node, a feature's cuts leave ever more rows left, so the next
+    feature's begin where that count falls.
+    """
+    counts = []
+    for node, n_left in calls:
+        starts = np.flatnonzero((np.diff(node, prepend=-1) != 0) | (np.diff(n_left, prepend=np.inf) <= 0))
+        counts.append((node[starts], np.diff(starts, append=len(node))))
+    return counts
+
+
+def test_a_step_function_window_scores_at_most_three_cuts_per_segment(monkeypatch):
+    # Every column orders the rows alike, and the labels step once along
+    # that order: each segment's candidates are its first and last allowed
+    # cuts and the step, where scoring every cut gave it n - 2 * min_leaf + 1.
+    rng = np.random.default_rng(5)
+    latent = rng.permutation(400).astype(float)
+    rows = np.stack((latent, 2.0 * latent + 0.5, -latent, np.exp(latent / 100.0)), axis=1)
+    labels = (latent >= 37.0).astype(int)
+    windows = [(0, 200), (100, 300), (150, 400), (390, 400)]
+    calls = count_scored(monkeypatch)
+    trees = fit_windows(rows, labels, windows, (True,) * 4)
+    for (start, stop), tree in zip(windows, trees):
+        assert tree.to_dict() == ReferenceTree().fit(rows[start:stop], labels[start:stop], (True,) * 4).to_dict()
+    searched = [(node, counts) for node, counts in _segments(calls) if len(node)]
+    assert searched
+    for node, counts in searched:
+        assert (np.bincount(node) == 4).all()  # one segment per feature of each node
+        assert counts.max() <= 3
+
+
+def _threshold_rows(n, seed):
+    """``n`` rows of three numeric columns, with ties, and labels a noisy threshold of the first."""
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.normal(size=n), 2)
+    rows = np.stack((base, np.round(rng.normal(size=n), 1), base * base), axis=1)
+    labels = (base > 0.4) ^ (rng.random(n) < 0.02)
+    return rows, labels.astype(int)
+
+
+def _allowed_cuts(column, min_leaf):
+    """The cuts of a numeric column that leave ``min_leaf`` rows on each side."""
+    values = np.sort(column)
+    left = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return int(((left >= min_leaf) & (left <= len(values) - min_leaf)).sum())
+
+
+@pytest.mark.parametrize("extra, pruned", [(0, True), (1, False)])
+def test_boundary_cuts_are_the_candidates_up_to_the_row_limit(monkeypatch, extra, pruned):
+    # The float bound of the boundary-cut rule holds up to _BOUNDARY_ROWS;
+    # a larger node scores every allowed cut. Both fit the reference tree.
+    rows, labels = _threshold_rows(_BOUNDARY_ROWS + extra, seed=13)
+    calls = count_scored(monkeypatch)
+    tree = DecisionTree().fit(rows, labels, (True,) * 3)
+    assert tree.to_dict() == ReferenceTree().fit(rows, labels, (True,) * 3).to_dict()
+    root, _ = calls[0]
+    allowed = sum(_allowed_cuts(column, MIN_LEAF) for column in rows.T)
+    assert (len(root) < allowed) == pruned and len(root) <= allowed
 
 
 def test_one_batch_of_the_widest_bucket_stays_near_a_megabyte():

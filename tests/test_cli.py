@@ -424,6 +424,36 @@ def test_grace_covering_every_label_warns_and_still_succeeds(small_log, capsys, 
     assert json.loads((out / "meta.json").read_text())["series"] == []
 
 
+def _empty_run(small_log, tmp_path, capsys, flags):
+    """The standard error of a run that must evaluate nothing, after checking that it exits 0 with empty files."""
+    out = tmp_path / "out"
+    code, stdout, err = _run_cli(["run", "--log", str(small_log), "--out", str(out), *flags], capsys)
+    assert code == 0
+    assert stdout.endswith("recovery\n")  # the summary's table has its header and no row
+    assert (out / "performance.csv").read_text() == "label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id\n"
+    assert json.loads((out / "meta.json").read_text())["series"] == []
+    return err
+
+
+def test_a_k_min_above_every_case_warns_and_still_succeeds(small_log, tmp_path, capsys):
+    # Such a run printed an empty table and no diagnostic.
+    longest = int(parse_log(small_log).lengths().max())
+    flags = ["--grace", "20", "--k-min", str(longest + 1), "--k-max", str(longest + 5)]
+    assert _empty_run(small_log, tmp_path, capsys, flags) == (
+        f"stability-meter: warning: --k-min {longest + 1} is above the longest case ({longest} events); "
+        "nothing was evaluated\n"
+    )
+
+
+@pytest.mark.parametrize("every", [41, 100000])  # 40 of the log's 60 labels follow a grace of 20
+def test_an_eval_every_past_the_last_label_warns_and_still_succeeds(small_log, tmp_path, capsys, every):
+    err = _empty_run(small_log, tmp_path, capsys, ["--grace", "20", "--eval-every", str(every)])
+    assert err == (
+        f"stability-meter: warning: --eval-every {every} puts no evaluation point in the 40 labels after --grace; "
+        "nothing was evaluated\n"
+    )
+
+
 def test_flag_defaults_are_the_library_defaults():
     config = _config_from_args(build_parser().parse_args(["run", "--log", "x"]))
     assert config == RunConfig(log="x")
