@@ -32,7 +32,7 @@ from .evaluation import (
     metrics_from_confusion,
     run_stream,
 )
-from .event_model import Event, EventLog, Trace, parse_log
+from .event_model import EventLog, parse_log
 from .prefixing import (
     MISSING_CODE,
     BucketConfig,
@@ -50,6 +50,6 @@ from .stability import (
     meta_measures,
     moving_stats,
 )
-from .synthgen import DriftLogSpec, case_regime, generate, oracle_label, to_csv
+from .synthgen import DriftLogSpec, case_regime, generate, oracle_label
 
 __version__ = "0.1.0"

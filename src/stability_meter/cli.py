@@ -39,11 +39,12 @@ from .errors import (
 from .evaluation import METRICS, PerformanceSeries, RunResult, check_run_settings, run_stream
 from .event_model import EventLog, parse_log
 from .prefixing import BucketConfig, check_attrs, default_k_max
-from .stability import MetaMeasures, SeriesAnnotation, annotate_series, check_window, meta_measures
-from .synthgen import DriftLogSpec, generate, to_csv
+from .stability import SeriesAnnotation, annotate_series, check_window
+from .synthgen import DriftLogSpec, generate
 
 # perfbench/bench_trace.py looks these names up; ROADMAP item 1b deletes them.
 replay = None
+meta_measures = None
 _series_csv = None
 
 _FLAGS = {"memory": "nb-memory", "window": "ma-window", "n_cases": "cases"}  # the library settings not named as their flags
@@ -128,7 +129,6 @@ class SeriesReport:
 
     series: PerformanceSeries
     annotation: SeriesAnnotation
-    measures: MetaMeasures
 
     @property
     def avg_metric(self) -> float:
@@ -159,7 +159,7 @@ def execute_run(
 
     ``log`` is ``config.log`` already parsed; without it the run parses the
     file. With ``print_summary``, the run prints its summary table, and a
-    warning that names the flag when a flag left nothing to evaluate.
+    warning when it evaluated nothing, which names the flag that did it.
     """
     if log is None:
         log = parse_log(config.log)
@@ -192,12 +192,11 @@ def execute_run(
     del log  # the analysis and the output need only the result (unless the caller keeps the log)
 
     # run_stream keys its series by bucket, then metric in config.metrics order.
-    reports = []
-    for series in result.series.values():
-        if len(series):
-            annotation = annotate_series(series.values, config.ma_window)
-            measures = meta_measures(series.values, config.ma_window, annotation=annotation)
-            reports.append(SeriesReport(series, annotation, measures))
+    reports = [
+        SeriesReport(series, annotate_series(series.values, config.ma_window))
+        for series in result.series.values()
+        if len(series)
+    ]
 
     out_dir = Path(config.out_dir)
     _atomic_write(out_dir / "performance.csv", _performance_csv(reports))
@@ -209,7 +208,7 @@ def execute_run(
 
 
 def _why_nothing(config: RunConfig, result: RunResult, log: EventLog) -> str | None:
-    """The flag that left every series without a point, and why; None if none of them did."""
+    """Why every series is without a point, naming the flag where one caused it; None if a series has one."""
     labels = result.labels_seen
     if config.grace >= labels:
         return f"--grace {config.grace} covers all {labels} labels"
@@ -218,6 +217,8 @@ def _why_nothing(config: RunConfig, result: RunResult, log: EventLog) -> str | N
     if config.grace + config.eval_every > labels:
         after = labels - config.grace
         return f"--eval-every {config.eval_every} puts no evaluation point in the {after} labels after --grace"
+    if not any(map(len, result.series.values())):
+        return f"no prediction issued after --grace {config.grace} was resolved"
     return None
 
 
@@ -234,7 +235,7 @@ def _performance_csv(reports: list[SeriesReport]) -> Iterator[str]:
 
 
 def _meta_entry(config_name: str, report: SeriesReport) -> dict:
-    measures, series = report.measures, report.series
+    measures, series = report.annotation.measures, report.series
     return {
         "name": f"{config_name}/k{series.bucket}/{series.metric}",
         "config": config_name,
@@ -271,7 +272,7 @@ _TABLE_HEADER = (
 
 
 def _table_row(report: SeriesReport) -> str:
-    series, measures = report.series, report.measures
+    series, measures = report.series, report.annotation.measures
     return (
         f"{series.bucket:>6}  {series.metric:<9}  {report.avg_metric:>8.3f}  {measures.drop_count:>5}  "
         f"{measures.volatility:>10.3f}  {_format_float(measures.max_magnitude):>8}  "
@@ -372,7 +373,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for report in reports:
             rows.append((config.model, report))
         pooled.append(
-            pool_summaries(config.model, [(r.avg_metric, r.measures) for r in reports])
+            pool_summaries(config.model, [(r.avg_metric, r.annotation.measures) for r in reports])
         )
 
     print(f"log: {args.log}  metric: {metric}  models: {', '.join(models)}")
@@ -446,11 +447,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         spec = DriftLogSpec(n_cases=args.cases, drift_at=args.drift_at, seed=args.seed, noise=args.noise)
     except SettingError as err:
         raise _named_by_flags(err) from None
-    traces = generate(spec)
-    _atomic_write(Path(args.out), (to_csv(traces),))
-    events = sum(len(trace) for trace in traces)
+    text = generate(spec)
+    _atomic_write(Path(args.out), (text,))
+    events = text.count("\n") - 1  # a row per event under the header
     print(
-        f"wrote {len(traces)} cases ({events} events) to {args.out}; "
+        f"wrote {spec.n_cases} cases ({events} events) to {args.out}; "
         f"drift after case {spec.drift_at}"
     )
     return 0

@@ -1,14 +1,14 @@
-"""Event log model: a columnar event table and per-case views.
+"""Event log model: a columnar event table.
 
 A log is a CSV file with one row per event (columns ``case_id``, ``activity``,
 ``timestamp``, ``label``, plus arbitrary attribute columns). :func:`parse_log`
-reads it into an :class:`EventLog`, which holds typed per-event columns,
-string tables and one label per case, and no :class:`Event` objects.
+reads it into an :class:`EventLog`, which holds typed per-event columns, one
+string table and one label per case; there is no per-event object.
 :func:`parse_log` is the only way to build an :class:`EventLog`; a log
 written in code is parsed from its text, ``parse_log(io.StringIO(text))``.
-Indexing the log builds a :class:`Trace` view of one case, with its events,
-on demand. ``EventLog.order`` is the stream: the events sorted by
-(timestamp, row), and the outcome label of a case comes with its last event.
+``log[i]`` is the range of case ``i``'s event indices in the columns.
+``EventLog.order`` is the stream: the events sorted by (timestamp, row), and
+the outcome label of a case comes with its last event.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from __future__ import annotations
 import csv
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import repeat
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -35,46 +33,6 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MILLISECOND = timedelta(milliseconds=1)
 # Cells of a numeric-looking column whose text is joined into one string.
 _TEXT_CHUNK = 1024
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One activity occurrence within a case.
-
-    ``timestamp`` is normalized to integer milliseconds. ``position`` is the
-    1-based index of the event within its case. ``row`` is the physical line
-    the event came from (header = line 1) and breaks timestamp ties in the
-    stream. ``values`` holds the attribute values aligned with ``names``:
-    float for numeric columns, str otherwise, ``None`` for an empty cell.
-    Every event of a parsed log shares one ``names`` tuple.
-    """
-
-    case_id: str
-    activity: str
-    timestamp: int
-    position: int
-    names: tuple[str, ...] = ()
-    values: tuple = ()
-    row: int = 0
-
-    def attribute(self, name: str):
-        """The value of attribute ``name``, or None when absent or empty."""
-        try:
-            return self.values[self.names.index(name)]
-        except ValueError:
-            return None
-
-
-@dataclass
-class Trace:
-    """A case's ordered event sequence with its binary outcome label."""
-
-    case_id: str
-    events: list[Event]
-    label: int
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 class _StringTable(dict):
@@ -94,7 +52,7 @@ class _StringTable(dict):
 
 
 class EventLog(Sequence):
-    """A log held as columns: a ``Sequence[Trace]`` that builds each trace on demand.
+    """A log held as columns: a ``Sequence`` of each case's event-index range.
 
     Built by :func:`parse_log`. Events are stored grouped by case, cases in
     first-appearance order, each case's events in (timestamp, row) order.
@@ -102,8 +60,8 @@ class EventLog(Sequence):
     ``row`` and, per attribute of ``names``, one column: float64 values with
     a bool ``missing`` mask for a numeric attribute, string ids (0 for an
     empty cell) with ``missing`` None for a categorical one. ``strings``
-    maps ids back to text. Case ``i`` owns the events
-    ``bounds[i]:bounds[i + 1]`` and has id ``case_ids[i]`` and label
+    maps ids back to text. Case ``i`` owns the events ``log[i] ==
+    range(bounds[i], bounds[i + 1])`` and has id ``case_ids[i]`` and label
     ``labels[i]``. ``order`` is the stream order: a stable sort of the
     events by (timestamp, row). A numeric column holds 0.0 in its empty
     cells, and activities and categorical values share one string table.
@@ -137,11 +95,12 @@ class EventLog(Sequence):
     def __len__(self) -> int:
         return len(self.case_ids)
 
-    def __getitem__(self, index: int) -> Trace:
+    def __getitem__(self, index: int) -> range:
+        # Kept so that perfbench/bench_trace.py, which counts a parsed log's
+        # events as the sum of len() over its items, works on the columns: a
+        # range of event indices costs O(1) per case.
         case = range(len(self.case_ids))[index]
-        at = np.arange(self.bounds[case], self.bounds[case + 1])
-        events = list(self._events(at, np.full(len(at), case)))
-        return Trace(self.case_ids[case], events, self.labels[case])
+        return range(self.bounds[case], self.bounds[case + 1])
 
     def lengths(self) -> np.ndarray:
         """The number of events of each case."""
@@ -154,28 +113,6 @@ class EventLog(Sequence):
             for name, column, mask in zip(self.names, self.columns, self.missing)
             if (column.any() if mask is None else not mask.all())
         }
-
-    def _events(self, at: np.ndarray, case: np.ndarray) -> Iterator[Event]:
-        """The events at indices ``at``, which belong to the cases ``case``."""
-        names, case_ids, strings = self.names, self.case_ids, self.strings
-        cells = []
-        for column, mask in zip(self.columns, self.missing):
-            if mask is None:
-                cells.append(map(strings.__getitem__, column[at].tolist()))
-            else:
-                numbers = column[at].tolist()
-                for empty in np.flatnonzero(mask[at]).tolist():
-                    numbers[empty] = None
-                cells.append(numbers)
-        for case_at, activity, timestamp, position, row, values in zip(
-            case.tolist(),
-            map(strings.__getitem__, self.activity[at].tolist()),
-            self.timestamp[at].tolist(),
-            (at - self.bounds[case] + 1).tolist(),
-            self.row[at].tolist(),
-            zip(*cells) if cells else repeat(()),
-        ):
-            yield Event(case_ids[case_at], activity, timestamp, position, names, values, row)
 
 
 def _parse_timestamp(raw: str, row: int) -> int:
@@ -304,9 +241,9 @@ def parse_log(source: LogSource) -> EventLog:
     """Parse a CSV event log into an :class:`EventLog`.
 
     Rows are grouped by ``case_id``; within a case, events are ordered by
-    timestamp with ties broken by the original row order, and positions are
-    assigned 1..N. The case label may appear on any subset of its rows but
-    must be consistent; the last row of a case closes it.
+    timestamp with ties broken by the original row order. The case label
+    may appear on any subset of its rows but must be consistent; the last
+    row of a case closes it.
 
     Extra columns become event attributes and are sniffed as numeric when
     every non-empty value parses as a decimal, otherwise kept as strings.
@@ -318,9 +255,9 @@ def parse_log(source: LogSource) -> EventLog:
     header. Blank lines are skipped, missing cells of a short row count as
     empty, cells beyond the header are ignored, and of repeated header names
     the last column wins. Case ids and attribute values are stripped of
-    surrounding whitespace; activities are kept as written. Built events
-    share one tuple of attribute names, and one string object per distinct
-    case id, activity and categorical value.
+    surrounding whitespace; activities are kept as written. Activities and
+    categorical values share one string table, which holds one string per
+    distinct text.
 
     Errors come in this order: the first bad row while reading (its case
     id, activity, timestamp, then label), then, per case in first-appearance

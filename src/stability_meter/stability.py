@@ -29,14 +29,20 @@ class MovingStats:
 
     At position i (1-based), the statistics cover the last min(i, window)
     points including point i itself: ``ma`` is their mean and ``phi`` their
-    population standard deviation (divisor = window size). ``lb``/``ub`` are
-    ``ma -/+ phi``.
+    population standard deviation (divisor = window size). ``lb``/``ub``
+    (``ma -/+ phi``) are computed on access.
     """
 
     ma: np.ndarray
     phi: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
+
+    @property
+    def lb(self) -> np.ndarray:
+        return self.ma - self.phi
+
+    @property
+    def ub(self) -> np.ndarray:
+        return self.ma + self.phi
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ def moving_stats(points: Sequence[float], window: int) -> MovingStats:
             at = slice(window - 1 + start, window - 1 + start + len(block))
             ma[at] = np.where(flat, block[:, 0], mean)
             phi[at] = np.where(flat, 0.0, spread)
-    return MovingStats(ma=ma, phi=phi, lb=ma - phi, ub=ma + phi)
+    return MovingStats(ma=ma, phi=phi)
 
 
 # The drop inequality is strict, so a point sitting exactly on its lower
@@ -133,8 +139,8 @@ _BOUND_GUARD = 1e-12
 def drop_mask(points: Sequence[float], stats: MovingStats) -> np.ndarray:
     """Boolean mask of points strictly below their lower bound."""
     series = np.asarray(points, dtype=float)
-    guard = _BOUND_GUARD * np.maximum(1.0, np.abs(stats.lb))
-    return series < stats.lb - guard
+    lb = stats.lb
+    return series < lb - _BOUND_GUARD * np.maximum(1.0, np.abs(lb))
 
 
 def detect_drops(points: Sequence[float], stats: MovingStats) -> list[SignificantDrop]:
@@ -233,18 +239,12 @@ def annotate_series(points: Sequence[float], window: int) -> SeriesAnnotation:
     return SeriesAnnotation(series, stats.ma, stats.phi, _measures(stats, detect_drops(series, stats)))
 
 
-def meta_measures(
-    points: Sequence[float], window: int, *, annotation: SeriesAnnotation | None = None
-) -> MetaMeasures:
-    """Compute the four stability meta-measures of a series.
+def meta_measures(points: Sequence[float], window: int) -> MetaMeasures:
+    """The four stability meta-measures of a series: ``annotate_series(points, window).measures``.
 
     Volatility is the mean of all per-point moving standard deviations.
     Magnitudes aggregate |p_i - ma_i| over all drop points; the recovery
     rate is the mean drop length. The magnitude and recovery fields are
-    absent (None) when the series has no drops. Pass the
-    ``annotate_series(points, window)`` result as ``annotation`` to reuse
-    its analysis instead of repeating it.
+    absent (None) when the series has no drops.
     """
-    if annotation is None:
-        annotation = annotate_series(points, window)
-    return annotation.measures
+    return annotate_series(points, window).measures

@@ -7,18 +7,19 @@ flipped with a configurable noise probability. At the drift point the
 outcome rule inverts its dependence on the branch, so a model trained on the
 first regime degrades sharply while the control flow barely changes.
 
-Generation is deterministic: each case derives its own RNG from the log
-seed and the case index, so any case range can be produced independently.
+:func:`generate` returns the log's CSV text, each row written as its case
+is drawn. Generation is deterministic: each case derives its own RNG from
+the log seed and the case index, so any case range can be produced
+independently.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from io import StringIO
 
 from .errors import SettingError, require_at_least
-from .event_model import Event, Trace
+from .event_model import REQUIRED_COLUMNS
 
 START_ACTIVITY = "submit_request"
 BRANCH_ACTIVITIES = ("manual_review", "auto_check")
@@ -96,10 +97,13 @@ def _case_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
-def generate(spec: DriftLogSpec) -> list[Trace]:
-    """Generate the log as parse-ready traces (see :func:`to_csv`)."""
-    traces = []
-    row = 1  # header occupies line 1
+def generate(spec: DriftLogSpec) -> str:
+    """The log as CSV text in the ingestion format, ready for :func:`~.event_model.parse_log`.
+
+    Rows are grouped by case in generation order, each case's rows in
+    timestamp order; the label is written on the last row of each case only.
+    """
+    rows = [",".join(REQUIRED_COLUMNS + ATTRIBUTE_NAMES) + "\n"]
     for index in range(1, spec.n_cases + 1):
         rng = _case_rng(spec.seed, index)
         regime = case_regime(spec, index)
@@ -119,40 +123,10 @@ def generate(spec: DriftLogSpec) -> list[Trace]:
 
         case_id = f"case_{index:05d}"
         timestamp = (index - 1) * CASE_SPACING
-        events = []
-        for position, activity in enumerate(activities, start=1):
+        cells = [""] * (length - 1) + [label]
+        for activity, label_cell in zip(activities, cells):
             timestamp += rng.randint(5, 40)
-            row += 1
-            events.append(
-                Event(
-                    case_id=case_id,
-                    activity=activity,
-                    timestamp=timestamp,
-                    position=position,
-                    names=ATTRIBUTE_NAMES,
-                    values=(round(rng.uniform(50.0, 5000.0), 2), rng.choice(CHANNELS)),
-                    row=row,
-                )
-            )
-        traces.append(Trace(case_id=case_id, events=events, label=label))
-    return traces
-
-
-def to_csv(traces: list[Trace]) -> str:
-    """Serialize generated traces to the ingestion CSV format.
-
-    Rows are grouped by case in generation order; the label is written on
-    the last row of each case only. Parsing the result yields traces equal
-    to the generated ones.
-    """
-    out = StringIO()
-    out.write("case_id,activity,timestamp,label,amount,channel\n")
-    for trace in traces:
-        last = len(trace.events)
-        for event in trace.events:
-            label = str(trace.label) if event.position == last else ""
-            out.write(
-                f"{event.case_id},{event.activity},{event.timestamp},{label},"
-                f"{event.attribute('amount')},{event.attribute('channel')}\n"
-            )
-    return out.getvalue()
+            amount = round(rng.uniform(50.0, 5000.0), 2)
+            channel = rng.choice(CHANNELS)
+            rows.append(f"{case_id},{activity},{timestamp},{label_cell},{amount},{channel}\n")
+    return "".join(rows)

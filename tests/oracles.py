@@ -25,6 +25,11 @@ replay event by event, kept as the reference for the pass that derives the
 same integers from the log's arrays.
 ``fstring_rows`` is the per-row formatter of ``performance.csv`` rows that
 ``SeriesReport.rows`` replaced with one ``repr`` per distinct float.
+``Event``, ``Trace``, ``log_events`` and ``trace_views`` are the object form
+of a log that the package kept next to its columns until it read columns
+only: ``trace_views(log)`` builds each parsed case as a ``Trace`` of
+``Event``s, for the references above that read events and for the parser
+tests that compare cases event by event.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum, isfinite
 from pathlib import Path
 
@@ -42,13 +48,7 @@ import numpy as np
 from stability_meter.classifiers import MIN_LEAF, LearnerParams, model_class
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError
 from stability_meter.evaluation import METRICS, PerformanceSeries, ResolvedPair
-from stability_meter.event_model import (
-    REQUIRED_COLUMNS,
-    Event,
-    Trace,
-    _parse_label,
-    _parse_timestamp,
-)
+from stability_meter.event_model import REQUIRED_COLUMNS, _parse_label, _parse_timestamp
 from stability_meter.prefixing import MISSING_CODE
 from stability_meter.stability import MovingStats
 
@@ -114,7 +114,7 @@ def brute_moving_stats(points, window):
 def stats_from_ma_phi(ma, phi):
     """``MovingStats`` assembled from supplied ma/phi values, not computed ones."""
     ma, phi = np.asarray(ma, dtype=float), np.asarray(phi, dtype=float)
-    return MovingStats(ma=ma, phi=phi, lb=ma - phi, ub=ma + phi)
+    return MovingStats(ma=ma, phi=phi)
 
 
 def brute_drop_runs(points, window):
@@ -387,6 +387,85 @@ class ReferenceWindowRetrain:
         return node["prediction"]
 
 
+@dataclass(frozen=True, slots=True)
+class Event:
+    """One activity occurrence within a case.
+
+    ``timestamp`` is normalized to integer milliseconds. ``position`` is the
+    1-based index of the event within its case. ``row`` is the physical line
+    the event came from (header = line 1) and breaks timestamp ties in the
+    stream. ``values`` holds the attribute values aligned with ``names``:
+    float for numeric columns, str otherwise, ``None`` for an empty cell.
+    """
+
+    case_id: str
+    activity: str
+    timestamp: int
+    position: int
+    names: tuple[str, ...] = ()
+    values: tuple = ()
+    row: int = 0
+
+    def attribute(self, name: str):
+        """The value of attribute ``name``, or None when absent or empty."""
+        try:
+            return self.values[self.names.index(name)]
+        except ValueError:
+            return None
+
+
+@dataclass
+class Trace:
+    """A case's ordered event sequence with its binary outcome label."""
+
+    case_id: str
+    events: list[Event]
+    label: int
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+
+def log_events(log, at, case):
+    """The ``Event``s at indices ``at`` of a parsed log's columns, which belong to the cases ``case``.
+
+    Every event shares the log's tuple of attribute names and reads each text
+    from its string table.
+    """
+    names, case_ids, strings = log.names, log.case_ids, log.strings
+    cells = []
+    for column, mask in zip(log.columns, log.missing):
+        if mask is None:
+            cells.append(map(strings.__getitem__, column[at].tolist()))
+        else:
+            numbers = column[at].tolist()
+            for empty in np.flatnonzero(mask[at]).tolist():
+                numbers[empty] = None
+            cells.append(numbers)
+    for case_at, activity, timestamp, position, row, values in zip(
+        case.tolist(),
+        map(strings.__getitem__, log.activity[at].tolist()),
+        log.timestamp[at].tolist(),
+        (at - log.bounds[case] + 1).tolist(),
+        log.row[at].tolist(),
+        zip(*cells) if cells else repeat(()),
+    ):
+        yield Event(case_ids[case_at], activity, timestamp, position, names, values, row)
+
+
+def trace_views(log):
+    """A parsed log's cases as ``Trace``s, in case order, each with its ``Event``s."""
+    at = np.arange(len(log.order))
+    case = np.repeat(np.arange(len(log)), log.lengths())
+    events = list(log_events(log, at, case))
+    return [
+        Trace(case_id, events[start:stop], label)
+        for case_id, label, start, stop in zip(
+            log.case_ids, log.labels, log.bounds[:-1].tolist(), log.bounds[1:].tolist()
+        )
+    ]
+
+
 def _is_decimal(text):
     """Whether a stripped cell is numeric: ASCII text with no ``_`` that ``float()`` reads."""
     if not text.isascii() or "_" in text:
@@ -493,7 +572,7 @@ def event_replay(log):
         at = log.order[start : start + 1024]
         case = np.searchsorted(bounds, at, side="right") - 1
         ends = (at + 1 == bounds[case + 1]).tolist()
-        for event, case_at, is_end in zip(log._events(at, case), case.tolist(), ends):
+        for event, case_at, is_end in zip(log_events(log, at, case), case.tolist(), ends):
             if is_end:
                 yield EventItem(event=event, is_case_end=True, label=labels[case_at])
             else:

@@ -20,7 +20,7 @@ from stability_meter.stability import (
     meta_measures,
     moving_stats,
 )
-from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+from stability_meter.synthgen import DriftLogSpec, generate
 
 from oracles import brute_meta, brute_moving_stats, event_replay, stats_from_ma_phi
 from parsed_logs import parsed_log
@@ -209,7 +209,7 @@ def test_criterion_7_drift_experiment_directional():
 
 def test_criterion_8_repeated_runs_are_byte_identical(tmp_path):
     log = tmp_path / "drift.csv"
-    log.write_text(to_csv(generate(DriftLogSpec(n_cases=120, drift_at=60, seed=4))))
+    log.write_text(generate(DriftLogSpec(n_cases=120, drift_at=60, seed=4)))
     for policy in ("incremental", "window-retrain", "static"):
         outputs = []
         for attempt in ("a", "b"):

@@ -19,7 +19,7 @@ from stability_meter.cli import RunConfig
 from stability_meter.evaluation import run_stream
 from stability_meter.event_model import parse_log
 from stability_meter.prefixing import BucketConfig, default_k_max
-from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+from stability_meter.synthgen import DriftLogSpec, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,11 +64,13 @@ def _untraced_predictions(log, model):
 
 def test_traced_benchmark_child_counts_every_layer(tmp_path):
     log = tmp_path / "log.csv"
-    log.write_text(to_csv(generate(DriftLogSpec(n_cases=300, drift_at=150, seed=3))))
+    log.write_text(generate(DriftLogSpec(n_cases=300, drift_at=150, seed=3)))
     for model in ("window-retrain", "static"):
         layers = _traced_layers(tmp_path, log, model)
         assert layers["classifiers.tree_fit.calls"] > 0
         assert layers["stability.points"] > 0
+        # The tracer sums len() over the parsed log's items: each case's event-index range.
+        assert layers["event_model.parse_log.events"] == len(parse_log(log).order)
         # A method wrapped twice (say, one a tree model inherits from a class
         # the tracer wrapped before it) would count each prediction twice.
         assert layers["classifiers.predict.calls"] == _untraced_predictions(log, model) > 0

@@ -23,7 +23,7 @@ from stability_meter.cli import RunConfig, SeriesReport, _config_from_args, buil
 from stability_meter.evaluation import PerformanceSeries
 from stability_meter.event_model import parse_log
 from stability_meter.stability import SeriesAnnotation, SignificantDrop, annotate_series
-from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+from stability_meter.synthgen import DriftLogSpec, generate
 
 from log_strategies import csv_logs
 from oracles import fstring_rows
@@ -32,7 +32,7 @@ from oracles import fstring_rows
 @pytest.fixture()
 def small_log(tmp_path):
     path = tmp_path / "small.csv"
-    path.write_text(to_csv(generate(DriftLogSpec(n_cases=60, drift_at=30, seed=1))))
+    path.write_text(generate(DriftLogSpec(n_cases=60, drift_at=30, seed=1)))
     return path
 
 
@@ -140,7 +140,7 @@ def test_writing_performance_csv_keeps_no_finished_series_rows(tmp_path, capsys,
     # Memory that the performance.csv write allocates and still holds at its
     # peak must stay well below the file's size: only one series' rows at a time.
     log = tmp_path / "log.csv"
-    log.write_text(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))))
+    log.write_text(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))
     write = cli._atomic_write
     peaks = {}
 
@@ -232,7 +232,7 @@ def test_a_k_max_above_the_longest_case_costs_no_memory(tmp_path, capsys, model)
     # model: --k-max 3000 writes the performance.csv of --k-max at the
     # longest case, within a MiB of its peak memory, and records 3000.
     log = tmp_path / "log.csv"
-    log.write_text(to_csv(generate(DriftLogSpec(n_cases=120, drift_at=60, seed=1))))
+    log.write_text(generate(DriftLogSpec(n_cases=120, drift_at=60, seed=1)))
     longest = int(parse_log(log).lengths().max())
     peaks = {}
     for k_max in (3000, longest):
@@ -413,15 +413,14 @@ def test_run_with_only_a_log_flag_succeeds(small_log, capsys, tmp_path, monkeypa
 
 @pytest.mark.parametrize("grace", [59, 60, 500])
 def test_grace_covering_every_label_warns_and_still_succeeds(small_log, capsys, tmp_path, grace):
-    out = tmp_path / "out"
-    code, _, err = _run_cli(["run", "--log", str(small_log), "--grace", str(grace), "--out", str(out)], capsys)
-    assert code == 0
-    if grace < 60:  # the log has 60 labeled cases
-        assert err == ""
-        return
-    assert err == f"stability-meter: warning: --grace {grace} covers all 60 labels; nothing was evaluated\n"
-    assert (out / "performance.csv").read_text() == "label_index,bucket,metric,value,ma,std,lb,ub,is_drop,drop_id\n"
-    assert json.loads((out / "meta.json").read_text())["series"] == []
+    err = _empty_run(small_log, tmp_path, capsys, ["--grace", str(grace)])
+    if grace < 60:  # the log has 60 labeled cases, but no prediction resolves at the last one
+        assert err == (
+            f"stability-meter: warning: no prediction issued after --grace {grace} was resolved; "
+            "nothing was evaluated\n"
+        )
+    else:
+        assert err == f"stability-meter: warning: --grace {grace} covers all 60 labels; nothing was evaluated\n"
 
 
 def _empty_run(small_log, tmp_path, capsys, flags):
@@ -442,6 +441,14 @@ def test_a_k_min_above_every_case_warns_and_still_succeeds(small_log, tmp_path, 
     assert _empty_run(small_log, tmp_path, capsys, flags) == (
         f"stability-meter: warning: --k-min {longest + 1} is above the longest case ({longest} events); "
         "nothing was evaluated\n"
+    )
+
+
+def test_static_models_with_no_grace_sample_warn_and_still_succeed(small_log, tmp_path, capsys):
+    # No case labelled within a grace of 1 reaches bucket 14, so its static model never predicts.
+    err = _empty_run(small_log, tmp_path, capsys, ["--model", "static", "--grace", "1", "--k-min", "14", "--k-max", "14"])
+    assert err == (
+        "stability-meter: warning: no prediction issued after --grace 1 was resolved; nothing was evaluated\n"
     )
 
 
@@ -670,7 +677,7 @@ def test_a_repeated_attribute_is_rejected_before_the_log_is_read(tmp_path, capsy
 )
 def test_an_attribute_the_log_lacks_is_rejected_before_the_run(tmp_path, capsys, attrs, name):
     log = tmp_path / "log.csv"
-    text = to_csv(generate(DriftLogSpec(n_cases=60, drift_at=30, seed=1)))
+    text = generate(DriftLogSpec(n_cases=60, drift_at=30, seed=1))
     log.write_text(text.replace(",channel\n", ", channel\n", 1))  # the header's last cell
     out = tmp_path / "out"
     code, _, stderr = _run_cli(["run", "--log", str(log), "--attrs", attrs, "--out", str(out)], capsys)
@@ -711,7 +718,7 @@ scenario: lf-hr  criteria: drops, volatility, max_magnitude
 
 def test_compare_and_rank_print_the_same_pooled_fields(tmp_path, capsys):
     log = tmp_path / "log.csv"
-    log.write_text(to_csv(generate(DriftLogSpec(n_cases=240, drift_at=120, seed=3))))
+    log.write_text(generate(DriftLogSpec(n_cases=240, drift_at=120, seed=3)))
     out = tmp_path / "cmp"
     code, stdout, _ = _run_cli(
         [
@@ -789,7 +796,7 @@ def test_rows_format_each_float_as_the_per_row_f_string_does(column):
         measures=replace(annotation.measures, drops=drops),
     )
     assert annotation.drop_id.tolist() == [0, 1, 1, 0, 2, 0]
-    report = SeriesReport(PerformanceSeries(2, "f1", values, np.arange(6)), annotation, annotation.measures)
+    report = SeriesReport(PerformanceSeries(2, "f1", values, np.arange(6)), annotation)
     assert report.rows() == fstring_rows(annotation)
 
 
@@ -798,6 +805,7 @@ def test_a_run_holds_each_series_once(small_log, tmp_path):
     reports = cli.execute_run(config, print_summary=False)
     assert reports
     assert [field.name for field in fields(SeriesAnnotation)] == ["value", "ma", "std", "measures"]
+    assert [field.name for field in fields(SeriesReport)] == ["series", "annotation"]
     shared = {}
     for report in reports:
         series = report.series
@@ -812,7 +820,7 @@ def test_run_reports_retain_few_bytes_per_point(tmp_path):
     # is shared by its four metrics; drop magnitudes add the rest. Float lists
     # of the series and stored bounds and drop ids held about 110 B a point.
     log_path = tmp_path / "log.csv"
-    log_path.write_text(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=0))))
+    log_path.write_text(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=0)))
     log = parse_log(str(log_path))
     config = RunConfig(log=str(log_path), model="static", out_dir=str(tmp_path / "out"))
     cli.execute_run(config, print_summary=False, log=log)  # first-run caches are not the reports'
@@ -844,7 +852,7 @@ def test_no_run_imports_numpy_ma(tmp_path, runs):
     # of peak RSS per run. A plain ``np.unique(x)``, with no ``return_*``
     # flag, imports it (numpy 2.4).
     log = tmp_path / "log.csv"
-    log.write_text(to_csv(generate(DriftLogSpec(n_cases=120, drift_at=60, seed=2))))
+    log.write_text(generate(DriftLogSpec(n_cases=120, drift_at=60, seed=2)))
     script = (
         "import sys\n"
         "from stability_meter import cli\n"

@@ -10,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stability_meter.errors import EmptyLogError, LogFormatError, LogValueError, StabilityMeterError
-from stability_meter.event_model import Event, EventLog, Trace, parse_log
+from stability_meter.event_model import EventLog, parse_log
 from stability_meter.prefixing import encode
-from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+from stability_meter.synthgen import DriftLogSpec, generate
 
 from log_strategies import csv_logs
-from oracles import attribute_map, dict_reader_parse_log, tuple_replay
+from oracles import attribute_map, dict_reader_parse_log, trace_views, tuple_replay
 
 
 def _parse(text):
     return parse_log(StringIO(text))
+
+
+def _traces(text):
+    """The parsed ``text``'s cases as ``Trace`` views of ``Event``s."""
+    return trace_views(_parse(text))
 
 
 BASIC = """case_id,activity,timestamp,label
@@ -32,7 +37,7 @@ b,end,4,0
 
 
 def test_parse_groups_cases_and_orders_events():
-    traces = _parse(BASIC)
+    traces = _traces(BASIC)
     assert len(traces) == 2
     by_id = {trace.case_id: trace for trace in traces}
     assert len(by_id["a"]) == 3 and by_id["a"].label == 1
@@ -42,7 +47,7 @@ def test_parse_groups_cases_and_orders_events():
 
 
 def test_equal_timestamps_keep_row_order():
-    traces = _parse(
+    traces = _traces(
         "case_id,activity,timestamp,label\n"
         "a,first,5,\n"
         "a,second,5,\n"
@@ -52,7 +57,7 @@ def test_equal_timestamps_keep_row_order():
 
 
 def test_label_on_every_row_is_accepted():
-    traces = _parse(
+    traces = _traces(
         "case_id,activity,timestamp,label\n"
         "a,x,1,1\n"
         "a,y,2,1\n"
@@ -89,7 +94,7 @@ def test_empty_inputs():
 
 
 def test_iso_timestamps_normalized_to_milliseconds():
-    traces = _parse(
+    traces = _traces(
         "case_id,activity,timestamp,label\n"
         "a,x,1970-01-01T00:00:01,\n"
         "a,y,1970-01-01T00:00:02.500Z,\n"
@@ -120,7 +125,7 @@ def test_iso_timestamps_drop_a_millisecond_fraction_toward_the_past(moment, frac
         text = moment.isoformat(timespec=fraction)
     if fraction == "milliseconds":
         moment = moment.replace(microsecond=moment.microsecond // 1000 * 1000)
-    traces = _parse(f"case_id,activity,timestamp,label\na,x,{text},1\n")
+    traces = _traces(f"case_id,activity,timestamp,label\na,x,{text},1\n")
     assert traces[0].events[0].timestamp == _epoch_milliseconds(moment), text
 
 
@@ -130,7 +135,7 @@ def test_a_file_with_a_byte_order_mark_parses_as_the_file_without_it(tmp_path):
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     want, got = parse_log(plain), parse_log(marked)
     assert got.names == want.names == ("amount",)
-    assert list(got) == list(want)
+    assert trace_views(got) == trace_views(want)
 
 
 def test_bytes_that_are_not_utf8_after_a_byte_order_mark_report_their_row(tmp_path):
@@ -147,7 +152,7 @@ def test_empty_activity_is_rejected_with_its_row(cell):
 
 
 def test_activities_keep_their_whitespace():
-    traces = _parse("case_id,activity,timestamp,label\na, a ,1,\na,a,2,\na,a ,3,1\n")
+    traces = _traces("case_id,activity,timestamp,label\na, a ,1,\na,a,2,\na,a ,3,1\n")
     assert [event.activity for event in traces[0].events] == [" a ", "a", "a "]
 
 
@@ -157,25 +162,25 @@ def test_bad_timestamp_rejected():
 
 
 def test_attribute_type_sniffing():
-    traces = _parse(
+    log = _parse(
         "case_id,activity,timestamp,label,amount,channels\n"
         "a,x,1,,10.5,web\n"
         "a,y,2,1,20,phone\n"
     )
-    events = traces[0].events
+    events = trace_views(log)[0].events
     assert attribute_map(events[0]) == {"amount": 10.5, "channels": "web"}
     assert attribute_map(events[1]) == {"amount": 20.0, "channels": "phone"}
-    assert traces.kinds() == {"amount": True, "channels": False}
+    assert log.kinds() == {"amount": True, "channels": False}
 
 
 def test_mixed_values_make_attribute_categorical():
-    traces = _parse(
+    log = _parse(
         "case_id,activity,timestamp,label,size\n"
         "a,x,1,,10\n"
         "a,y,2,1,large\n"
     )
-    assert traces.kinds() == {"size": False}
-    assert traces[0].events[0].attribute("size") == "10"
+    assert log.kinds() == {"size": False}
+    assert trace_views(log)[0].events[0].attribute("size") == "10"
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -209,7 +214,7 @@ def test_a_cell_float_reads_only_through_non_ascii_digits_or_underscores_is_cate
         f"a,y,3000,1,{cell}\n"
     )
     assert log.kinds() == {"code": False}
-    assert [event.attribute("code") for event in log[0].events] == ["7", cell]
+    assert [event.attribute("code") for event in trace_views(log)[0].events] == ["7", cell]
 
 
 def test_the_rows_with_underscores_and_arabic_indic_digits_are_rejected_at_the_timestamp():
@@ -219,14 +224,14 @@ def test_the_rows_with_underscores_and_arabic_indic_digits_are_rejected_at_the_t
     log = _parse(text.replace("1_000", "1000").replace("\u0663\u0660\u0660\u0660", "3000"))
     assert log.timestamp.tolist() == [1000, 3000]
     assert log.kinds() == {"code": False}
-    assert [event.attribute("code") for event in log[0].events] == ["10_20", "7"]
+    assert [event.attribute("code") for event in trace_views(log)[0].events] == ["10_20", "7"]
 
 
 @pytest.mark.parametrize("cell, number", [("1e3", 1000.0), ("+.5", 0.5), (" -2 ", -2.0), ("1E-2", 0.01)])
 def test_an_ascii_decimal_cell_stays_numeric(cell, number):
     log = _parse(f"case_id,activity,timestamp,label,amount\na,x,1,1,{cell}\n")
     assert log.kinds() == {"amount": True}
-    assert log[0].events[0].attribute("amount") == number
+    assert trace_views(log)[0].events[0].attribute("amount") == number
 
 
 def test_a_non_finite_cell_after_many_blank_and_numeric_cells_is_reported_with_its_row():
@@ -238,21 +243,23 @@ def test_a_non_finite_cell_after_many_blank_and_numeric_cells_is_reported_with_i
 
 
 def test_nan_in_a_categorical_column_is_a_plain_string():
-    traces = _parse(
+    log = _parse(
         "case_id,activity,timestamp,label,size\n"
         "a,x,1,,nan\n"
         "a,y,2,1,large\n"
     )
-    assert traces.kinds() == {"size": False}
-    assert traces[0].events[0].attribute("size") == "nan"
+    assert log.kinds() == {"size": False}
+    assert trace_views(log)[0].events[0].attribute("size") == "nan"
 
 
 def test_empty_attribute_cells_are_missing():
-    traces = _parse(
+    log = _parse(
         "case_id,activity,timestamp,label,amount\n"
         "a,x,1,,\n"
         "a,y,2,1,3.5\n"
     )
+    assert log.missing[0].tolist() == [True, False]
+    traces = trace_views(log)
     assert traces[0].events[0].values == (None,)
     assert traces[0].events[0].attribute("amount") is None
     assert traces[0].events[1].attribute("amount") == 3.5
@@ -260,7 +267,7 @@ def test_empty_attribute_cells_are_missing():
 
 def _stream(log):
     """The log's events in stream order, read through ``log.order``."""
-    events = [event for trace in log for event in trace.events]
+    events = [event for trace in trace_views(log) for event in trace.events]
     return [events[at] for at in log.order.tolist()]
 
 
@@ -274,7 +281,7 @@ def test_stream_order_interleaves_cases_by_timestamp():
     )
     stream = _stream(log)
     assert [(event.case_id, event.position) for event in stream] == [("x", 1), ("y", 1), ("y", 2), ("x", 2)]
-    assert stream == [item.event for item in tuple_replay(log)]
+    assert stream == [item.event for item in tuple_replay(trace_views(log))]
 
 
 def test_stream_order_of_a_single_case_is_the_case():
@@ -297,7 +304,7 @@ def test_stream_order_breaks_timestamp_ties_by_row_order():
     )
     log = _parse(text)
     assert [event.case_id for event in _stream(log)[-2:]] == ["p", "q"]
-    assert _stream(log) == [item.event for item in tuple_replay(log)]
+    assert _stream(log) == [item.event for item in tuple_replay(trace_views(log))]
     # flipping the two rows flips the stream order
     flipped = (
         "case_id,activity,timestamp,label\n"
@@ -308,12 +315,12 @@ def test_stream_order_breaks_timestamp_ties_by_row_order():
     )
     log = _parse(flipped)
     assert [event.case_id for event in _stream(log)[-2:]] == ["q", "p"]
-    assert _stream(log) == [item.event for item in tuple_replay(log)]
+    assert _stream(log) == [item.event for item in tuple_replay(trace_views(log))]
 
 
 def test_stream_order_is_a_timestamp_sorted_permutation_of_the_events():
     log = _parse(BASIC)
-    assert sorted(log.order.tolist()) == list(range(sum(len(trace) for trace in log)))
+    assert sorted(log.order.tolist()) == list(range(int(log.lengths().sum())))
     stamps = log.timestamp[log.order].tolist()
     assert stamps == sorted(stamps)
 
@@ -397,7 +404,7 @@ def _outcome(parser, text):
 
 def _assert_parsers_agree(text):
     log, want = _outcome(parse_log, text), _outcome(dict_reader_parse_log, text)
-    got = list(log) if isinstance(log, EventLog) else log  # the log's trace views
+    got = trace_views(log) if isinstance(log, EventLog) else log
     assert got == want
     if isinstance(want, list):
         for new, old in zip(got, want):
@@ -415,7 +422,7 @@ def test_parse_and_replay_match_the_reference_on_hand_written_logs(text):
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_parse_and_replay_match_the_reference_on_synth_logs(seed):
-    text = to_csv(generate(DriftLogSpec(n_cases=150, drift_at=75, seed=seed)))
+    text = generate(DriftLogSpec(n_cases=150, drift_at=75, seed=seed))
     header, *rows = text.splitlines(keepends=True)
     random.Random(seed).shuffle(rows)  # cases interleave and arrive out of order
     _assert_parsers_agree(text)
@@ -430,7 +437,7 @@ def test_parse_and_replay_match_the_reference_on_random_logs(text):
 
 def test_parse_shares_one_string_per_case_id_activity_and_category():
     # multi-character strings: CPython shares one-character strings anyway
-    traces = _parse(
+    traces = _traces(
         "case_id,activity,timestamp,label,channel,amount\n"
         "ca,start,1,,web,1\ncb,start,2,,web,1\nca,start,3,1,web,2\ncb,end,4,0,phone,2\n"
     )
@@ -442,23 +449,16 @@ def test_parse_shares_one_string_per_case_id_activity_and_category():
     assert all(event.names is events[0].names for event in events)
 
 
-def test_events_are_slotted_and_immutable():
-    event = _parse(BASIC)[0].events[0]
-    assert not hasattr(event, "__dict__")
-    with pytest.raises(AttributeError):
-        event.activity = "other"
-
-
-def test_parsed_events_hold_tuples_not_dicts():
-    traces = _parse(
+def test_an_empty_cell_is_missing_in_both_kinds_of_column():
+    log = _parse(
         "case_id,activity,timestamp,label,amount,channel\n"
         "a,x,1,,5,web\na,y,2,1,,\nb,x,3,0,7.5,phone\n"
     )
-    for trace in traces:
-        for event in trace.events:
-            assert type(event.names) is tuple and type(event.values) is tuple
-            assert len(event.values) == len(event.names) == 2
-            assert not any(isinstance(getattr(event, slot), dict) for slot in Event.__slots__)
+    assert log.names == ("amount", "channel") and log.kinds() == {"amount": True, "channel": False}
+    assert log.missing[0].tolist() == [False, True, False] and log.missing[1] is None
+    assert log.columns[0].tolist() == [5.0, 0.0, 7.5]
+    assert [log.strings[code] for code in log.columns[1].tolist()] == ["web", None, "phone"]
+    traces = trace_views(log)
     assert traces[0].events[1].values == (None, None)
     assert traces[0].events[1].attribute("ghost") is None
 
@@ -492,7 +492,7 @@ def test_parse_peak_memory_per_event_stays_small(tmp_path):
     # log at ~280, keeping ~265. Typed columns with no event objects peak
     # near 95 and keep near 50.
     path = tmp_path / "log.csv"
-    path.write_text(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))))
+    path.write_text(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))
     tracemalloc.start()
     try:
         log = parse_log(path)
@@ -507,24 +507,28 @@ def test_parse_peak_memory_per_event_stays_small(tmp_path):
 def test_blank_numeric_cells_are_missing_in_the_view_and_encode_as_zero():
     log = _parse(HAND_LOGS["blank numeric cells"])
     assert log.kinds() == {"amount": True}
-    assert [event.attribute("amount") for event in log[0].events] == [None, None, None]
+    assert [event.attribute("amount") for event in trace_views(log)[0].events] == [None, None, None]
     assert encode(log, [0], 3, ["amount"])[0, 3:].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_a_numeric_looking_column_turned_categorical_keeps_its_cells_as_written():
     log = _parse(HAND_LOGS["numeric column turns categorical after many rows"])
     assert log.kinds() == {"amount": False}
-    first = log[0].events
+    traces = trace_views(log)
+    first = traces[0].events
     assert [event.attribute("amount") for event in first[:2]] == ["0.50", "7.50"]
     assert first[-1].attribute("amount") is None
-    assert log[2].events[-1].attribute("amount") == "1e3"
+    assert traces[2].events[-1].attribute("amount") == "1e3"
 
 
-def test_the_log_is_a_sequence_of_trace_views():
+def test_the_log_is_a_sequence_of_event_index_ranges():
     log = _parse(BASIC)
     assert isinstance(log, EventLog) and len(log) == 2
-    assert log[-1] == log[1] == Trace("b", log[1].events, 0)
-    assert log[0].events is not log[0].events  # each view is built on demand
-    assert [len(trace) for trace in log] == [3, 2]
-    with pytest.raises(IndexError):
-        log[2]
+    assert log[0] == range(0, 3)
+    assert log[-1] == log[1] == range(3, 5)
+    assert [len(case) for case in log] == [3, 2]
+    assert sum(len(case) for case in log) == len(log.order)
+    assert [log.strings[code] for code in log.activity[log[0]].tolist()] == ["start", "work", "end"]
+    for index in (2, -3):
+        with pytest.raises(IndexError):
+            log[index]

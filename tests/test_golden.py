@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from stability_meter.cli import main
-from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+from stability_meter.synthgen import DriftLogSpec, generate
 
 from tree_counts import count_trees
 
@@ -91,7 +91,7 @@ def _digests(out):
 def _write_log(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "log.csv").write_text(
-        to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))
+        generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))
     )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from stability_meter.errors import ConfigError, StabilityMeterError
 from stability_meter.evaluation import run_stream
-from stability_meter.event_model import Event, Trace, parse_log
+from stability_meter.event_model import parse_log
 from stability_meter.prefixing import (
     MISSING_CODE,
     BucketConfig,
@@ -17,7 +17,7 @@ from stability_meter.prefixing import (
 )
 
 from log_strategies import csv_logs
-from oracles import Prefix, TextCodec, scratch_encode
+from oracles import Event, Prefix, TextCodec, Trace, scratch_encode, trace_views
 from parsed_logs import csv_text, parsed_log, shuffled_blanked_csv
 
 
@@ -154,7 +154,7 @@ def test_encode_looks_attributes_up_by_name():
     text = _one_case_csv(["A", "B", "C", "D"], attrs=attrs)
     log = parse_log(StringIO(text))
     names = ("channel", "amount")
-    events = log[0].events
+    events = trace_views(log)[0].events
     want = [scratch_encode(Prefix("c", k, tuple(events[:k])), names, TextCodec(text)) for k in range(1, 5)]
     assert [_encode(log, [0], k, names)[0] for k in range(1, 5)] == want
     assert want[-1][4:] == (
@@ -264,7 +264,7 @@ def test_schema_without_attributes_does_not_read_the_traces(monkeypatch):
 
 def test_bucket_population_matches_case_lengths():
     # bucket k receives exactly one sample per case of length >= k
-    traces = _log_of_lengths(2, 3, 5, 5, 7)
+    traces = trace_views(_log_of_lengths(2, 3, 5, 5, 7))
     cfg = BucketConfig(k_min=2, k_max=6)
     population = {k: 0 for k in cfg.buckets()}
     for trace in traces:
@@ -286,10 +286,11 @@ def test_encode_matches_the_scratch_encoder_on_every_prefix_length(attrs, seed):
     lengths = log.lengths()
     scratch = TextCodec(text)
     assert [scratch.numeric[name] for name in names] == [log.kinds()[name] for name in names]
+    traces = trace_views(log)
     want = {
         k: [
             scratch_encode(Prefix(trace.case_id, k, tuple(trace.events[:k])), names, scratch)
-            for trace in log
+            for trace in traces
             if len(trace) >= k
         ]
         for k in range(1, int(lengths.max()) + 1)

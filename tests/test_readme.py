@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+from stability_meter.synthgen import DriftLogSpec, generate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,7 +15,7 @@ def _library_blocks():
 
 
 def test_readme_library_code_runs_on_a_synth_log(tmp_path, monkeypatch, capsys):
-    log = to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))
+    log = generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))
     (tmp_path / "drift.csv").write_text(log)
     monkeypatch.chdir(tmp_path)
     blocks = _library_blocks()

@@ -29,7 +29,7 @@ from stability_meter.errors import SettingError, StabilityMeterError
 from stability_meter.evaluation import METRICS, _Record, metrics_from_confusion, run_stream
 from stability_meter.event_model import parse_log
 from stability_meter.prefixing import BucketConfig, default_k_max
-from stability_meter.synthgen import DriftLogSpec, generate, to_csv
+from stability_meter.synthgen import DriftLogSpec, generate
 
 from log_strategies import csv_logs, many_case_logs
 from oracles import TextCodec, event_replay, loop_metrics, reference_record, reference_run_stream
@@ -292,7 +292,7 @@ def test_run_stream_peak_memory_per_event_stays_small():
     # The run holds the integers it records, the models and a bounded batch
     # of gathered rows: ~36 B/event here. A run that also holds one tuple
     # per event, as a listed per-event stream did, peaks near 120.
-    log = parse_log(io.StringIO(to_csv(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3)))))
+    log = parse_log(io.StringIO(generate(DriftLogSpec(n_cases=400, drift_at=200, seed=3))))
     _run_peak_per_event(log)  # warm up, untimed and unchecked
     assert _run_peak_per_event(log) < 80
     assert _run_peak_per_event(log, held=_stream_items) > 80
@@ -302,7 +302,7 @@ def test_window_retrain_with_attributes_gathers_rows_in_bounded_batches():
     # Rows are gathered a bounded batch of cases at a time: ~40 B/event
     # here, with a small window so that the fits stay small. Gathering each
     # bucket's rows at once peaks near 63.
-    log = parse_log(io.StringIO(to_csv(generate(DriftLogSpec(n_cases=1000, drift_at=500, seed=3)))))
+    log = parse_log(io.StringIO(generate(DriftLogSpec(n_cases=1000, drift_at=500, seed=3))))
     params = LearnerParams(train_window=30, retrain_every=64)
     run = dict(policy="window-retrain", attrs=("amount", "channel"), params=params)
     _run_peak_per_event(log, **run)  # warm up, untimed and unchecked
