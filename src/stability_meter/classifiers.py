@@ -26,7 +26,8 @@ model states and predictions. Prediction ties break toward label 0. The
 tree depends only on the multiset of its training rows, not on their order,
 and its split search is exact: ``tests/oracles.py`` keeps a
 one-feature-at-a-time reference that every tree must match, whether it was
-grown alone or in a batch of windows.
+grown alone or in a batch of windows. A tree is its batch's node table plus
+a root index.
 """
 
 from __future__ import annotations
@@ -69,27 +70,6 @@ class LearnerParams:
 # ---------------------------------------------------------------------------
 # Decision tree learner (shared by window-retrain and static policies)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Node:
-    prediction: int | None = None
-    feature: int = -1
-    numeric_split: bool = False
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    def to_dict(self) -> dict:
-        if self.prediction is not None:
-            return {"kind": "leaf", "prediction": self.prediction}
-        return {
-            "kind": "num" if self.numeric_split else "cat",
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
 
 
 def _gains(ones_left: np.ndarray, n_left: np.ndarray, ones: np.ndarray, n: np.ndarray, parent: np.ndarray):
@@ -154,13 +134,21 @@ class DecisionTree:
     wins, so fitting is fully deterministic. Splits must leave at least
     ``min_leaf`` samples on each side. A fit is :func:`fit_windows` of one
     window.
+
+    A tree is its ``root``'s index in ``nodes``, its fit batch's node table:
+    lists (a one-row walk reads them faster than arrays) ``feature, numeric,
+    threshold, left, prediction``, an item per node, numbered depth by
+    depth, then the row width. A leaf's ``left`` is -1; a split sends a row
+    to ``left`` if ``row[feature] <= threshold`` (numeric) or ``==
+    threshold`` (categorical), else to ``left + 1``.
     """
 
     def __init__(self, max_depth: int = LearnerParams.tree_depth, min_leaf: int = MIN_LEAF) -> None:
         require_at_least(1, max_depth=max_depth, min_leaf=min_leaf)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.root: _Node | None = None
+        self.nodes: tuple | None = None
+        self.root = 0
 
     def fit(
         self,
@@ -169,25 +157,34 @@ class DecisionTree:
         numeric_mask: Sequence[bool],
     ) -> "DecisionTree":
         matrix, target, mask = _fit_input(features, labels, numeric_mask)
-        (self.root,) = _grow(matrix, target, np.array([[0, len(matrix)]]), mask, self.max_depth, self.min_leaf)
+        self.nodes = _grow(matrix, target, np.array([[0, len(matrix)]]), mask, self.max_depth, self.min_leaf)
         return self
 
     def predict(self, features: Sequence[float]) -> int:
-        if self.root is None:
+        if self.nodes is None:
             raise NotReadyError("decision tree has not been fit")
+        feature, numeric, threshold, left, prediction, width = self.nodes
+        if len(features) != width:
+            raise ValueError(f"decision tree expects {width} features, row has {len(features)}")
         node = self.root
-        while node.prediction is None:
-            value = float(features[node.feature])
-            if node.numeric_split:
-                node = node.left if value <= node.threshold else node.right
-            else:
-                node = node.left if value == node.threshold else node.right
-        return node.prediction
+        while (child := left[node]) >= 0:
+            value, cut = float(features[feature[node]]), threshold[node]
+            node = child if (value <= cut if numeric[node] else value == cut) else child + 1
+        return prediction[node]
 
     def to_dict(self) -> dict:
-        if self.root is None:
+        """The tree as nested dicts: each leaf's ``prediction``; each split's kind, feature, threshold and children."""
+        if self.nodes is None:
             raise NotReadyError("decision tree has not been fit")
-        return self.root.to_dict()
+        feature, numeric, threshold, left, prediction, _ = self.nodes
+
+        def view(node: int) -> dict:
+            if left[node] < 0:
+                return {"kind": "leaf", "prediction": prediction[node]}
+            kind, at = "num" if numeric[node] else "cat", left[node]
+            return {"kind": kind, "feature": feature[node], "threshold": threshold[node], "left": view(at), "right": view(at + 1)}
+
+        return view(self.root)
 
 
 # Window cells (rows times features, summed over its windows) in one
@@ -218,23 +215,26 @@ def fit_windows(
     """
     require_at_least(1, max_depth=max_depth, min_leaf=min_leaf)
     matrix, target, mask = _fit_input(rows, labels, numeric_mask)
-    bounds = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
-    if ((bounds[:, 0] < 0) | (bounds[:, 0] >= bounds[:, 1]) | (bounds[:, 1] > len(matrix))).any():
+    bounds = np.asarray(windows).reshape(-1, 2)
+    start, stop = bounds.T
+    if (bounds != np.floor(bounds)).any() or ((start < 0) | (start >= stop) | (stop > len(matrix))).any():
         raise ValueError(f"every window must be a non-empty range of the {len(matrix)} rows")
+    nodes = _grow(matrix, target, bounds.astype(np.int64), mask, max_depth, min_leaf)
     trees = [DecisionTree(max_depth, min_leaf) for _ in bounds]
-    for tree, root in zip(trees, _grow(matrix, target, bounds, mask, max_depth, min_leaf)):
-        tree.root = root
+    for root, tree in enumerate(trees):
+        tree.nodes, tree.root = nodes, root
     return trees
 
 
-def _grow(matrix, target, windows, mask, max_depth: int, min_leaf: int) -> list[_Node]:
-    """The root of each window's tree, grown breadth-first: one split search per depth for all windows.
+def _grow(matrix, target, windows, mask, max_depth: int, min_leaf: int) -> tuple:
+    """The node table of the windows' trees, grown breadth-first: one split search per depth for all windows.
 
-    The open nodes of a depth hold their rows as indices into the matrix, in
-    node order. A node whose rows are pure or too few, or that is at
-    ``max_depth``, becomes a leaf; the others are searched together
-    (:class:`_Splits`), and the rows of each split node move to the child
-    its split sends them to.
+    Window ``i``'s root is node ``i``. The open nodes of a depth hold their
+    rows as indices into the matrix, in node order. A node whose rows are
+    pure or too few, or that is at ``max_depth``, becomes a leaf; the others
+    are searched together (:class:`_Splits`), and the rows of each split
+    node move to the child its split sends them to. Each depth's nodes are
+    a slice of the table, written as the depth is grown.
     """
     sizes = windows[:, 1] - windows[:, 0]
     index = np.int32 if len(matrix) < 2**31 else np.int64
@@ -243,19 +243,25 @@ def _grow(matrix, target, windows, mask, max_depth: int, min_leaf: int) -> list[
     ones_before = np.concatenate(([0], np.cumsum(target, dtype=np.int64)))
     n, ones = sizes, ones_before[windows[:, 1]] - ones_before[windows[:, 0]]
     splits = _Splits(matrix, target, mask, min_leaf, int(sizes.sum()))
-    roots = [_Node() for _ in windows]
-    nodes = roots
+    depths = []  # each depth's (feature, numeric, threshold, left, prediction) columns
+    first = 0  # the index of the depth's first node
     for depth in range(max_depth + 1):
+        count = len(n)
+        prediction = (ones > n - ones).view(np.int8)
+        depths.append((np.full(count, -1), np.zeros(count, bool), np.zeros(count), np.full(count, -1), prediction))
         searched = (ones > 0) & (ones < n) & (n >= 2 * min_leaf) & (depth < max_depth)
-        members, node_of, n, ones, nodes = _keep(searched, members, node_of, n, ones, nodes)
-        if not nodes:
+        members, node_of, n, ones, nodes = _keep(searched, members, node_of, n, ones, np.arange(count))
+        if not len(nodes):
             break
         feature, numeric, threshold = splits.best(members, node_of, n, ones)
         split = feature >= 0
         members, node_of, n, ones, nodes = _keep(split, members, node_of, n, ones, nodes)
-        if not nodes:
+        if not len(nodes):
             break
         feature, numeric, threshold = feature[split], numeric[split], threshold[split]
+        first += count
+        for column, values in zip(depths[-1], (feature, numeric, threshold, first + 2 * np.arange(len(nodes)))):
+            column[nodes] = values
         value, bound = matrix[members, feature[node_of]], threshold[node_of]
         # As in predict: left when value <= threshold (numeric), value == threshold (categorical).
         child = 2 * node_of + ~np.where(numeric[node_of], value <= bound, value == bound)
@@ -265,23 +271,16 @@ def _grow(matrix, target, windows, mask, max_depth: int, min_leaf: int) -> list[
         order = np.argsort(child, kind="stable")
         members, node_of = members[order], child[order]
         del child, order
-        for node, f, is_numeric, cut in zip(nodes, feature.tolist(), numeric.tolist(), threshold.tolist()):
-            node.feature, node.numeric_split, node.threshold = f, is_numeric, cut
-            node.left, node.right = _Node(), _Node()
-        nodes = [child for node in nodes for child in (node.left, node.right)]
-    return roots
+    return (*(np.concatenate(column).tolist() for column in zip(*depths)), matrix.shape[1])
 
 
-def _keep(kept: np.ndarray, members, node_of, n, ones, nodes: list):
-    """The ``kept`` nodes, their rows (nodes numbered among the kept ones) and counts; the others become leaves."""
+def _keep(kept: np.ndarray, members, node_of, n, ones, nodes):
+    """The ``kept`` nodes' indices in their depth, rows (nodes numbered among the kept ones) and counts."""
     if kept.all():
         return members, node_of, n, ones, nodes
-    for node, keep, n_node, ones_node in zip(nodes, kept.tolist(), n.tolist(), ones.tolist()):
-        if not keep:
-            node.prediction = int(ones_node > n_node - ones_node)
     rows = kept[node_of]
     members, node_of = members[rows], (np.cumsum(kept, dtype=node_of.dtype) - 1)[node_of[rows]]
-    return members, node_of, n[kept], ones[kept], [node for node, keep in zip(nodes, kept.tolist()) if keep]
+    return members, node_of, n[kept], ones[kept], nodes[kept]
 
 
 class _Splits:

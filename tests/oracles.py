@@ -379,12 +379,22 @@ class ReferenceWindowRetrain:
         self.tree = tree.fit(rows, labels, self.numeric_mask).to_dict()
 
     def predict(self, features):
-        node = self.tree
-        while node["kind"] != "leaf":
-            value = float(features[node["feature"]])
-            left = value <= node["threshold"] if node["kind"] == "num" else value == node["threshold"]
-            node = node["left"] if left else node["right"]
-        return node["prediction"]
+        return walk_tree_dict(self.tree, features)
+
+
+def walk_tree_dict(tree, features):
+    """The label a tree dict (``ReferenceTree.to_dict()``'s layout) gives one feature row.
+
+    A numeric split sends the row left when its value is ``<=`` the
+    threshold, so a NaN threshold sends every row right; a categorical split
+    sends it left on ``==``, where -0.0 equals 0.0.
+    """
+    node = tree
+    while node["kind"] != "leaf":
+        value = float(features[node["feature"]])
+        left = value <= node["threshold"] if node["kind"] == "num" else value == node["threshold"]
+        node = node["left"] if left else node["right"]
+    return node["prediction"]
 
 
 @dataclass(frozen=True, slots=True)

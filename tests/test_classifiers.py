@@ -28,7 +28,7 @@ from stability_meter.event_model import REQUIRED_COLUMNS
 from stability_meter.prefixing import BucketConfig, encode, feature_mask
 from stability_meter.synthgen import DriftLogSpec
 
-from oracles import ReferenceTree, ReferenceWindowRetrain, nb_posterior_scores
+from oracles import ReferenceTree, ReferenceWindowRetrain, nb_posterior_scores, walk_tree_dict
 from parsed_logs import parsed_log
 from tree_counts import count_scored, count_trees
 
@@ -239,7 +239,7 @@ def test_tree_min_leaf_blocks_tiny_splits():
     features = [(0,), (1,), (0,), (1,)]
     labels = [0, 1, 0, 1]
     tree = DecisionTree(max_depth=3, min_leaf=5).fit(features, labels, (False,))
-    assert tree.root.prediction is not None  # single leaf, no split possible
+    assert tree.to_dict().get("prediction") is not None  # single leaf, no split possible
 
 
 def test_tree_separable_numeric_data_fits_perfectly():
@@ -350,7 +350,7 @@ def test_tree_ignores_the_order_of_its_rows():
 )
 def test_tree_without_a_candidate_split_is_one_leaf(features, labels, mask, min_leaf):
     tree = _assert_same_tree(features, labels, mask, 3, min_leaf)
-    assert tree.root.prediction is not None
+    assert tree.to_dict().get("prediction") is not None
 
 
 @pytest.mark.parametrize("mask", [(True, False, True), (False, True, False), (False, False, True)])
@@ -360,7 +360,23 @@ def test_tree_equal_gains_go_to_the_lowest_feature_index(mask):
     features = [(value, value, value) for value in column]
     labels = [0, 0, 1, 1, 1, 1]
     tree = _assert_same_tree(features, labels, mask, 1, 1)
-    assert tree.root.feature == 0
+    assert tree.to_dict()["feature"] == 0
+
+
+@pytest.mark.parametrize(
+    "labels, row",
+    [
+        ([0] * 6 + [1] * 6, (1.0, 0.0, 2.0, 5.0)),  # longer than the rows it was fit on
+        ([0] * 6 + [1] * 6, (1.0,)),  # shorter
+        ([1] * 12, ()),  # a tree that is one leaf
+    ],
+    ids=["longer", "shorter", "one-leaf"],
+)
+def test_tree_rejects_a_row_of_the_wrong_width(labels, row):
+    tree = DecisionTree(min_leaf=1).fit([(float(at), 1.0, 0.0) for at in range(12)], labels, (True, False, True))
+    assert tree.predict((3.0, 1.0, 0.0)) == labels[3]
+    with pytest.raises(ValueError, match=rf"^decision tree expects 3 features, row has {len(row)}$"):
+        tree.predict(row)
 
 
 def test_tree_rejects_a_mask_of_the_wrong_width():
@@ -392,7 +408,7 @@ def test_tree_rejects_nan_features():
 
 def test_fit_windows_rejects_a_window_outside_the_rows():
     features, labels = [(float(value),) for value in range(6)], [0, 1] * 3
-    for window in ((0, 7), (-1, 3), (4, 4)):
+    for window in ((0, 7), (-1, 3), (4, 4), (0.5, 3.9)):
         with pytest.raises(ValueError, match="non-empty range of the 6 rows"):
             fit_windows(features, labels, [(0, 2), window], (True,))
 
@@ -468,6 +484,40 @@ def test_fit_windows_grows_the_reference_tree_of_each_window(batch, max_depth, m
             reference = _nan_equal(ReferenceTree(max_depth, min_leaf).fit(*window).to_dict())
             assert _nan_equal(tree.to_dict()) == reference, (start, stop)
             assert _nan_equal(DecisionTree(max_depth, min_leaf).fit(*window).to_dict()) == reference, (start, stop)
+
+
+def _splits_of(tree: dict) -> list:
+    """The (feature, threshold) of each split of a tree dict."""
+    if tree["kind"] == "leaf":
+        return []
+    return [(tree["feature"], tree["threshold"]), *_splits_of(tree["left"]), *_splits_of(tree["right"])]
+
+
+_NAN_CUT = (np.array([[value] for value in _INFINITIES * 6]), [0, 1] * 6, [(0, 12), (2, 12)], [True])
+_ZERO_CODE = (np.array([[0.0, 1.0], [2.0, 1.0]] * 6), [1, 0] * 6, [(1, 12), (0, 12)], [False, True])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_window_batches(), st.integers(1, 6), st.integers(1, 6), st.lists(st.floats(allow_nan=False), max_size=4))
+@example(_NAN_CUT, 2, 1, [0.0])  # the midpoint of -inf and inf is NaN
+@example(_ZERO_CODE, 2, 1, [-0.0, 3.0])  # -0.0 matches the categorical split on 0.0
+def test_tree_predicts_as_a_walk_of_the_reference_tree(batch, max_depth, min_leaf, unseen):
+    # Each tree of a batch walks its node table from its own root: every fit
+    # row, a row at each split's threshold and its negation, and rows of
+    # values the fit never saw label as a walk of the reference tree's dict.
+    rows, labels, windows, mask = batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        trees = fit_windows(rows, labels, windows, mask, max_depth, min_leaf)
+        for (start, stop), tree in zip(windows, trees):
+            reference = ReferenceTree(max_depth, min_leaf).fit(rows[start:stop], labels[start:stop], mask).to_dict()
+            queries = rows.tolist()
+            for feature, value in [*_splits_of(reference), *((at, value) for value in unseen for at in range(len(mask)))]:
+                for sign in (1.0, -1.0):
+                    query = rows[start].tolist()
+                    query[feature] = sign * value
+                    queries.append(query)
+            for query in queries:
+                assert tree.predict(query) == walk_tree_dict(reference, query), (start, stop, query)
 
 
 def _nan_equal(tree: dict) -> dict:
