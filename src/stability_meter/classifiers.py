@@ -16,10 +16,11 @@ The three policies differ only in how they react to newly labeled cases:
 Every model works on feature rows, as :func:`~.prefixing.encode` gathers
 them: ``predict(features)`` labels one row, and the model takes labeled
 rows in blocks (``learn``), of which ``observe_label(features, label)`` is
-the one-row case. It says when it can next change
-(``labels_until_change``) and, from label counts alone, when it becomes
-ready to predict (``labels_to_ready``), so a run can know both before any
-model is trained.
+the one-row case. It says whether it can predict (``is_ready``) and
+when it can next change (``labels_until_change``), so a run learns a
+model that is not ready one change at a time until it is. ``learn``
+rejects a block whose rows are not 2-D at the model's width or whose
+labels are not one integer 0 or 1 per row before it changes any state.
 
 All learners are deterministic: identical sample streams produce identical
 model states and predictions. Prediction ties break toward label 0. The
@@ -107,6 +108,19 @@ def _check_width(width: int, mask: tuple, bucket: int) -> None:
         )
 
 
+def _checked_labels(rows: np.ndarray, labels: np.ndarray, mask: tuple, bucket: int) -> list:
+    """A block's labels as a list, once its rows are 2-D at the mask's width with one integer 0 or 1 each."""
+    if rows.ndim != 2 or rows.shape[1] != len(mask):
+        has = f"row has {rows.shape[1]}" if rows.ndim == 2 else f"block is {rows.ndim}-D"
+        raise ValueError(f"bucket-{bucket} model expects {len(mask)} features, {has} (encoding schema mismatch)")
+    listed = labels.tolist()
+    if labels.ndim != 1 or len(listed) != len(rows):
+        raise ValueError(f"bucket-{bucket} model got {labels.size} labels for {len(rows)} rows")
+    if labels.dtype.kind not in "biu" or not {0, 1}.issuperset(listed):
+        raise ValueError(f"bucket-{bucket} model labels must be the integers 0 or 1")
+    return listed
+
+
 def _fit_input(features, labels, numeric_mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sample matrix, 0/1 labels and numeric mask of a fit, or a one-line ``ValueError``."""
     matrix = np.asarray(features, dtype=float)
@@ -163,9 +177,13 @@ class DecisionTree:
     def predict(self, features: Sequence[float]) -> int:
         if self.nodes is None:
             raise NotReadyError("decision tree has not been fit")
-        feature, numeric, threshold, left, prediction, width = self.nodes
-        if len(features) != width:
-            raise ValueError(f"decision tree expects {width} features, row has {len(features)}")
+        if len(features) != self.nodes[-1]:
+            raise ValueError(f"decision tree expects {self.nodes[-1]} features, row has {len(features)}")
+        return self._walk(features)
+
+    def _walk(self, features: Sequence[float]) -> int:
+        """The leaf prediction of a row of the fit's width."""
+        feature, numeric, threshold, left, prediction, _ = self.nodes
         node = self.root
         while (child := left[node]) >= 0:
             value, cut = float(features[feature[node]]), threshold[node]
@@ -571,11 +589,6 @@ class IncrementalNaiveBayes:
     def is_ready(self) -> bool:
         return sum(self._class_counts) > 0
 
-    @staticmethod
-    def labels_to_ready(grace_labels: int, params: LearnerParams) -> int | None:
-        """Post-grace labels before predicting: its first label, or none after grace labels."""
-        return 0 if grace_labels else 1
-
     def labels_until_change(self) -> int | None:
         """Every label is an update."""
         return 1
@@ -586,9 +599,9 @@ class IncrementalNaiveBayes:
 
     def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Incorporate labeled feature rows one after another, in order."""
-        _check_width(rows.shape[1], self._mask, self.bucket)
+        labels = _checked_labels(rows, labels, self._mask, self.bucket)
         window = self._window
-        for features, label in zip(rows.tolist(), labels.tolist()):
+        for features, label in zip(rows.tolist(), labels):
             window.append((features, label))
             if self._frozen:
                 self._count(features, label, +1)
@@ -617,11 +630,11 @@ class IncrementalNaiveBayes:
 
     def _count(self, features, label: int, delta: int) -> None:
         for index, value in enumerate(features):
-            key = self._key(index, value)
-            entry = self._counts[index].setdefault(key, [0, 0])
+            key, seen = self._key(index, value), self._counts[index]
+            entry = seen.get(key) or seen.setdefault(key, [0, 0])  # a pair is built for a new key only
             entry[label] += delta
             if entry[0] <= 0 and entry[1] <= 0:
-                del self._counts[index][key]
+                del seen[key]
         self._class_counts[label] += delta
 
     def predict(self, features: Sequence[float]) -> int:
@@ -671,7 +684,7 @@ class _TreeModel:
         if self._tree is None:
             raise NotReadyError(f"bucket-{self.bucket} {self.policy.value} model has no training yet")
         _check_width(len(features), self._mask, self.bucket)
-        return self._tree.predict(features)
+        return self._tree._walk(features)
 
     def observe_label(self, features: Sequence[float], label: int) -> None:
         """Learn one labeled feature row: ``learn`` of a one-row block."""
@@ -709,18 +722,13 @@ class WindowRetrainModel(_TreeModel):
         self._pending = 0
         self._grace_done = False
 
-    @staticmethod
-    def labels_to_ready(grace_labels: int, params: LearnerParams) -> int | None:
-        """Post-grace labels before predicting: none after grace labels, else a cadence's worth."""
-        return 0 if grace_labels else params.retrain_every
-
     def labels_until_change(self) -> int | None:
         """Labels until the next retrain (after grace; before it, only ``finish_grace`` fits)."""
         return self._retrain_every - self._pending
 
     def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Add labeled rows to the window in order, fitting once, at the last cadence point they pass."""
-        _check_width(rows.shape[1], self._mask, self.bucket)
+        _checked_labels(rows, labels, self._mask, self.bucket)
         first = self._seen - len(self._labels)  # the label index of the first held row
         rows, labels = np.concatenate((self._rows, rows)), np.concatenate((self._labels, labels))
         stop = first + len(labels)
@@ -804,21 +812,14 @@ class StaticModel(_TreeModel):
         super().__init__(bucket, numeric_mask, params)
         self._grace: list[tuple] | None = []  # blocks of (rows, labels); None once past grace
 
-    @staticmethod
-    def labels_to_ready(grace_labels: int, params: LearnerParams) -> int | None:
-        """Ready at the end of grace if it had grace labels; otherwise never."""
-        return 0 if grace_labels else None
-
     def labels_until_change(self) -> int | None:
         """No label changes the model: after grace it ignores them."""
         return None
 
     def learn(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Collect labeled rows into the grace set; after grace, ignore them."""
-        if self._grace is None:
-            return
-        _check_width(rows.shape[1], self._mask, self.bucket)
-        if len(rows):
+        _checked_labels(rows, labels, self._mask, self.bucket)
+        if self._grace is not None and len(rows):
             self._grace.append((rows, labels))
 
     def finish_grace(self) -> None:

@@ -13,26 +13,25 @@ current window.
 The stream is the parsed log's events in (timestamp, row) order,
 ``log.order``. :func:`run_stream` computes this in two passes. The
 recording pass derives only integers from the log's arrays: per label, its
-case and stream index; per issued prediction, its case, bucket and stream
-index. Whether a bucket's model is ready to predict follows from label
-counts alone (each model's ``labels_to_ready``), so no model is trained in
-this pass. A category's code is its string id in the log (see
+case and stream index. A category's code is its string id in the log (see
 :mod:`~.prefixing`), so no pass numbers the categories. A bucket longer
 than the log's longest case gets no model: no prefix reaches it.
 
-The evaluation pass serves one bucket at a time. A model changes only when
-it learns, so the bucket's labels, in label order, split where its model
-can change (``labels_until_change``: at each retrain for window-retrain,
-never after grace for static, at every label for naive Bayes). Between two
-changes, its predictions are served by one model version, one
-``predict(row)`` each, and its training rows are learned as a block. The
-rows come from :class:`~.prefixing.FeatureRows`, which gathers them with
-:func:`~.prefixing.encode`, at most ``GATHER`` cases at a time. Each
-resolution is its outcome (``2 * predicted + actual``) and the index of the
-label that resolved it; one array pass per bucket turns them into every
-series: confusion counts of each window from a cumulative sum lagged by
-``eval_window`` resolutions, then :func:`metrics_from_confusion` over all
-points at once.
+The evaluation pass serves one bucket at a time. After grace, a model that
+is not ready (``is_ready``) learns one change at a time until it is; from
+the next event on, it predicts at each of its cases' ``k``-th events,
+found in the stream as the labels are. A model changes only when it
+learns, so the bucket's labels, in label order, split where its model can
+change (``labels_until_change``: at each retrain for window-retrain, never
+after grace for static, at every label for naive Bayes). Between two changes, its predictions are served by one
+model version, one ``predict(row)`` each, and its training rows are
+learned as a block. The rows come from :class:`~.prefixing.FeatureRows`,
+which gathers them with :func:`~.prefixing.encode`, at most ``GATHER``
+cases at a time. Each resolution is its outcome (``2 * predicted +
+actual``) and the index of the label that resolved it; one array pass per
+bucket turns them into every series: confusion counts of each window from
+a cumulative sum lagged by ``eval_window`` resolutions, then
+:func:`metrics_from_confusion` over all points at once.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ from .prefixing import BucketConfig, FeatureRows, check_attrs, feature_mask
 from .prefixing import encode  # noqa: F401  -- the batch encoder; only the tracer reads this name (ROADMAP item 6)
 
 METRICS = ("accuracy", "precision", "recall", "f1")
-
-# Events whose stream positions the recording pass reads at once.
-_CHUNK = 1024
 
 
 def metrics_from_confusion(tp, fp, fn, tn) -> dict[str, np.ndarray]:
@@ -153,7 +149,7 @@ def run_stream(
     reached = range(buckets.k_min, min(buckets.k_max, int(log.lengths().max())) + 1)
     models = {k: model_type(k, feature_mask(numeric, k), params) for k in reached}
 
-    record = _Record.of(log, model_type, reached, grace, params)
+    record = _Record.of(log)
     rows = FeatureRows(log, attrs)
     labels_seen = len(record.labelled)
     kept = [] if ledger is not None else None  # per bucket: what the ledger needs
@@ -176,12 +172,11 @@ _NO_RESOLUTIONS = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 @dataclass
 class _Record:
-    """What the recording pass keeps of a log: the log and integers, in stream order.
+    """What the recording pass keeps of a log: the log and its label columns, in stream order.
 
     ``labelled`` and ``labelled_at`` hold each label's case and stream index,
     ``label_lengths`` its case's length, and ``label_index`` each case's
-    1-based label index; ``issued``, ``issued_k`` and ``issued_at`` hold each
-    issued prediction's case, bucket and stream index.
+    1-based label index.
     """
 
     log: EventLog
@@ -189,84 +184,46 @@ class _Record:
     labelled_at: np.ndarray
     label_lengths: np.ndarray
     label_index: np.ndarray
-    issued: np.ndarray
-    issued_k: np.ndarray
-    issued_at: np.ndarray
 
     @classmethod
-    def of(cls, log: EventLog, model_type, buckets: range, grace: int, params: LearnerParams) -> "_Record":
-        """Record the log's labels and the predictions the protocol issues to ``buckets``, from its arrays.
-
-        The stream is ``log.order``, and a case's label comes with its last
-        event. A bucket is ready once grace is over and its model's
-        ``labels_to_ready`` rule, applied to the bucket's label counts, says
-        so; from the next event on, it predicts at each event that completes
-        a prefix of its length. A prediction at an event is issued before
-        the event's label.
-        """
-        bounds, order = log.bounds, log.order
-        # The narrowest integer columns that hold a case, a bucket and a stream index.
-        index = np.int32 if len(order) < 2**31 else np.int64
-        k_max = buckets.stop - 1
-        ends = np.zeros(len(order), bool)
-        ends[bounds[1:] - 1] = True
-        labelled_at = np.flatnonzero(ends[order]).astype(index) + 1
-        del ends
-        labelled = (np.searchsorted(bounds, order[labelled_at - 1], side="right") - 1).astype(index)
-        label_lengths = log.lengths()[labelled]
-
-        # ready_after[k]: the stream index after which bucket k predicts; the
-        # last one when it never does, as for the lengths outside the buckets.
-        ready_after = np.full(k_max + 2, len(order))
-        if len(labelled) >= grace:
-            later = label_lengths[grace:]
-            for k in buckets:
-                need = model_type.labels_to_ready(int(np.count_nonzero(label_lengths[:grace] >= k)), params)
-                if need == 0:
-                    ready_after[k] = labelled_at[grace - 1]
-                elif need is not None:
-                    counted = np.flatnonzero(later >= k)
-                    if need <= len(counted):
-                        ready_after[k] = labelled_at[grace + counted[need - 1]]
-
-        bucket = np.int8 if k_max < 128 else np.int32
-        parts = []
-        for begin in range(0, len(order), _CHUNK):
-            at = order[begin : begin + _CHUNK]
-            case = np.searchsorted(bounds, at, side="right") - 1
-            k = np.minimum(at - bounds[case] + 1, k_max + 1)
-            stream_index = np.arange(begin + 1, begin + 1 + len(at))
-            issue = stream_index > ready_after[k]
-            parts.append((case[issue].astype(index), k[issue].astype(bucket), stream_index[issue].astype(index)))
-        issued, issued_k, issued_at = map(np.concatenate, zip(*parts))
-        label_index = np.zeros(len(log), index)
+    def of(cls, log: EventLog) -> "_Record":
+        """Record the log's labels from its arrays: a case's label comes with its last event."""
+        labelled, labelled_at = _in_stream(log, log.bounds[1:] - 1)
+        label_index = np.zeros(len(log), labelled.dtype)
         label_index[labelled] = np.arange(1, len(labelled) + 1)
-        return cls(log, labelled, labelled_at, label_lengths, label_index, issued, issued_k, issued_at)
+        return cls(log, labelled, labelled_at, log.lengths()[labelled], label_index)
+
+
+def _in_stream(log: EventLog, events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cases and 1-based stream indices of ``events``, row indices of the log, in stream order."""
+    order = log.order
+    # The narrowest integer columns that hold a case and a stream index.
+    index = np.int32 if len(order) < 2**31 else np.int64
+    chosen = np.zeros(len(order), bool)
+    chosen[events] = True
+    at = np.flatnonzero(chosen[order]).astype(index) + 1
+    del chosen
+    return (np.searchsorted(log.bounds, order[at - 1], side="right") - 1).astype(index), at
 
 
 def _serve_bucket(
     model: OutcomeModel, k: int, record: _Record, rows: FeatureRows, grace: int, kept: list | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train bucket ``k``'s model on its labels and serve its issued predictions, in stream order.
+    """Train bucket ``k``'s model on its labels and serve its predictions, in stream order.
 
-    The bucket's labels are those of cases with at least ``k`` events. A
-    prediction is served by the model as it was before the label at its own
-    stream index, so it sees the labels before it. The labels between two
-    predictions are learned as one block, and the predictions between two
-    changes of the model (``labels_until_change``) are served by one
+    The bucket's labels are those of cases with at least ``k`` events, and
+    its predictions are at their ``k``-th events after the model is ready.
+    A prediction is served by the model as it was before the label at its
+    own stream index, so it sees the labels before it. The labels between
+    two predictions are learned as one block, and the predictions between
+    two changes of the model (``labels_until_change``) are served by one
     version. Returns the resolutions in resolution order: each one's
     outcome (``2 * predicted + actual``) and label index. When ``kept`` is
-    a list, the predictions' labels and model versions go to it for the
-    ledger.
+    a list, the predictions go to it for the ledger.
     """
     trained = record.label_lengths >= k
     label_cases = record.labelled[trained]
     label_at = record.labelled_at[trained]
-    issued = np.flatnonzero(record.issued_k == k)
-    cases, issued_at = record.issued[issued], record.issued_at[issued]
-    predicted = np.empty(len(cases), np.int8)
-    versions = np.empty(len(cases), np.int64)
-
     take_labels = rows.blocks(label_cases, k)
     learned = 0
 
@@ -281,6 +238,19 @@ def _serve_bucket(
     if len(record.labelled) < grace:
         return _NO_RESOLUTIONS  # grace never ended: no prediction was issued
     model.finish_grace()
+    readied_at = record.labelled_at[grace - 1]  # the stream index of the label after which the model predicts
+    while not model.is_ready:
+        change = model.labels_until_change()
+        if change is None or learned == len(label_cases):
+            return _NO_RESOLUTIONS  # no label makes it ready
+        learn(min(learned + change, len(label_cases)))
+        readied_at = label_at[learned - 1]
+    # The cases with at least k events are the bucket's labelled ones.
+    cases, issued_at = _in_stream(record.log, record.log.bounds[label_cases] + (k - 1))
+    first = int(np.searchsorted(issued_at, readied_at, side="right"))
+    cases, issued_at = cases[first:], issued_at[first:]
+    predicted = np.empty(len(cases), np.int8)
+    versions = np.empty(len(cases), np.int64)
     take_predictions = rows.blocks(cases, k)
     served = 0
 
@@ -322,7 +292,7 @@ def _serve_bucket(
             model.fill(gather)
 
     if kept is not None:
-        kept.append((k, issued, predicted, versions))
+        kept.append((k, cases, issued_at, predicted, versions))
     resolved = record.label_index[cases]
     order = np.argsort(resolved, kind="stable")
     return 2 * predicted[order] + rows.labels[cases[order]], resolved[order]
@@ -330,10 +300,9 @@ def _serve_bucket(
 
 def _write_ledger(ledger: list, record: _Record, kept: list) -> None:
     """Append every resolved pair to ``ledger`` by label index, then issuing stream index."""
-    ks, issued, predicted, versions = zip(*kept)
-    buckets = np.concatenate([np.full(len(part), k) for k, part in zip(ks, issued)])
-    issued, predicted, versions = (np.concatenate(parts) for parts in (issued, predicted, versions))
-    cases, issued_at = record.issued[issued], record.issued_at[issued]
+    ks, cases, issued_at, predicted, versions = zip(*kept)
+    buckets = np.concatenate([np.full(len(part), k) for k, part in zip(ks, cases)])
+    cases, issued_at, predicted, versions = map(np.concatenate, (cases, issued_at, predicted, versions))
     resolved = record.label_index[cases]
     order = np.lexsort((issued_at, resolved))
     log = record.log

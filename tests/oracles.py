@@ -807,11 +807,26 @@ def reference_run_stream(
     return series, labels_seen, models
 
 
-def reference_record(log, model_type, buckets, grace, params):
-    """The recording pass as a walk over :func:`event_replay`: ``_Record``'s integer columns by name.
+def labels_to_ready(policy, grace_labels, params):
+    """Post-grace labels a bucket's ``policy`` model learns before it predicts; None for never.
 
-    A bucket's readiness is counted down label by label: once grace ends,
-    its ``labels_to_ready`` need, then one less at each later label of a
+    A model that learned ``grace_labels > 0`` labels during grace is ready
+    at its end. Without one, naive Bayes is ready at its first label,
+    window-retrain at its first cadence point, and static never.
+    """
+    if grace_labels:
+        return 0
+    return {"incremental": 1, "window-retrain": params.retrain_every, "static": None}[policy]
+
+
+def reference_record(log, policy, buckets, grace, params):
+    """The labels and issued predictions of a run as a walk over :func:`event_replay`, as integer columns by name.
+
+    ``labelled``, ``labelled_at``, ``label_lengths`` and ``label_index`` are
+    ``_Record``'s columns; ``issued``, ``issued_k`` and ``issued_at`` hold
+    each issued prediction's case, bucket and stream index. A bucket's
+    readiness is counted down label by label: once grace ends, its
+    :func:`labels_to_ready` need, then one less at each later label of a
     case at least as long as the bucket. A prediction at an event is issued
     before the event's label.
     """
@@ -838,7 +853,7 @@ def reference_record(log, model_type, buckets, grace, params):
         if len(labelled) == grace:
             lengths = [case_lengths[case] for case in labelled]
             for bucket in buckets.buckets():
-                need = model_type.labels_to_ready(sum(length >= bucket for length in lengths), params)
+                need = labels_to_ready(policy, sum(length >= bucket for length in lengths), params)
                 if need == 0:
                     ready[bucket] = True
                 elif need is not None:

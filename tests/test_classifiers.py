@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 from collections import deque
 from functools import cache
@@ -28,7 +29,7 @@ from stability_meter.event_model import REQUIRED_COLUMNS
 from stability_meter.prefixing import BucketConfig, encode, feature_mask
 from stability_meter.synthgen import DriftLogSpec
 
-from oracles import ReferenceTree, ReferenceWindowRetrain, nb_posterior_scores, walk_tree_dict
+from oracles import ReferenceTree, ReferenceWindowRetrain, labels_to_ready, nb_posterior_scores, walk_tree_dict
 from parsed_logs import parsed_log
 from tree_counts import count_scored, count_trees
 
@@ -189,6 +190,33 @@ def test_trained_models_reject_a_row_of_the_wrong_width(policy, row):
     message = rf"^bucket-2 model expects 3 features, row has {len(row)} \(encoding schema mismatch\)$"
     with pytest.raises(ValueError, match=message):
         model.predict(row)
+
+
+BAD_BLOCKS = {
+    "wider rows": (np.ones((2, 4)), np.array([0, 1]), r"expects 3 features, row has 4 \(encoding schema mismatch\)"),
+    "1-D rows": (np.ones(3), np.array([0]), r"expects 3 features, block is 1-D \(encoding schema mismatch\)"),
+    "fewer labels": (np.ones((2, 3)), np.array([1]), r"got 1 labels for 2 rows"),
+    "label 2": (np.ones((2, 3)), np.array([0, 2]), r"labels must be the integers 0 or 1"),
+    # Naive Bayes indexed its counts with the label, so 1.0 failed there after the row was taken.
+    "label 1.0": (np.ones((2, 3)), np.array([0.0, 1.0]), r"labels must be the integers 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("block", BAD_BLOCKS)
+@pytest.mark.parametrize("after_grace", [False, True], ids=["before-grace", "after-grace"])
+@pytest.mark.parametrize("policy", list(UpdatePolicy))
+def test_models_reject_a_bad_block_before_changing_any_state(policy, after_grace, block):
+    # Naive Bayes took label 2 into its window before an IndexError, window-retrain
+    # held it until its next fit failed, and static took any block after grace.
+    model = MODELS[policy](bucket=2, numeric_mask=(False, True, False), params=LearnerParams(retrain_every=4))
+    model.learn(np.array([(float(at % 2), float(at), 1.0) for at in range(12)]), np.arange(12) % 2)
+    if after_grace:
+        model.finish_grace()
+    state = pickle.dumps(model)
+    rows, labels, message = BAD_BLOCKS[block]
+    with pytest.raises(ValueError, match=rf"^bucket-2 model {message}$"):
+        model.learn(rows, labels)
+    assert pickle.dumps(model) == state
 
 
 def test_nb_version_counts_updates():
@@ -728,7 +756,7 @@ def test_labels_to_ready_says_after_how_many_labels_a_model_predicts(kind, grace
     for features, label in samples[:grace_labels]:
         model.observe_label(features, label)
     model.finish_grace()
-    need = kind.labels_to_ready(grace_labels, params)
+    need = labels_to_ready(kind.policy.value, grace_labels, params)
     for seen, (features, label) in enumerate(samples[grace_labels:]):
         assert model.is_ready == (need is not None and seen >= need), seen
         model.observe_label(features, label)

@@ -1,7 +1,7 @@
 """The two-pass run loop against the online reference loop.
 
-``run_stream`` over a parsed log records the labels and issued predictions
-as integers from the log's arrays, then serves each bucket's model from
+``run_stream`` over a parsed log records the labels as integers from the
+log's arrays, then finds each bucket's predictions, serves its model from
 gathered rows and makes every series in one array pass;
 ``oracles.reference_run_stream`` over ``oracles.event_replay`` builds an
 ``Event`` per item, encodes each prefix from scratch with a text-keyed
@@ -10,8 +10,9 @@ codec, trains the models one labeled sample at a time (window-retrain as
 a window as its label arrives. Both must give the same series, ledger and
 models, a window-retrain model's held window included, on drawn, seeded
 and hand-made logs; the
-recording pass must also give the integers of ``oracles.reference_record``,
-which walks the replay event by event.
+recording pass must also give the label columns of
+``oracles.reference_record``, which walks the replay event by event, and
+each bucket's ledger must hold the predictions that walk issues.
 """
 
 import io
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stability_meter.classifiers import LearnerParams, model_class
+from stability_meter.classifiers import LearnerParams
 from stability_meter.errors import SettingError, StabilityMeterError
 from stability_meter.evaluation import METRICS, _Record, metrics_from_confusion, run_stream
 from stability_meter.event_model import parse_log
@@ -155,18 +156,20 @@ def _edge_csv():
     return "\n".join(rows) + "\n"
 
 
+@pytest.mark.parametrize("retrain_every", [1, 3])
 @pytest.mark.parametrize("attrs", ATTRS, ids=["activities", "attributes"])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_run_loop_matches_the_reference_at_readiness_and_interval_edges(policy, attrs):
+def test_run_loop_matches_the_reference_at_readiness_and_interval_edges(policy, attrs, retrain_every):
+    # With retrain_every=3, a window-retrain model of bucket 7 learns three labels before its first prediction.
     text = _edge_csv()
     assert default_k_max(parse_log(io.StringIO(text))) == 7
-    ledger = _assert_same_run(text, policy, attrs, grace=4, eval_window=3, eval_every=1, retrain_every=1)
+    ledger = _assert_same_run(text, policy, attrs, grace=4, eval_window=3, eval_every=1, retrain_every=retrain_every)
     # A prediction on the case's own last event, resolved by that event's label.
     assert any(pair.issued_at == pair.stream_index for pair in ledger)
     top = sorted((pair.issued_at, pair.model_version) for pair in ledger if pair.bucket == 7)
     if policy == "static":
         assert not top  # bucket 7 had no grace label, so its static model never predicts
-    else:
+    elif retrain_every == 1:
         # B1's and B2's labels change bucket 7's model twice between two of its predictions.
         assert any(later - earlier == 2 for (_, earlier), (_, later) in zip(top, top[1:]))
 
@@ -178,11 +181,22 @@ GRACE = {"below": lambda labels: labels // 3 + 1, "at": lambda labels: labels, "
 def _assert_same_record(text, policy, grace, retrain_every, k_min):
     log = parse_log(io.StringIO(text))
     buckets = BucketConfig(k_min, max(k_min, default_k_max(log)))
-    model_type, params = model_class(policy), LearnerParams(retrain_every=retrain_every)
+    params = LearnerParams(retrain_every=retrain_every)
     grace = GRACE[grace](len(log))
-    record = _Record.of(log, model_type, buckets.buckets(), grace, params)
-    for name, want in reference_record(log, model_type, buckets, grace, params).items():
-        assert getattr(record, name).tolist() == want, name
+    want = reference_record(log, policy, buckets, grace, params)
+    record = _Record.of(log)
+    for name in ("labelled", "labelled_at", "label_lengths", "label_index"):
+        assert getattr(record, name).tolist() == want[name], name
+    # Per bucket, the predictions a run issues: each one's case and stream index, in stream order.
+    ledger = []
+    run_stream(log, policy, buckets, grace=grace, params=params, ledger=ledger)
+    case_index = {case_id: index for index, case_id in enumerate(log.case_ids)}
+    for k in buckets.buckets():
+        issued = sorted((pair.issued_at, case_index[pair.case_id]) for pair in ledger if pair.bucket == k)
+        want_issued = [
+            (at, case) for case, bucket, at in zip(want["issued"], want["issued_k"], want["issued_at"]) if bucket == k
+        ]
+        assert issued == want_issued, k
 
 
 @pytest.mark.parametrize("grace", GRACE)
